@@ -31,7 +31,7 @@ from .errors import (
     UnknownNode,
     WouldCreateCycle,
 )
-from ._config import DEFAULT_MAX_PUSHBACK_ALPHABET, max_state_space
+from ._config import DEFAULT_MAX_PUSHBACK_ALPHABET, _contract, max_state_space
 
 GATE_NORM_TOL = 1e-12
 
@@ -142,54 +142,34 @@ def _state_space(model: ClassicalModel) -> int:
     return total
 
 
-def _gate_operand(gate: Gate, edge_index: dict[str, int], o_index: int):
-    """Gate tensor with indexed-edge subscripts; edges absent from the index
-    (trivial or outside the contracted subgraph) are squeezed away."""
-    keep_in = [i for i, e in enumerate(gate.in_edges) if e in edge_index]
-    keep_out = [i for i, e in enumerate(gate.out_edges) if e in edge_index]
-    n_in = len(gate.in_edges)
-    wanted = set(keep_in) | {n_in} | {n_in + 1 + j for j in keep_out}
-    squeeze = tuple(i for i in range(gate.tensor.ndim) if i not in wanted)
-    tensor = np.squeeze(gate.tensor, axis=squeeze) if squeeze else gate.tensor
-    subs = (
-        [edge_index[gate.in_edges[i]] for i in keep_in]
-        + [o_index]
-        + [edge_index[gate.out_edges[i]] for i in keep_out]
-    )
-    return tensor, subs
+def _contract_gates(model: ClassicalModel, nodes, max_states) -> JointDistribution:
+    """Joint of ``nodes`` (an ancestral set, in graph order): einsum over their
+    gates with the outcomes open.  Hidden values on edges leaving the set are
+    summed out; one-letter edges are squeezed away first."""
+    operands = []
+    for v in nodes:
+        gate = model.gates[v]
+        n_in = len(gate.in_edges)
+        subs = list(gate.in_edges) + [("outcome", v)] + list(gate.out_edges)
+        keep = [i for i, e in enumerate(subs) if i == n_in or model.edge_alphabet[e] > 1]
+        squeeze = tuple(i for i in range(len(subs)) if i not in keep)
+        operands.append((np.squeeze(gate.tensor, axis=squeeze), [subs[i] for i in keep]))
+    table = _contract(operands, [("outcome", v) for v in nodes], max_states)
+    variables = tuple((v, model.graph.outcomes[v]) for v in nodes)
+    return JointDistribution(variables, table, norm_tol=1e-9)
 
 
 def evaluate(model: ClassicalModel, max_states: int | None = None) -> JointDistribution:
     """Joint outcome distribution: sum over hidden values of the gate product.
 
-    Contraction is delegated to einsum (variable elimination); trivial
-    one-letter edges are squeezed out first, so adding such an edge leaves
-    the result bit-identical.  Must agree with :func:`evaluate_naive` within
-    1e-12.
+    Contraction is delegated to einsum (variable elimination) and refused
+    when an operand, an intermediate or the table exceeds the state-space
+    guard; trivial one-letter edges are squeezed out first, so adding such an
+    edge leaves the result bit-identical.  Must agree with
+    :func:`evaluate_naive` within 1e-12.
     """
     _require_valid(model)
-    if _state_space(model) > max_state_space(max_states):
-        raise SizeLimitExceeded(f"state space {_state_space(model)} exceeds the guard")
-    graph = model.graph
-    counter = 0
-    edge_index: dict[str, int] = {}
-    for e in graph.edges:
-        if model.edge_alphabet[e.id] > 1:
-            edge_index[e.id] = counter
-            counter += 1
-    node_index = {}
-    for v in graph.nodes:
-        node_index[v] = counter
-        counter += 1
-    args = []
-    for v in graph.nodes:
-        tensor, subs = _gate_operand(model.gates[v], edge_index, node_index[v])
-        args.append(tensor)
-        args.append(subs)
-    args.append([node_index[v] for v in graph.nodes])
-    table = np.einsum(*args, optimize="greedy")
-    variables = tuple((v, graph.outcomes[v]) for v in graph.nodes)
-    return JointDistribution(variables, table, norm_tol=1e-9)
+    return _contract_gates(model, model.graph.nodes, max_states)
 
 
 def evaluate_naive(model: ClassicalModel, max_states: int | None = None) -> JointDistribution:
@@ -240,29 +220,10 @@ def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribut
             raise UnknownNode(f"unknown node {v!r}")
     if cg.causal_past(model.graph, subset) != subset:
         raise NotAncestral(f"{sorted(subset)} is not equal to its causal past")
-    graph = model.graph
-    kept = [v for v in graph.nodes if v in subset]
+    kept = [v for v in model.graph.nodes if v in subset]
     if not kept:
         return JointDistribution((), np.asarray(1.0), norm_tol=1e-9)
-    counter = 0
-    edge_index: dict[str, int] = {}
-    for e in graph.edges:
-        if e.src in subset and model.edge_alphabet[e.id] > 1:
-            edge_index[e.id] = counter
-            counter += 1
-    node_index = {}
-    for v in kept:
-        node_index[v] = counter
-        counter += 1
-    args = []
-    for v in kept:
-        tensor, subs = _gate_operand(model.gates[v], edge_index, node_index[v])
-        args.append(tensor)
-        args.append(subs)
-    args.append([node_index[v] for v in kept])
-    table = np.einsum(*args, optimize="greedy")
-    variables = tuple((v, graph.outcomes[v]) for v in kept)
-    return JointDistribution(variables, table, norm_tol=1e-9)
+    return _contract_gates(model, kept, None)
 
 
 def _flat_rows(gate: Gate) -> np.ndarray:

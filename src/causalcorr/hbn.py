@@ -20,7 +20,7 @@ from .classical import ClassicalModel, Gate, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
 from .dist import JointDistribution
 from .errors import InvalidModel, SchemaError, SizeLimitExceeded
-from ._config import max_state_space
+from ._config import _contract, max_state_space
 
 ROW_NORM_TOL = 1e-12
 
@@ -81,25 +81,18 @@ def _require_valid(hbn: HiddenBayesNet) -> None:
 
 
 def evaluate(hbn: HiddenBayesNet, max_states: int | None = None) -> JointDistribution:
-    """Exact sum over hidden assignments of readout times transition products."""
+    """Exact sum over hidden assignments of readout times transition products.
+
+    One einsum contraction, refused when an operand, an intermediate or the
+    table exceeds the state-space guard.
+    """
     _require_valid(hbn)
     graph = hbn.graph
-    total = 1
+    operands = []
     for v in graph.nodes:
-        total *= hbn.node_alphabet[v] * graph.outcomes[v]
-    if total > max_state_space(max_states):
-        raise SizeLimitExceeded(f"state space {total} exceeds the guard")
-    mu_index = {v: i for i, v in enumerate(graph.nodes)}
-    o_index = {v: len(graph.nodes) + i for i, v in enumerate(graph.nodes)}
-    args = []
-    for v in graph.nodes:
-        pa = sorted_parents(graph, v)
-        args.append(hbn.transitions[v])
-        args.append([mu_index[u] for u in pa] + [mu_index[v]])
-        args.append(hbn.readouts[v])
-        args.append([mu_index[v], o_index[v]])
-    args.append([o_index[v] for v in graph.nodes])
-    table = np.einsum(*args, optimize="greedy")
+        operands.append((hbn.transitions[v], list(sorted_parents(graph, v)) + [v]))
+        operands.append((hbn.readouts[v], [v, ("outcome", v)]))
+    table = _contract(operands, [("outcome", v) for v in graph.nodes], max_states)
     variables = tuple((v, graph.outcomes[v]) for v in graph.nodes)
     return JointDistribution(variables, table, norm_tol=1e-9)
 

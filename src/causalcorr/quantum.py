@@ -3,28 +3,27 @@
 An instrument maps each outcome of its node to a list of Kraus operators of
 shape (product of outgoing edge dimensions, product of incoming edge
 dimensions); summed over outcomes and operators, K†K accumulates to the
-identity.  Evaluation contracts the graph one node at a time along a
-topological order, carrying a density operator on the currently open edges.
-Open edges are kept sorted by edge id at all times, which makes the result
-independent of the chosen order.
+identity.  Evaluation turns each instrument into one superoperator tensor,
+sum over Kraus operators of K (x) conj(K), with the node's outcome as an
+open axis and a ket and a bra axis per edge, and contracts all of them in a
+single einsum whose open indices are the outcomes.  The joint table is a
+sum over the same products whatever the contraction order, so it does not
+depend on the topological order up to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph as cg
-from .classical import ClassicalModel, validate_model as validate_classical
+from .classical import ClassicalModel, sorted_in_ids, sorted_out_ids
+from .classical import validate_model as validate_classical
 from .dist import JointDistribution
-from .errors import (
-    InvalidModel,
-    NegativeProbability,
-    SchemaError,
-    SizeLimitExceeded,
-)
-from ._config import DEFAULT_MAX_WIRE_DIM, max_state_space
+from .errors import InvalidModel, NegativeProbability, SchemaError, SizeLimitExceeded
+from ._config import _contract, max_state_space
 
 COMPLETENESS_TOL = 1e-10
 IMAG_TOL = 1e-12
@@ -49,19 +48,16 @@ class QuantumModel:
     instruments: dict[str, Instrument]
 
 
-def _io_dims(model: QuantumModel, v: str) -> tuple[int, int]:
-    din = 1
-    for e in sorted(x.id for x in model.graph.in_edges(v)):
-        din *= model.edge_dim[e]
-    dout = 1
-    for e in sorted(x.id for x in model.graph.out_edges(v)):
-        dout *= model.edge_dim[e]
+def _io_dims(graph: cg.CausalGraph, edge_dim, v: str) -> tuple[int, int]:
+    """Input and output dimensions of ``v``: products over its in- and out-edges."""
+    din = math.prod(edge_dim[e.id] for e in graph.in_edges(v))
+    dout = math.prod(edge_dim[e.id] for e in graph.out_edges(v))
     return din, dout
 
 
 def completeness_deviation(model: QuantumModel, v: str) -> float:
     """Max-abs deviation of the summed K†K from the identity on the input space."""
-    din, _ = _io_dims(model, v)
+    din, _ = _io_dims(model.graph, model.edge_dim, v)
     acc = np.zeros((din, din), dtype=complex)
     for ops in model.instruments[v].components:
         for k in ops:
@@ -88,7 +84,7 @@ def validate_model(model: QuantumModel) -> list[str]:
                 f"node {v!r}: instrument has {inst.n_outcomes} outcomes, expected {model.graph.outcomes[v]}"
             )
             continue
-        din, dout = _io_dims(model, v)
+        din, dout = _io_dims(model.graph, model.edge_dim, v)
         bad_shape = False
         for ops in inst.components:
             for k in ops:
@@ -126,91 +122,59 @@ def _check_order(model: QuantumModel, order) -> list[str]:
     return order
 
 
-def _contract_outcome(model, order, outcome_of, max_wire) -> complex:
-    """Value of the diagram with each node fixed to one instrument component."""
-    open_ids: list[str] = []
-    dims: list[int] = []
-    rho = np.ones((1, 1), dtype=complex)
-    for v in order:
-        ops = model.instruments[v].components[outcome_of[v]]
-        in_ids = sorted(e.id for e in model.graph.in_edges(v))
-        out_ids = sorted(e.id for e in model.graph.out_edges(v))
-        in_set = set(in_ids)
-        rest_axes = [i for i, e in enumerate(open_ids) if e not in in_set]
-        in_axes = [open_ids.index(e) for e in in_ids]
-        k = len(open_ids)
-        tens = rho.reshape(tuple(dims) * 2)
-        perm = rest_axes + in_axes
-        tens = tens.transpose(perm + [k + i for i in perm])
-        r_dim = 1
-        for i in rest_axes:
-            r_dim *= dims[i]
-        din = 1
-        for i in in_axes:
-            din *= dims[i]
-        dout = 1
-        for e in out_ids:
-            dout *= model.edge_dim[e]
-        if r_dim * dout > max_wire:
-            raise SizeLimitExceeded(
-                f"open-wire dimension {r_dim * dout} exceeds the guard {max_wire}"
-            )
-        block = tens.reshape(r_dim, din, r_dim, din)
-        new = np.zeros((r_dim, dout, r_dim, dout), dtype=complex)
-        for kr in ops:
-            new += np.einsum("oi,aibj,pj->aobp", kr, block, kr.conj())
-        rest_ids = [open_ids[i] for i in rest_axes]
-        rest_dims = [dims[i] for i in rest_axes]
-        out_dims = [model.edge_dim[e] for e in out_ids]
-        unsorted_ids = rest_ids + out_ids
-        tens = new.reshape(tuple(rest_dims + out_dims) * 2)
-        sort_perm = sorted(range(len(unsorted_ids)), key=lambda i: unsorted_ids[i])
-        kk = len(unsorted_ids)
-        tens = tens.transpose(sort_perm + [kk + i for i in sort_perm])
-        open_ids = [unsorted_ids[i] for i in sort_perm]
-        dims = [(rest_dims + out_dims)[i] for i in sort_perm]
-        d = 1
-        for x in dims:
-            d *= x
-        rho = tens.reshape(d, d)
-    return complex(rho[0, 0])
+def _superoperator(model: QuantumModel, v: str, guard: int):
+    """Node ``v`` as an einsum operand: the sum over its Kraus operators of
+    K (x) conj(K), axes (outcome, outgoing kets, incoming kets, outgoing bras,
+    incoming bras), edges in id order; edges of dimension 1 carry no axis."""
+    components = model.instruments[v].components
+    din, dout = _io_dims(model.graph, model.edge_dim, v)
+    if len(components) * (din * dout) ** 2 > guard:
+        raise SizeLimitExceeded(f"superoperator of node {v!r} exceeds the guard {guard}")
+    kraus = np.zeros((len(components), max(map(len, components)), dout * din), dtype=complex)
+    for o, ops in enumerate(components):
+        for r, k in enumerate(ops):
+            kraus[o, r] = k.ravel()
+    s = np.matmul(kraus.transpose(0, 2, 1), kraus.conj())
+    wide = [
+        e for ids in (sorted_out_ids(model.graph, v), sorted_in_ids(model.graph, v))
+        for e in ids if model.edge_dim[e] > 1
+    ]
+    subs = [("outcome", v)] + [("ket", e) for e in wide] + [("bra", e) for e in wide]
+    return s.reshape([len(components)] + [model.edge_dim[e] for e in wide] * 2), subs
 
 
 def evaluate(
     model: QuantumModel,
     order=None,
-    max_wire_dim: int = DEFAULT_MAX_WIRE_DIM,
     max_states: int | None = None,
 ) -> JointDistribution:
-    """Joint outcome distribution by per-outcome diagram contraction.
+    """Joint outcome distribution by one contraction of per-node superoperators.
 
-    For every joint outcome tuple the graph is contracted along ``order``
-    (default: the canonical topological order); any topological order gives
-    the same table within 1e-10.  Entries with imaginary residue beyond 1e-12
-    are rejected; entries below -1e-9 raise NegativeProbability, smaller
-    negative noise is clamped to zero.
+    Every node's superoperator keeps its outcome axis open, and one einsum
+    over all of them, listed along ``order`` (default: the canonical
+    topological order), gives the whole table; any topological order gives
+    the same table within 1e-10.  SizeLimitExceeded is raised when an
+    operand, an intermediate or the table exceeds the state-space guard.
+    Entries with imaginary residue beyond 1e-12 are rejected; entries below
+    -1e-9 raise NegativeProbability, smaller negative noise is clamped to
+    zero.
     """
     _require_valid(model)
     graph = model.graph
     order = _check_order(model, order if order is not None else cg.topological_order(graph))
-    total = 1
-    for v in graph.nodes:
-        total *= graph.outcomes[v]
-    if total > max_state_space(max_states):
-        raise SizeLimitExceeded(f"{total} outcome tuples exceeds the guard")
-    outcome_sizes = tuple(graph.outcomes[v] for v in graph.nodes)
-    table = np.zeros(outcome_sizes)
-    for outcome in np.ndindex(*outcome_sizes):
-        outcome_of = dict(zip(graph.nodes, outcome))
-        p = _contract_outcome(model, order, outcome_of, max_wire_dim)
-        if abs(p.imag) > IMAG_TOL:
-            raise InvalidModel(f"imaginary residue {p.imag} at outcome {outcome}")
-        val = p.real
-        if val < -NEG_TOL:
-            raise NegativeProbability(f"probability {val} at outcome {outcome}")
-        table[outcome] = max(val, 0.0)
+    guard = max_state_space(max_states)
+    operands = [_superoperator(model, v, guard) for v in order]
+    p = _contract(operands, [("outcome", v) for v in graph.nodes], guard)
+    bad = np.argwhere(np.abs(p.imag) > IMAG_TOL)
+    if len(bad):
+        at = tuple(bad[0].tolist())
+        raise InvalidModel(f"imaginary residue {p.imag[at]} at outcome {at}")
+    bad = np.argwhere(p.real < -NEG_TOL)
+    if len(bad):
+        at = tuple(bad[0].tolist())
+        raise NegativeProbability(f"probability {p.real[at]} at outcome {at}")
     variables = tuple((v, graph.outcomes[v]) for v in graph.nodes)
-    return JointDistribution(variables, table, norm_tol=1e-8)
+    return JointDistribution(variables, np.maximum(p.real, 0.0), norm_tol=1e-8)
 
 
 def decohere_embed(cmodel: ClassicalModel) -> QuantumModel:
@@ -264,12 +228,7 @@ def random_model(graph: cg.CausalGraph, edge_dims, seed: int) -> QuantumModel:
     rng = np.random.default_rng(seed)
     instruments = {}
     for v in graph.nodes:
-        din = 1
-        for e in sorted(x.id for x in graph.in_edges(v)):
-            din *= dims[e]
-        dout = 1
-        for e in sorted(x.id for x in graph.out_edges(v)):
-            dout *= dims[e]
+        din, dout = _io_dims(graph, dims, v)
         m = graph.outcomes[v]
         env = max(1, -(-din // (dout * m)))
         g = rng.normal(size=(dout * m * env, din)) + 1j * rng.normal(size=(dout * m * env, din))
@@ -305,11 +264,16 @@ def model_from_dict(data: dict) -> QuantumModel:
     dims = {str(e): int(d) for e, d in data["edge_dims"].items()}
     instruments = {}
     for v, byo in data["instruments"].items():
-        n_o = graph.outcomes[str(v)]
+        if str(v) not in graph.outcomes:
+            raise SchemaError(f"instrument for unknown node {v!r}")
+        keys = [str(o) for o in range(graph.outcomes[str(v)])]
+        unknown = set(byo) - set(keys)
+        if unknown:
+            raise SchemaError(f"node {v!r}: unknown outcome keys {sorted(unknown)}")
         components = []
-        for o in range(n_o):
+        for o in keys:
             ops = []
-            for k in byo.get(str(o), []):
+            for k in byo.get(o, []):
                 arr = np.array(
                     [[complex(z[0], z[1]) for z in row] for row in k], dtype=complex
                 )

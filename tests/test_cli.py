@@ -62,6 +62,16 @@ class TestExitCodes:
         graph_path, _ = bell_files
         assert run(["graph-validate", "--graph", str(graph_path), "--bogus"]) == 2
 
+    @pytest.mark.parametrize("node, key", [("a", "7"), ("ghost", "0")])
+    def test_quantum_unknown_instrument_entry_is_usage_error(self, tmp_path, capsys, node, key):
+        data = qm.model_to_dict(qm.random_model(bell_graph(), 1, seed=0))
+        data["instruments"].setdefault(node, {})[key] = data["instruments"]["a"]["0"]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data))
+        assert run(["eval-quantum", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and (node if node == "ghost" else key) in err
+
     def test_check_correlation_failing_verdict(self, bell_files, tmp_path, capsys):
         graph_path, _ = bell_files
         # party 2's outcome copies party 1's setting: signalling

@@ -5,10 +5,11 @@ from causalcorr import classical as cm
 from causalcorr import graph as gm
 from causalcorr import quantum as qm
 from causalcorr.correlation import is_correlation
-from causalcorr.errors import InvalidModel
+from causalcorr import hbn as hm
+from causalcorr.errors import InvalidModel, SchemaError, SizeLimitExceeded
 from causalcorr.graph import CausalGraph
 
-from conftest import bell_graph, popescu_graph, triangle_graph
+from conftest import all_test_graphs, bell_graph, bilocality_graph, popescu_graph, triangle_graph
 from test_classical import shared_coin_model, triangle_xor_model
 
 
@@ -220,6 +221,112 @@ def transfer_matrix_probability(model, outcome_of):
     return complex(np.einsum(*args, optimize="greedy"))
 
 
+def sequential_probability(model, order, outcome_of) -> complex:
+    """Independent oracle: the value of the diagram with each node fixed to one
+    instrument component, contracted one node at a time along ``order``.
+
+    A density operator on the open edges is carried from node to node; open
+    edges are kept sorted by edge id, so the result does not depend on the
+    order.
+    """
+    open_ids: list[str] = []
+    dims: list[int] = []
+    rho = np.ones((1, 1), dtype=complex)
+    for v in order:
+        ops = model.instruments[v].components[outcome_of[v]]
+        in_ids = sorted(e.id for e in model.graph.in_edges(v))
+        out_ids = sorted(e.id for e in model.graph.out_edges(v))
+        in_set = set(in_ids)
+        rest_axes = [i for i, e in enumerate(open_ids) if e not in in_set]
+        in_axes = [open_ids.index(e) for e in in_ids]
+        k = len(open_ids)
+        tens = rho.reshape(tuple(dims) * 2)
+        perm = rest_axes + in_axes
+        tens = tens.transpose(perm + [k + i for i in perm])
+        r_dim = int(np.prod([dims[i] for i in rest_axes]))
+        din = int(np.prod([dims[i] for i in in_axes]))
+        dout = int(np.prod([model.edge_dim[e] for e in out_ids]))
+        block = tens.reshape(r_dim, din, r_dim, din)
+        new = np.zeros((r_dim, dout, r_dim, dout), dtype=complex)
+        for kr in ops:
+            new += np.einsum("oi,aibj,pj->aobp", kr, block, kr.conj())
+        unsorted_ids = [open_ids[i] for i in rest_axes] + out_ids
+        unsorted_dims = [dims[i] for i in rest_axes] + [model.edge_dim[e] for e in out_ids]
+        tens = new.reshape(tuple(unsorted_dims) * 2)
+        sort_perm = sorted(range(len(unsorted_ids)), key=lambda i: unsorted_ids[i])
+        kk = len(unsorted_ids)
+        tens = tens.transpose(sort_perm + [kk + i for i in sort_perm])
+        open_ids = [unsorted_ids[i] for i in sort_perm]
+        dims = [unsorted_dims[i] for i in sort_perm]
+        d = int(np.prod(dims))
+        rho = tens.reshape(d, d)
+    return complex(rho[0, 0])
+
+
+class TestSequentialOracle:
+    @pytest.mark.parametrize("outcomes", (2, 3))
+    @pytest.mark.parametrize("name", sorted(all_test_graphs()))
+    def test_matches_per_outcome_contraction_along_orders(self, name, outcomes):
+        g = all_test_graphs(outcomes)[name]
+        rng = np.random.default_rng(outcomes * 100 + len(g.edges))
+        dims = {e.id: int(rng.integers(1, 4)) for e in g.edges}
+        model = qm.random_model(g, dims, seed=outcomes)
+        orders = gm.all_topological_orders(g, limit=3)
+        assert len(orders) == 3
+        for order in orders:
+            joint = qm.evaluate(model, order=order)
+            assert abs(joint.table.sum() - 1.0) < 1e-9
+            for _ in range(6):
+                outcome = tuple(int(rng.integers(0, k)) for k in joint.sizes)
+                expected = sequential_probability(model, order, dict(zip(g.nodes, outcome)))
+                assert abs(expected.imag) < 1e-10
+                assert joint.table[outcome] == pytest.approx(expected.real, abs=1e-10)
+
+    def test_bilocality_dimension_three(self):
+        g = bilocality_graph()
+        model = qm.random_model(g, 3, seed=9)
+        joint = qm.evaluate(model)
+        assert abs(joint.table.sum() - 1.0) < 1e-9
+        rng = np.random.default_rng(9)
+        for _ in range(8):
+            outcome = tuple(int(rng.integers(0, k)) for k in joint.sizes)
+            expected = transfer_matrix_probability(model, dict(zip(g.nodes, outcome)))
+            assert joint.table[outcome] == pytest.approx(expected.real, abs=1e-10)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "evaluate, make",
+        [(qm.evaluate, qm.random_model), (cm.evaluate, cm.random_model), (hm.evaluate, hm.random_hbn)],
+    )
+    def test_table_above_guard_refused(self, bell, evaluate, make):
+        with pytest.raises(SizeLimitExceeded):
+            evaluate(make(bell, 2, 0), max_states=8)  # the table has 16 entries
+
+    def test_intermediate_above_guard_refused(self, triangle):
+        m = cm.random_model(triangle, 3, seed=0)
+        assert max(g.tensor.size for g in m.gates.values()) <= 64
+        with pytest.raises(SizeLimitExceeded):
+            cm.evaluate(m, max_states=64)  # the table has 64 entries, one intermediate 72
+        assert cm.evaluate(m, max_states=72).table.size == 64
+
+    def test_more_indices_than_einsum_refused(self):
+        g = CausalGraph.build([(f"n{i:02d}", 1) for i in range(53)], [])
+        with pytest.raises(SizeLimitExceeded):
+            cm.evaluate(cm.random_model(g, 2, seed=0))  # 53 outcome indices
+
+    def test_large_alphabet_product_with_small_contraction_accepted(self):
+        from conftest import sequential_graph
+
+        g = sequential_graph(3)
+        m = cm.random_model(g, 3, seed=1)  # 3^9 outcomes x 3^8 hidden values
+        assert abs(cm.evaluate(m).table.sum() - 1.0) < 1e-9
+        g = popescu_graph(3)
+        m = cm.random_model(g, 3, seed=2)
+        back = hm.to_classical(hm.from_classical(m))
+        assert np.abs(cm.evaluate(back).table - cm.evaluate(m).table).max() < 1e-12
+
+
 class TestTransferMatrixOracle:
     @pytest.mark.parametrize("seed", range(5))
     def test_contraction_matches_flat_superoperator_einsum(self, seed):
@@ -288,3 +395,15 @@ class TestQuantumJson:
         np.testing.assert_array_equal(
             qm.evaluate(model).table, qm.evaluate(again).table
         )
+
+    def test_unknown_outcome_key_rejected(self, bell):
+        data = qm.model_to_dict(qm.random_model(bell, 2, seed=3))
+        data["instruments"]["a"]["7"] = data["instruments"]["a"]["0"]
+        with pytest.raises(SchemaError):
+            qm.model_from_dict(data)
+
+    def test_unknown_instrument_node_rejected(self, bell):
+        data = qm.model_to_dict(qm.random_model(bell, 2, seed=3))
+        data["instruments"]["ghost"] = data["instruments"]["a"]
+        with pytest.raises(SchemaError):
+            qm.model_from_dict(data)
