@@ -70,8 +70,3 @@ def _contract(operands, output, max_states=None):
         ops.append((np.einsum(*[x for op in joined for x in op], kept, optimize=work > 1 << 14), kept))
     (array, subs), = ops
     return np.einsum(array, subs, out)
-
-
-def numba_disabled():
-    """True when the CC_NO_NUMBA flag requests the pure-numpy kernel paths."""
-    return os.environ.get("CC_NO_NUMBA", "").strip() not in ("", "0")

@@ -2,12 +2,13 @@
 
 Decides whether ``A x = b`` has a solution with ``x >= 0`` by minimizing the
 sum of artificial variables.  Bland's smallest-index rules make the pivot
-sequence deterministic, and the numba kernel and the pure-numpy kernel follow
-exactly the same rules, so both paths produce identical tableaus.  numba is
-optional: when it is importable its kernel is the default, and CC_NO_NUMBA=1
-forces the numpy path; without it the numpy kernel is the default and
-CC_NO_NUMBA has no effect.  There is also an exact rational mode for small
-instances.
+sequence deterministic.  One tableau serves two arithmetics: float64, pivoted
+by the vectorized :func:`_phase1_numpy` with a small pivot tolerance, and
+exact ``Fraction`` entries (for small instances), pivoted row by row by
+:func:`_phase1_loops` with tolerance 0.  Both kernels follow the same rules,
+so on the same float tableau they produce identical tableaus.  A solve that
+hits the pivot limit or finds the phase-1 objective unbounded raises
+:class:`SolverError` instead of reading a solution from an unfinished tableau.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._config import numba_disabled
+from .errors import SolverError
 
 _PIVOT_TOL = 1e-12
 STATUS_OPTIMAL = 0
@@ -26,7 +27,7 @@ STATUS_ITER_LIMIT = 2
 
 
 def _phase1_loops(T, basis, tol_piv, max_iter):
-    """Pivot loop in plain element-wise form; this is what numba compiles."""
+    """Pivot loop with one update per row; runs the exact ``Fraction`` tableau."""
     m = basis.shape[0]
     ncols = T.shape[1] - 1
     it = 0
@@ -51,14 +52,11 @@ def _phase1_loops(T, basis, tol_piv, max_iter):
         if leave < 0:
             return STATUS_UNBOUNDED, it
         piv = T[leave, enter]
-        for j in range(ncols + 1):
-            T[leave, j] /= piv
+        T[leave, :] /= piv
         for i in range(m + 1):
-            if i != leave:
-                f = T[i, enter]
-                if f != 0.0:
-                    for j in range(ncols + 1):
-                        T[i, j] -= f * T[leave, j]
+            f = T[i, enter]
+            if i != leave and f != 0:
+                T[i, :] -= f * T[leave, :]
         basis[leave] = enter
     return STATUS_ITER_LIMIT, it
 
@@ -91,143 +89,91 @@ def _phase1_numpy(T, basis, tol_piv, max_iter):
     return STATUS_ITER_LIMIT, it
 
 
-try:  # pragma: no cover - exercised indirectly
-    import numba
+def _tableau(A, b, exact):
+    """Initial phase-1 tableau and basis for ``A x = b``.
 
-    _phase1_numba = numba.njit(cache=True)(_phase1_loops)
-except ImportError:  # pragma: no cover
-    _phase1_numba = None
-
-
-@dataclass
-class Phase1Result:
-    feasible: bool
-    x: np.ndarray
-    infeasibility: float
-    iterations: int
-    backend: str
-
-
-def solve_phase1(
-    A: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-7,
-    max_iter: int | None = None,
-    backend: str | None = None,
-) -> Phase1Result:
-    """Feasibility of ``A x = b, x >= 0`` with slack tolerance ``tol``.
-
-    ``backend`` may force "numba" or "numpy"; by default numba is used when
-    available and CC_NO_NUMBA is not set.  The reported infeasibility is the
-    optimal value of the artificial-variable objective (L1 residual).
+    Rows with ``b < 0`` are negated, one artificial column per row starts in
+    the basis, and the last row holds the artificial-sum objective.  Entries
+    are float64, or ``Fraction`` objects when ``exact`` (floats taken at their
+    exact binary values).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    if exact:
+        to_fraction = np.vectorize(Fraction, otypes=[object])
+        A = to_fraction(np.asarray(A, dtype=object))
+        b = to_fraction(np.asarray(b, dtype=object))
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        zero, one = 0.0, 1.0
     m, n = A.shape
     flip = b < 0
     A = np.where(flip[:, None], -A, A)
     b = np.where(flip, -b, b)
-    T = np.zeros((m + 1, n + m + 1))
+    T = np.full((m + 1, n + m + 1), zero, dtype=A.dtype)
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    T[np.arange(m), n + np.arange(m)] = one
     T[:m, -1] = b
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
-    basis = np.arange(n, n + m, dtype=np.int64)
-    if max_iter is None:
-        max_iter = 200 * (m + n)
-
-    if backend is None:
-        backend = "numpy" if (numba_disabled() or _phase1_numba is None) else "numba"
-    if backend == "numba":
-        if _phase1_numba is None:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        status, iters = _phase1_numba(T, basis, _PIVOT_TOL, max_iter)
-    elif backend == "numpy":
-        status, iters = _phase1_numpy(T, basis, _PIVOT_TOL, max_iter)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    if status == STATUS_ITER_LIMIT:
-        raise RuntimeError(f"simplex did not terminate within {max_iter} pivots")
-    infeas = max(0.0, float(-T[m, -1]))
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    return Phase1Result(
-        feasible=infeas <= tol,
-        x=x,
-        infeasibility=infeas,
-        iterations=iters,
-        backend=backend,
-    )
+    return T, np.arange(n, n + m, dtype=np.int64)
 
 
 @dataclass
-class ExactPhase1Result:
+class Phase1Result:
+    """Outcome of a phase-1 solve.
+
+    ``x`` is a float array, or an object array of ``Fraction`` for the exact
+    solver; ``infeasibility`` is the optimal artificial-variable sum (the L1
+    residual of the best ``x``), a float or a ``Fraction`` likewise.
+    """
+
     feasible: bool
-    x: list[Fraction]
-    infeasibility: Fraction
+    x: np.ndarray
+    infeasibility: float | Fraction
     iterations: int
 
 
-def solve_phase1_exact(A, b, max_iter: int | None = None) -> ExactPhase1Result:
+def _solve(A, b, exact, tol, max_iter):
+    T, basis = _tableau(A, b, exact)
+    m = basis.shape[0]
+    n = T.shape[1] - m - 1
+    if max_iter is None:
+        max_iter = 200 * (m + n)
+    if exact:
+        status, iters = _phase1_loops(T, basis, 0, max_iter)
+    else:
+        status, iters = _phase1_numpy(T, basis, _PIVOT_TOL, max_iter)
+    if status == STATUS_ITER_LIMIT:
+        raise SolverError(f"simplex did not terminate within {max_iter} pivots")
+    if status != STATUS_OPTIMAL:
+        raise SolverError("phase-1 objective unbounded; the tableau lost consistency")
+    zero = Fraction(0) if exact else 0.0
+    infeas = max(zero, -T[m, -1])
+    if not exact:
+        infeas = float(infeas)
+    x = np.full(n, zero, dtype=T.dtype)
+    in_x = basis < n
+    x[basis[in_x]] = T[:m, -1][in_x]
+    return Phase1Result(feasible=infeas <= tol, x=x, infeasibility=infeas, iterations=iters)
+
+
+def solve_phase1(
+    A: np.ndarray, b: np.ndarray, tol: float = 1e-7, max_iter: int | None = None
+) -> Phase1Result:
+    """Float feasibility of ``A x = b, x >= 0``: feasible when the residual is <= ``tol``.
+
+    Raises SolverError when ``max_iter`` pivots (default ``200 * (rows +
+    columns)``) do not reach an optimal tableau.
+    """
+    return _solve(A, b, False, tol, max_iter)
+
+
+def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     """Rational-arithmetic feasibility of ``A x = b, x >= 0`` (exact, no tolerance).
 
     Entries are converted with ``Fraction``, so float inputs are taken at
-    their exact binary values.  Same Bland pivot rules as the float kernels.
+    their exact binary values.  Same Bland pivot rules as the float solver,
+    and the same SolverError on the pivot limit.
     """
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    zero, one = Fraction(0), Fraction(1)
-    T = [row + [one if j == i else zero for j in range(m)] + [b[i]] for i, row in enumerate(A)]
-    obj = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [zero] * m
-    obj.append(-sum(b))
-    T.append(obj)
-    basis = list(range(n, n + m))
-    ncols = n + m
-    if max_iter is None:
-        max_iter = 200 * (m + n)
-    it = 0
-    while it < max_iter:
-        it += 1
-        enter = -1
-        for j in range(ncols):
-            if T[m][j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best = zero
-        for i in range(m):
-            a = T[i][enter]
-            if a > 0:
-                r = T[i][ncols] / a
-                if leave < 0 or r < best or (r == best and basis[i] < basis[leave]):
-                    leave = i
-                    best = r
-        if leave < 0:
-            raise RuntimeError("phase-1 objective unbounded; input is inconsistent")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        for i in range(m + 1):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
-        basis[leave] = enter
-    else:
-        raise RuntimeError(f"exact simplex did not terminate within {max_iter} pivots")
-    infeas = -T[m][ncols]
-    x = [zero] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][ncols]
-    return ExactPhase1Result(feasible=infeas == 0, x=x, infeasibility=infeas, iterations=it)
+    return _solve(A, b, True, 0, max_iter)

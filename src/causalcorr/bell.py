@@ -181,7 +181,8 @@ def local_membership(
     with positive probability, a phase-1 simplex decides whether the
     conditional outcome distribution is a convex mixture of deterministic
     strategies; ``exact=True`` switches to rational arithmetic (inputs taken
-    at their exact binary float values) for small strategy counts.
+    at their exact binary float values) for small strategy counts.  Raises
+    SolverError when a simplex stops before an optimal tableau.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -227,18 +228,10 @@ def local_membership(
         rhs.append(np.array([1.0]))
         a_mat = np.vstack(rows)
         b_vec = np.concatenate(rhs)
-        if exact:
-            res = solve_phase1_exact(a_mat, b_vec)
-            feasible = res.feasible
-            residual = float(res.infeasibility)
-            x = np.array([float(v) for v in res.x])
-        else:
-            res = solve_phase1(a_mat, b_vec, tol=tol)
-            feasible = res.feasible
-            residual = res.infeasibility
-            x = res.x
-        if not feasible:
-            return LocalityVerdict(False, {}, max_residual=residual, tol=tol)
+        res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(a_mat, b_vec, tol=tol)
+        if not res.feasible:
+            return LocalityVerdict(False, {}, max_residual=float(res.infeasibility), tol=tol)
+        x = res.x.astype(float)
         weights[s] = {
             strategies[j]: float(x[j]) for j in range(n_strat) if x[j] > 1e-12
         }

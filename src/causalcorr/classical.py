@@ -75,18 +75,6 @@ def gate_shape(model: ClassicalModel, v: str) -> tuple[int, ...]:
     return ins + (model.graph.outcomes[v],) + outs
 
 
-def make_gate(model_graph: cg.CausalGraph, edge_alphabet: dict[str, int], v: str, tensor) -> Gate:
-    """Gate for node ``v`` with the canonical (lexicographic) edge ordering."""
-    ins = sorted_in_ids(model_graph, v)
-    outs = sorted_out_ids(model_graph, v)
-    shape = (
-        tuple(edge_alphabet[e] for e in ins)
-        + (model_graph.outcomes[v],)
-        + tuple(edge_alphabet[e] for e in outs)
-    )
-    return Gate(ins, outs, np.asarray(tensor, dtype=float).reshape(shape))
-
-
 def validate_model(model: ClassicalModel) -> list[str]:
     """Check model invariants; returns a list of violations (empty means ok)."""
     violations = list(cg.validate(model.graph))

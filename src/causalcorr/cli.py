@@ -1,15 +1,19 @@
 """Command-line front end over JSON files.
 
 Exit codes: 0 when the command succeeds (and any checked property holds),
-1 when a checked property fails, 2 for malformed input or usage errors.
-The machine-readable payload goes to stdout (or --out); diagnostics go to
-stderr.  CC_MAX_STATE_SPACE overrides the state-space guards.
+1 when a checked property fails, 2 for malformed input, usage errors
+(including a negative or non-finite --tol) or when the LP solver could not
+decide.  --tol 0 allows no slack; without --tol each command uses its
+library default.  The machine-readable payload goes to stdout (or
+--out); diagnostics go to stderr.  CC_MAX_STATE_SPACE overrides the
+state-space guards.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,6 +89,17 @@ def _parse_sizes(text: str, parties: int, what: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
+# default --tol per command: the library defaults of the calls they make
+DEFAULT_TOL = {"check-correlation": 1e-9, "bell-check-ns": 1e-9, "bell-local": 1e-7}
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="causalcorr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"causalcorr {__version__}")
@@ -113,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag in flag_table[name]:
             if flag == "tol":
-                p.add_argument("--tol", type=float, default=None)
+                p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL[name])
             elif flag == "eps":
                 p.add_argument("--eps", type=float, required=True)
             elif flag == "exact":
@@ -128,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--source-outcomes", type=int, default=1)
             else:
                 p.add_argument(f"--{flag}", type=str, required=flag not in ("out", "edge-id"))
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -143,7 +157,7 @@ def _dispatch(args) -> int:
     if cmd == "check-correlation":
         graph = graph_mod.graph_from_dict(_load_json(args.graph))
         d = dist_mod.dist_from_dict(_load_json(args.dist))
-        verdict = correlation_mod.is_correlation(graph, d, tol=args.tol or 1e-9)
+        verdict = correlation_mod.is_correlation(graph, d, tol=args.tol)
         _emit(verdict.to_dict(), None)
         return 0 if verdict.is_correlation else 1
 
@@ -208,14 +222,14 @@ def _dispatch(args) -> int:
     if cmd == "bell-check-ns":
         d = dist_mod.dist_from_dict(_load_json(args.dist))
         scenario = _scenario_from_dist(d)
-        verdict = bell_mod.check_free_will_no_signalling(scenario, d, tol=args.tol or 1e-9)
+        verdict = bell_mod.check_free_will_no_signalling(scenario, d, tol=args.tol)
         _emit(verdict.to_dict(), None)
         return 0 if verdict.passes else 1
 
     if cmd == "bell-local":
         d = dist_mod.dist_from_dict(_load_json(args.dist))
         scenario = _scenario_from_dist(d)
-        verdict = bell_mod.local_membership(scenario, d, tol=args.tol or 1e-7, exact=args.exact)
+        verdict = bell_mod.local_membership(scenario, d, tol=args.tol, exact=args.exact)
         _emit(verdict.to_dict(), None)
         return 0 if verdict.is_local else 1
 

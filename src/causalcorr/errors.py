@@ -76,3 +76,7 @@ class NegativeProbability(CausalCorrError):
 class SchemaError(CausalCorrError):
     """JSON input does not match the documented schema (unknown or missing fields)."""
 
+
+
+class SolverError(CausalCorrError, RuntimeError):
+    """An LP solve stopped before an optimal tableau (pivot limit or unbounded status)."""

@@ -68,12 +68,15 @@ def completeness_deviation(model: QuantumModel, v: str) -> float:
 def validate_model(model: QuantumModel) -> list[str]:
     """Check shapes and trace preservation; returns violations (empty means ok)."""
     violations = list(cg.validate(model.graph))
+    n_graph = len(violations)
     for e in model.graph.edges:
         d = model.edge_dim.get(e.id)
         if d is None:
             violations.append(f"edge {e.id!r}: missing dimension")
         elif d < 1:
             violations.append(f"edge {e.id!r}: dimension {d} < 1")
+    # node dimensions are products of edge dimensions: check them only when those are sound
+    dims_known = len(violations) == n_graph
     for v in model.graph.nodes:
         inst = model.instruments.get(v)
         if inst is None:
@@ -83,6 +86,8 @@ def validate_model(model: QuantumModel) -> list[str]:
             violations.append(
                 f"node {v!r}: instrument has {inst.n_outcomes} outcomes, expected {model.graph.outcomes[v]}"
             )
+            continue
+        if not dims_known:
             continue
         din, dout = _io_dims(model.graph, model.edge_dim, v)
         bad_shape = False

@@ -8,7 +8,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from causalcorr import bell as bm
 from causalcorr import classical as cm
@@ -17,7 +16,6 @@ from causalcorr import graph as gm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
 from causalcorr.correlation import is_correlation
-from causalcorr._simplex import solve_phase1
 from causalcorr.graph import CausalGraph
 
 from conftest import (
@@ -31,13 +29,6 @@ from test_bell import CHSH_ALICE, CHSH_BOB, SINGLET, chsh_222, strategy_dist
 
 
 BELL_VARS = (("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the LP kernel once so the timed criteria measure the solve itself
-    solve_phase1(np.array([[1.0, 1.0]]), np.array([1.0]))
-    yield
 
 
 def report(num, text):

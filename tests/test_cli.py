@@ -48,6 +48,13 @@ class TestExitCodes:
         assert payload["is_local"] is False
         assert payload["max_residual"] > 0
 
+    def test_solver_non_termination_is_exit_2(self, bell_files, capsys, monkeypatch):
+        _, dist_path = bell_files
+        solve = bm.solve_phase1
+        monkeypatch.setattr(bm, "solve_phase1", lambda a, b, tol: solve(a, b, tol=tol, max_iter=1))
+        assert run(["bell-local", "--dist", str(dist_path)]) == 2
+        assert "did not terminate" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, capsys):
         code = run(["eval-classical", "--model", "missing.json"])
         assert code == 2
@@ -225,6 +232,22 @@ class TestPipelines:
         )
         assert code == 0
         assert payload["tol"] == 0.5
+
+    @pytest.mark.parametrize("command", ["check-correlation", "bell-check-ns", "bell-local"])
+    def test_tol_zero_is_honored(self, bell_files, capsys, command):
+        graph_path, dist_path = bell_files
+        argv = [command, "--dist", dist_path, "--tol", "0"]
+        if command == "check-correlation":
+            argv += ["--graph", graph_path]
+        code, payload = run_json(argv, capsys)
+        assert code in (0, 1)
+        assert payload["tol"] == 0.0
+
+    @pytest.mark.parametrize("tol", ["-0.5", "nan", "inf"])
+    def test_bad_tol_is_usage_error(self, bell_files, capsys, tol):
+        _, dist_path = bell_files
+        assert run(["bell-local", "--dist", str(dist_path), "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_bell_gen_chsh_and_closure(self, tmp_path, capsys):
         code, payload = run_json(["bell-gen", "--parties", "3"], capsys)

@@ -70,6 +70,22 @@ class TestValidateModel:
         assert any("completeness" in v for v in violations)
         assert qm.completeness_deviation(model, "meas") == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [None, 0])
+    def test_bad_edge_dimension_is_invalid_model(self, bell, dim):
+        model = qm.random_model(bell, 2, seed=0)
+        edge_dim = dict(model.edge_dim)
+        if dim is None:
+            del edge_dim["s->a"]
+        else:
+            edge_dim["s->a"] = dim
+        broken = qm.QuantumModel(model.graph, edge_dim, model.instruments)
+        violations = qm.validate_model(broken)
+        assert violations == [
+            "edge 's->a': missing dimension" if dim is None else "edge 's->a': dimension 0 < 1"
+        ]
+        with pytest.raises(InvalidModel, match="s->a"):
+            qm.evaluate(broken)
+
 
 class TestEvaluate:
     def test_orthogonal_state_measurement(self):

@@ -3,21 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from causalcorr import _simplex
 from causalcorr._simplex import (
     _PIVOT_TOL,
+    STATUS_UNBOUNDED,
     _phase1_loops,
     _phase1_numpy,
+    _tableau,
     solve_phase1,
     solve_phase1_exact,
 )
-
-
-def _numba_importable():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+from causalcorr.errors import CausalCorrError, SolverError
 
 
 def _phase1_tableau(a, b):
@@ -33,6 +29,78 @@ def _phase1_tableau(a, b):
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
     return t, np.arange(n, n + m, dtype=np.int64)
+
+
+def list_phase1_exact(A, b, max_iter=None):
+    """Oracle: a list-of-``Fraction`` phase-1 simplex with Bland's rules.
+
+    Returns ``(feasible, x, infeasibility, iterations)``; raises RuntimeError
+    where the solver under test raises SolverError.
+    """
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+    zero, one = Fraction(0), Fraction(1)
+    T = [row + [one if j == i else zero for j in range(m)] + [b[i]] for i, row in enumerate(A)]
+    obj = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [zero] * m
+    obj.append(-sum(b))
+    T.append(obj)
+    basis = list(range(n, n + m))
+    ncols = n + m
+    if max_iter is None:
+        max_iter = 200 * (m + n)
+    it = 0
+    while it < max_iter:
+        it += 1
+        enter = -1
+        for j in range(ncols):
+            if T[m][j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = zero
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                r = T[i][ncols] / a
+                if leave < 0 or r < best or (r == best and basis[i] < basis[leave]):
+                    leave = i
+                    best = r
+        if leave < 0:
+            raise RuntimeError("phase-1 objective unbounded; input is inconsistent")
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        for i in range(m + 1):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
+        basis[leave] = enter
+    else:
+        raise RuntimeError(f"exact simplex did not terminate within {max_iter} pivots")
+    infeas = -T[m][ncols]
+    x = [zero] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][ncols]
+    return infeas == 0, x, infeas, it
+
+
+def random_integer_system(rng):
+    """A small integer system: feasible by construction, or with a random right-hand side."""
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+    a = rng.integers(-3, 4, size=(m, n))
+    if rng.random() < 0.5:
+        b = a @ rng.integers(0, 4, size=n)
+    else:
+        b = rng.integers(-5, 6, size=m)
+    return a.tolist(), b.tolist()
 
 
 class TestPhase1:
@@ -83,23 +151,9 @@ class TestPhase1:
 
 class TestBackends:
     @pytest.mark.parametrize("seed", range(4))
-    def test_numba_and_numpy_identical(self, seed):
-        pytest.importorskip("numba", reason="numba is not importable")
-        rng = np.random.default_rng(100 + seed)
-        m, n = 10, 25
-        a = rng.uniform(-1, 1, size=(m, n))
-        b = a @ rng.uniform(0, 1, size=n)
-        res_nb = solve_phase1(a, b, backend="numba")
-        res_np = solve_phase1(a, b, backend="numpy")
-        assert res_nb.feasible == res_np.feasible
-        assert res_nb.iterations == res_np.iterations
-        np.testing.assert_array_equal(res_nb.x, res_np.x)
-        assert res_nb.infeasibility == res_np.infeasibility
-
-    @pytest.mark.parametrize("seed", range(4))
     def test_loop_and_numpy_kernels_identical(self, seed):
-        # numba compiles _phase1_loops unchanged, so the uncompiled loop kernel
-        # checks the pivot-rule identity even where numba is not importable.
+        # the exact solver's row-wise kernel and the float solver's vectorized
+        # kernel follow the same pivot rules: on a float tableau they agree bit for bit
         rng = np.random.default_rng(100 + seed)
         m, n = 10, 25
         a = rng.uniform(-1, 1, size=(m, n))
@@ -113,20 +167,16 @@ class TestBackends:
         np.testing.assert_array_equal(basis_loop, basis_np)
         np.testing.assert_array_equal(t_loop, t_np)
 
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("CC_NO_NUMBA", "1")
-        res = solve_phase1(np.array([[1.0]]), np.array([1.0]))
-        assert res.backend == "numpy"
-        monkeypatch.delenv("CC_NO_NUMBA")
-        res = solve_phase1(np.array([[1.0]]), np.array([1.0]))
-        assert res.backend == ("numba" if _numba_importable() else "numpy")
-
-    @pytest.mark.skipif(_numba_importable(), reason="numba is importable")
-    def test_numba_backend_refused_without_numba(self):
-        a = np.array([[1.0, 1.0]])
-        b = np.array([1.0])
-        with pytest.raises(RuntimeError, match="numba"):
-            solve_phase1(a, b, backend="numba")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_tableau_matches_reference_layout(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        a = rng.uniform(-1, 1, size=(10, 25))
+        b = rng.uniform(-1, 1, size=10)
+        t, basis = _tableau(a, b, exact=False)
+        t_ref, basis_ref = _phase1_tableau(a, b)
+        assert t.dtype == np.float64
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_array_equal(basis, basis_ref)
 
 
 class TestExact:
@@ -154,3 +204,45 @@ class TestExact:
         b = a @ x0
         assert solve_phase1_exact(a, b).feasible
         assert solve_phase1(a, b).feasible
+
+    def test_exact_matches_list_oracle_on_random_integer_systems(self):
+        rng = np.random.default_rng(7)
+        seen = {"feasible": 0, "infeasible": 0, "negative rhs": 0}
+        for _ in range(150):
+            a, b = random_integer_system(rng)
+            feasible, x, infeas, iters = list_phase1_exact(a, b)
+            res = solve_phase1_exact(a, b)
+            assert (res.feasible, list(res.x), res.infeasibility, res.iterations) == (
+                feasible, x, infeas, iters,
+            )
+            assert all(type(v) is Fraction for v in res.x)
+            assert type(res.infeasibility) is Fraction
+            seen["feasible" if feasible else "infeasible"] += 1
+            seen["negative rhs"] += min(b) < 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_exact_float_input_taken_at_binary_value(self):
+        res = solve_phase1_exact(np.array([[1.0, 2.0]]), np.array([0.1]))
+        assert res.feasible
+        assert res.x[0] == Fraction(0.1) and res.x[1] == 0
+
+
+class TestSolverError:
+    def test_is_package_and_runtime_error(self):
+        assert issubclass(SolverError, CausalCorrError)
+        assert issubclass(SolverError, RuntimeError)
+
+    def test_pivot_limit_raises(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1, 1, size=(6, 12))
+        b = a @ rng.uniform(0, 1, size=12)
+        assert solve_phase1(a, b).iterations > 2
+        with pytest.raises(SolverError, match="2 pivots"):
+            solve_phase1(a, b, max_iter=2)
+        with pytest.raises(SolverError, match="2 pivots"):
+            solve_phase1_exact(np.round(a * 8), np.round(b * 8), max_iter=2)
+
+    def test_unbounded_status_raises(self, monkeypatch):
+        monkeypatch.setattr(_simplex, "_phase1_numpy", lambda T, basis, tol, max_iter: (STATUS_UNBOUNDED, 1))
+        with pytest.raises(SolverError, match="unbounded"):
+            solve_phase1(np.array([[1.0, 1.0]]), np.array([1.0]))
