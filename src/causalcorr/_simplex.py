@@ -5,8 +5,9 @@ sum of artificial variables.  Bland's smallest-index rules make the pivot
 sequence deterministic.  One tableau serves two arithmetics: float64, pivoted
 by the vectorized :func:`_phase1_numpy` with a small pivot tolerance, and
 exact ``Fraction`` entries (for small instances), pivoted row by row by
-:func:`_phase1_loops` with tolerance 0.  Both kernels follow the same rules,
-so on the same float tableau they produce identical tableaus.  A solve that
+:func:`_phase1_loops` with tolerance 0.  Both kernels follow the same rules
+and both skip the rows whose factor in the entering column is zero, so on
+the same float tableau they produce identical tableaus.  A solve that
 hits the pivot limit or finds the phase-1 objective unbounded raises
 :class:`SolverError` instead of reading a solution from an unfinished tableau.
 """
@@ -84,7 +85,8 @@ def _phase1_numpy(T, basis, tol_piv, max_iter):
         T[leave, :] /= piv
         factors = T[:, enter].copy()
         factors[leave] = 0.0
-        T -= np.outer(factors, T[leave, :])
+        rows = np.flatnonzero(factors)
+        T[rows] -= factors[rows, None] * T[leave]
         basis[leave] = enter
     return STATUS_ITER_LIMIT, it
 

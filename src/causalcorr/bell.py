@@ -180,9 +180,11 @@ def local_membership(
     Requires a no-signalling input (checked first).  For each source outcome
     with positive probability, a phase-1 simplex decides whether the
     conditional outcome distribution is a convex mixture of deterministic
-    strategies; ``exact=True`` switches to rational arithmetic (inputs taken
-    at their exact binary float values) for small strategy counts.  Raises
-    SolverError when a simplex stops before an optimal tableau.
+    strategies; ``exact=True`` switches to rational arithmetic for small
+    strategy counts.  Exact mode takes the inputs at their binary float
+    values and ignores ``tol``, so a float mixture that is local within
+    ``tol`` may be judged not local.  Raises SolverError when a simplex
+    stops before an optimal tableau.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -194,47 +196,32 @@ def local_membership(
     n_strat = len(strategies)
     if exact and n_strat > EXACT_MODE_MAX_STRATEGIES:
         raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies")
-    xs = scenario.setting_ids()
-    as_ = scenario.outcome_ids()
-    cond = conditional(dist, targets=as_, givens=xs + ["s"])
-    a_sizes = scenario.outcomes
-    n_a = int(np.prod(a_sizes, dtype=np.int64))
+    cond = conditional(dist, targets=scenario.outcome_ids(), givens=scenario.setting_ids() + ["s"])
 
-    # response of every strategy: one-hot joint outcome per setting tuple
-    x_tuples = list(itertools.product(*(range(k) for k in scenario.settings)))
-    response = {}
-    for xt in x_tuples:
-        cols = np.zeros(n_strat, dtype=np.int64)
-        for j, strat in enumerate(strategies):
-            at = tuple(strat[i][xt[i]] for i in range(scenario.n))
-            cols[j] = int(np.ravel_multi_index(at, a_sizes))
-        response[xt] = cols
+    # resp[x, a, j] = 1 when strategy j answers the setting tuple x with the
+    # joint outcome a: the Kronecker product of per-party one-hot tensors
+    # onehot[x, a, s] = [digit x of s == a], digits in itertools.product order
+    resp = np.ones((1, 1, 1))
+    for k, m in zip(scenario.settings, scenario.outcomes):
+        digits = np.arange(m**k) // m ** np.arange(k - 1, -1, -1)[:, None] % m
+        onehot = (digits[:, None, :] == np.arange(m)[:, None]).astype(float)
+        resp = np.einsum("XAS,xas->XxAaSs", resp, onehot).reshape(len(resp) * k, resp.shape[1] * m, -1)
+    n_x, n_a = resp.shape[:2]
+    probs = cond.probs.reshape(n_x, scenario.source_outcomes, n_a)
+    defined = cond.defined.reshape(n_x, scenario.source_outcomes)
 
     weights: dict[int, dict[tuple, float]] = {}
     p_s = marginal(dist, {"s"}).table
     for s in range(scenario.source_outcomes):
         if p_s[s] <= cond.zero_tol:
             continue
-        rows = []
-        rhs = []
-        for xt in x_tuples:
-            if not cond.defined[xt + (s,)]:
-                continue
-            block = np.zeros((n_a, n_strat))
-            block[response[xt], np.arange(n_strat)] = 1.0
-            rows.append(block)
-            rhs.append(cond.probs[xt + (s,)].ravel())
-        rows.append(np.ones((1, n_strat)))
-        rhs.append(np.array([1.0]))
-        a_mat = np.vstack(rows)
-        b_vec = np.concatenate(rhs)
+        a_mat = np.vstack([resp[defined[:, s]].reshape(-1, n_strat), np.ones((1, n_strat))])
+        b_vec = np.append(probs[defined[:, s], s].ravel(), 1.0)
         res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(a_mat, b_vec, tol=tol)
         if not res.feasible:
             return LocalityVerdict(False, {}, max_residual=float(res.infeasibility), tol=tol)
         x = res.x.astype(float)
-        weights[s] = {
-            strategies[j]: float(x[j]) for j in range(n_strat) if x[j] > 1e-12
-        }
+        weights[s] = {strategies[j]: float(w) for j, w in enumerate(x) if w > 1e-12}
     return LocalityVerdict(True, weights, max_residual=0.0, tol=tol)
 
 

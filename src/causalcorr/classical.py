@@ -110,7 +110,9 @@ def validate_model(model: ClassicalModel) -> list[str]:
         n_in = len(ins)
         sums = gate.tensor.sum(axis=tuple(range(n_in, gate.tensor.ndim)))
         dev = float(np.abs(sums - 1.0).max()) if sums.size else abs(float(sums) - 1.0)
-        if dev > GATE_NORM_TOL:
+        if not math.isfinite(dev):  # a NaN or infinite entry makes its row sum so
+            violations.append(f"node {v!r}: non-finite gate entry")
+        elif dev > GATE_NORM_TOL:
             violations.append(f"node {v!r}: gate rows deviate from 1 by {dev}")
     return violations
 
@@ -195,11 +197,14 @@ def evaluate_naive(model: ClassicalModel, max_states: int | None = None) -> Join
     return JointDistribution(variables, table, norm_tol=1e-9)
 
 
-def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribution:
+def evaluate_marginal_ancestral(
+    model: ClassicalModel, subset, max_states: int | None = None
+) -> JointDistribution:
     """Marginal on an ancestral node set, computed from that set's gates only.
 
     Sums over the hidden values on edges leaving the set; equals the marginal
     of the full evaluation within 1e-12.  The empty set gives the scalar 1.
+    The contraction is guarded by ``max_states`` as in :func:`evaluate`.
     """
     _require_valid(model)
     subset = frozenset(subset)
@@ -211,7 +216,7 @@ def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribut
     kept = [v for v in model.graph.nodes if v in subset]
     if not kept:
         return JointDistribution((), np.asarray(1.0), norm_tol=1e-9)
-    return _contract_gates(model, kept, None)
+    return _contract_gates(model, kept, max_states)
 
 
 def _flat_rows(gate: Gate) -> np.ndarray:

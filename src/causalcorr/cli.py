@@ -132,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
             elif flag == "eps":
                 p.add_argument("--eps", type=float, required=True)
             elif flag == "exact":
-                p.add_argument("--exact", action="store_true")
+                p.add_argument("--exact", action="store_true", help="rational LP on the binary float "
+                               "values, ignoring --tol: a float mixture not exactly one is judged not local")
             elif flag == "parties":
                 p.add_argument("--parties", type=int, required=True)
             elif flag == "settings":

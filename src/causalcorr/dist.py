@@ -7,6 +7,7 @@ Desk-scale only: total table size is capped (override with CC_MAX_STATE_SPACE).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,13 +60,14 @@ class JointDistribution:
         if len(set(ids)) != len(ids):
             raise VariableCollision(f"duplicate variable ids in {ids}")
         self.table = np.asarray(self.table, dtype=float).reshape(sizes)
+        s = float(self.table.sum())
+        if not math.isfinite(s):  # a NaN or infinite entry makes the sum so
+            raise ShapeMismatch("table has a non-finite entry")
         if np.any(self.table < 0):
             worst = float(self.table.min())
             raise ShapeMismatch(f"negative table entry {worst}")
-        if not self.unnormalized:
-            s = float(self.table.sum())
-            if abs(s - 1.0) > self.norm_tol:
-                raise ShapeMismatch(f"table sums to {s}, not 1 within {self.norm_tol}")
+        if not self.unnormalized and abs(s - 1.0) > self.norm_tol:
+            raise ShapeMismatch(f"table sums to {s}, not 1 within {self.norm_tol}")
         if self._root is None:
             self._root = self.table
             self._root_axes = tuple(range(self.table.ndim))

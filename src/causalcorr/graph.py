@@ -364,13 +364,16 @@ def graph_to_dict(graph: CausalGraph) -> dict:
 
 def graph_from_dict(data: dict) -> CausalGraph:
     """Parse the graph JSON schema; unknown fields are rejected."""
-    if not isinstance(data, dict) or set(data) != {"nodes", "edges"}:
+    if not isinstance(data, dict) or set(data) != {"nodes", "edges"} or not all(
+        isinstance(data[k], list) for k in data
+    ):
         raise SchemaError(f"malformed graph JSON near {data!r}")
     nodes = []
     for item in data["nodes"]:
-        if not isinstance(item, dict) or set(item) != {"id", "outcomes"}:
+        # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
+        if not isinstance(item, dict) or set(item) != {"id", "outcomes"} or type(item["outcomes"]) is not int:
             raise SchemaError(f"malformed graph JSON near {item!r}")
-        nodes.append((str(item["id"]), int(item["outcomes"])))
+        nodes.append((str(item["id"]), item["outcomes"]))
     edges = []
     for item in data["edges"]:
         if not isinstance(item, dict) or set(item) != {"id", "src", "dst"}:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from causalcorr import bell as bell_mod
 from causalcorr import dist as dm
 from causalcorr.graph import CausalGraph
 
@@ -133,6 +134,49 @@ def pr_box_dist() -> dm.JointDistribution:
     return dm.JointDistribution(
         (("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2)), table
     )
+
+
+def record_bell_lps(monkeypatch) -> list:
+    """Make ``bell.local_membership`` append each float LP ``(A, b)`` it solves to the returned list."""
+    built = []
+    solve = bell_mod.solve_phase1
+
+    def recording_solve(a, b, tol):
+        built.append((a, b))
+        return solve(a, b, tol=tol)
+
+    monkeypatch.setattr(bell_mod, "solve_phase1", recording_solve)
+    return built
+
+
+def deterministic_mixture(rng, settings, outcomes, n_terms) -> np.ndarray:
+    """Conditional ``cond[x..., a...]`` of a random convex mixture of deterministic strategies."""
+    cond = np.zeros(tuple(settings) + tuple(outcomes))
+    for w in rng.dirichlet(np.ones(n_terms)):
+        strategy = [rng.integers(m, size=k) for k, m in zip(settings, outcomes)]
+        for xs in itertools.product(*(range(k) for k in settings)):
+            cond[xs + tuple(strategy[i][x] for i, x in enumerate(xs))] += w
+    return cond
+
+
+def bell_joint(settings, outcomes, conds, setting_probs=None, source_probs=(1.0,)) -> dm.JointDistribution:
+    """Scenario joint over (s, x1.., a1..) from one conditional ``cond[x..., a...]`` per source outcome.
+
+    Settings are uniform unless ``setting_probs`` gives one distribution per party.
+    """
+    if setting_probs is None:
+        setting_probs = [np.full(k, 1.0 / k) for k in settings]
+    table = np.stack([p * np.asarray(c, dtype=float) for p, c in zip(source_probs, conds)])
+    for i, p in enumerate(setting_probs):
+        shape = [1] * table.ndim
+        shape[1 + i] = len(p)
+        table = table * np.reshape(p, shape)
+    variables = (
+        (("s", len(source_probs)),)
+        + tuple((f"x{i + 1}", k) for i, k in enumerate(settings))
+        + tuple((f"a{i + 1}", m) for i, m in enumerate(outcomes))
+    )
+    return dm.JointDistribution(variables, table)
 
 
 @pytest.fixture

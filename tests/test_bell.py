@@ -13,8 +13,9 @@ from causalcorr.errors import (
     NotNoSignalling,
     ShapeMismatch,
 )
+from causalcorr._simplex import solve_phase1
 
-from conftest import pr_box_dist
+from conftest import bell_joint, deterministic_mixture, pr_box_dist, record_bell_lps
 
 
 def pauli_axis(theta):
@@ -48,6 +49,77 @@ def strategy_dist(strategy, scenario=None):
     return dm.JointDistribution(
         (("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2)), table
     )
+
+
+def response_loop_lps(scenario, dist):
+    """Oracle: the per-source-outcome LPs ``(A, b)``, built one response row
+    index per (setting tuple, strategy) and one zero block per setting tuple.
+
+    Returns the strategies and ``{source outcome: (A, b)}`` for the source
+    outcomes with positive probability.
+    """
+    strategies = bm.enumerate_strategies(scenario)
+    n_strat = len(strategies)
+    xs = scenario.setting_ids()
+    cond = dm.conditional(dist, targets=scenario.outcome_ids(), givens=xs + ["s"])
+    a_sizes = scenario.outcomes
+    n_a = int(np.prod(a_sizes, dtype=np.int64))
+    x_tuples = list(itertools.product(*(range(k) for k in scenario.settings)))
+    response = {}
+    for xt in x_tuples:
+        cols = np.zeros(n_strat, dtype=np.int64)
+        for j, strat in enumerate(strategies):
+            at = tuple(strat[i][xt[i]] for i in range(scenario.n))
+            cols[j] = int(np.ravel_multi_index(at, a_sizes))
+        response[xt] = cols
+    lps = {}
+    p_s = dm.marginal(dist, {"s"}).table
+    for s in range(scenario.source_outcomes):
+        if p_s[s] <= cond.zero_tol:
+            continue
+        rows = []
+        rhs = []
+        for xt in x_tuples:
+            if not cond.defined[xt + (s,)]:
+                continue
+            block = np.zeros((n_a, n_strat))
+            block[response[xt], np.arange(n_strat)] = 1.0
+            rows.append(block)
+            rhs.append(cond.probs[xt + (s,)].ravel())
+        rows.append(np.ones((1, n_strat)))
+        rhs.append(np.array([1.0]))
+        lps[s] = (np.vstack(rows), np.concatenate(rhs))
+    return strategies, lps
+
+
+def embedded_pr_box(settings, outcomes):
+    """Conditional with ``a1 xor a2 = [x1 = x2 = 1]`` on outcomes {0, 1}: no-signalling, not local."""
+    cond = np.zeros(tuple(settings) + tuple(outcomes))
+    for x, y, a, b in itertools.product(range(settings[0]), range(settings[1]), range(2), range(2)):
+        if a ^ b == int(x == y == 1):
+            cond[x, y, a, b] = 0.5
+    return cond
+
+
+def oracle_case(name):
+    """(scenario, joint, expected verdict) of the strategy-matrix oracle cases."""
+    rng = np.random.default_rng(5)
+    if name == "two-sources-zero-setting":
+        # party 2's setting 1 has probability 0, so its rows are undefined
+        settings, outcomes = (2, 3), (2, 2)
+        conds = [deterministic_mixture(rng, settings, outcomes, 4) for _ in range(2)]
+        probs = [np.array([0.5, 0.5]), np.array([0.6, 0.0, 0.4])]
+        joint = bell_joint(settings, outcomes, conds, probs, source_probs=(0.25, 0.75))
+        return bm.BellScenario(settings, outcomes, source_outcomes=2), joint, True
+    if name == "three-party":
+        settings, outcomes = (2, 3, 2), (2, 2, 3)
+        joint = bell_joint(settings, outcomes, [deterministic_mixture(rng, settings, outcomes, 6)])
+        return bm.BellScenario(settings, outcomes), joint, True
+    settings, outcomes = (2, 3), (3, 2)
+    local = name == "unequal-mixture"
+    cond = deterministic_mixture(rng, settings, outcomes, 5) if local else embedded_pr_box(settings, outcomes)
+    joint = bell_joint(settings, outcomes, [cond], [np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5])])
+    return bm.BellScenario(settings, outcomes), joint, local
 
 
 def singlet_joint():
@@ -214,6 +286,31 @@ class TestLocalMembership:
         assert verdict.is_local
         assert verdict.weights[0][strats[0]] == pytest.approx(1.0, abs=1e-9)
         assert verdict.weights[1][strats[1]] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "name", ["unequal-mixture", "unequal-box", "three-party", "two-sources-zero-setting"]
+    )
+    def test_strategy_matrix_matches_response_loop_oracle(self, name, monkeypatch):
+        scenario, joint, expect_local = oracle_case(name)
+        built = record_bell_lps(monkeypatch)
+        verdict = bm.local_membership(scenario, joint)
+        strategies, lps = response_loop_lps(scenario, joint)
+        oracle_local, weights, residual = True, {}, 0.0
+        for (a, b), (s, (a_ref, b_ref)) in zip(built, lps.items()):
+            assert a.dtype == a_ref.dtype and a.shape == a_ref.shape and a.tobytes() == a_ref.tobytes()
+            assert b.dtype == b_ref.dtype and b.shape == b_ref.shape and b.tobytes() == b_ref.tobytes()
+            res = solve_phase1(a_ref, b_ref, tol=verdict.tol)
+            if not res.feasible:
+                oracle_local, residual = False, float(res.infeasibility)
+                break
+            weights[s] = {strategies[j]: float(w) for j, w in enumerate(res.x) if w > 1e-12}
+        assert len(built) == (len(lps) if oracle_local else len(weights) + 1)
+        assert verdict.is_local is oracle_local is expect_local
+        assert verdict.weights == weights
+        assert verdict.max_residual == residual
+        if name == "two-sources-zero-setting":
+            n_rows = np.prod(scenario.settings) * np.prod(scenario.outcomes) + 1
+            assert sorted(lps) == [0, 1] and all(len(a) < n_rows for a, _ in lps.values())
 
 
 class TestClassicalBellModel:

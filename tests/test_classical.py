@@ -145,6 +145,17 @@ class TestEvaluate:
         with pytest.raises(InvalidModel):
             cm.evaluate(cm.ClassicalModel(bell, sizes, gates))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gate_rejected(self, bell, bad):
+        m = cm.random_model(bell, 2, 0)
+        tensor = m.gates["a"].tensor.copy()
+        tensor[(0,) * tensor.ndim] = bad
+        m.gates["a"] = cm.Gate(m.gates["a"].in_edges, m.gates["a"].out_edges, tensor)
+        assert any("non-finite" in v for v in cm.validate_model(m))
+        for evaluate in (cm.evaluate, cm.evaluate_naive):
+            with pytest.raises(InvalidModel, match="non-finite"):
+                evaluate(m)
+
 
 class TestAncestralMarginal:
     def test_empty_set_is_scalar_one(self, bell):
@@ -168,6 +179,12 @@ class TestAncestralMarginal:
         )
         # product structure: P(s) x P(x)
         np.testing.assert_allclose(p.table.sum(axis=1), [1.0], atol=1e-12)
+
+    def test_max_states_guards_the_contraction(self, bell):
+        m = cm.random_model(bell, 2, 0)
+        with pytest.raises(SizeLimitExceeded):
+            cm.evaluate_marginal_ancestral(m, set(bell.nodes), max_states=8)  # the table has 16 entries
+        assert cm.evaluate_marginal_ancestral(m, set(bell.nodes), max_states=16).table.size == 16
 
     def test_not_ancestral_rejected(self, bell):
         with pytest.raises(NotAncestral):

@@ -65,6 +65,31 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run(["graph-validate", "--graph", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": 5, "edges": []},
+            {"nodes": [], "edges": {"id": "e"}},
+            {"nodes": [{"id": "a", "outcomes": "2"}], "edges": []},
+            {"nodes": [{"id": "a", "outcomes": 2.5}], "edges": []},
+            {"nodes": [{"id": "a", "outcomes": True}], "edges": []},
+        ],
+    )
+    def test_wrongly_typed_graph_is_usage_error(self, tmp_path, capsys, data):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        assert run(["graph-validate", "--graph", str(path)]) == 2
+        assert "malformed graph JSON" in capsys.readouterr().err
+
+    def test_nan_probability_is_usage_error(self, bell_files, tmp_path, capsys):
+        graph_path, _ = bell_files
+        data = dm.dist_to_dict(pr_box_dist())
+        data["probs"][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert run(["check-correlation", "--graph", str(graph_path), "--dist", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, bell_files, capsys):
         graph_path, _ = bell_files
         assert run(["graph-validate", "--graph", str(graph_path), "--bogus"]) == 2

@@ -35,6 +35,12 @@ class TestJointDistribution:
         with pytest.raises(ShapeMismatch):
             dm.JointDistribution((("a", 2),), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("unnormalized", [False, True])
+    def test_rejects_non_finite(self, bad, unnormalized):
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            dm.JointDistribution((("a", 2),), [bad, 1.0], unnormalized=unnormalized)
+
     def test_rejects_unnormalized_without_flag(self):
         with pytest.raises(ShapeMismatch):
             dm.JointDistribution((("a", 2),), np.array([0.9, 0.2]))

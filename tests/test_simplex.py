@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from causalcorr import _simplex
+from causalcorr import bell as bm
 from causalcorr._simplex import (
     _PIVOT_TOL,
     STATUS_UNBOUNDED,
@@ -14,6 +16,8 @@ from causalcorr._simplex import (
     solve_phase1_exact,
 )
 from causalcorr.errors import CausalCorrError, SolverError
+
+from conftest import bell_joint, deterministic_mixture, record_bell_lps
 
 
 def _phase1_tableau(a, b):
@@ -166,6 +170,33 @@ class TestBackends:
         assert out_loop == out_np
         np.testing.assert_array_equal(basis_loop, basis_np)
         np.testing.assert_array_equal(t_loop, t_np)
+
+    @pytest.mark.parametrize("case", ["2-party 3s2o PR box", "3-party 2s2o mixture"])
+    def test_loop_and_numpy_kernels_identical_on_bell_tableaus(self, case, monkeypatch):
+        # Bell LPs are sparse 0/1, so most pivots meet rows whose factor is
+        # exactly 0; both kernels skip those rows and stay equal byte for byte
+        if case.startswith("2-party"):
+            settings, outcomes, local = (3, 3), (2, 2), False
+            cond = np.zeros((3, 3, 2, 2))
+            for x, y, a1, a2 in itertools.product(range(3), range(3), range(2), range(2)):
+                cond[x, y, a1, a2] = 0.5 * (a1 ^ a2 == x * y % 2)
+        else:
+            settings, outcomes, local = (2, 2, 2), (2, 2, 2), True
+            cond = deterministic_mixture(np.random.default_rng(3), settings, outcomes, 5)
+        built = record_bell_lps(monkeypatch)
+        joint = bell_joint(settings, outcomes, [cond])
+        assert bm.local_membership(bm.BellScenario(settings, outcomes), joint).is_local is local
+        [(a, b)] = built
+        assert (a == 0).mean() > 0.5
+        t_loop, basis_loop = _phase1_tableau(a, b)
+        t_np, basis_np = _phase1_tableau(a, b)
+        max_iter = 200 * sum(a.shape)
+        out_loop = _phase1_loops(t_loop, basis_loop, _PIVOT_TOL, max_iter)
+        out_np = _phase1_numpy(t_np, basis_np, _PIVOT_TOL, max_iter)
+        assert out_loop == out_np and out_loop[0] == _simplex.STATUS_OPTIMAL
+        assert (-t_np[-1, -1] > 1e-7) is not local
+        np.testing.assert_array_equal(basis_loop, basis_np)
+        assert t_loop.tobytes() == t_np.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_float_tableau_matches_reference_layout(self, seed):
