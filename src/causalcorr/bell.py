@@ -215,7 +215,9 @@ def local_membership(
     for s in range(scenario.source_outcomes):
         if p_s[s] <= cond.zero_tol:
             continue
-        a_mat = np.vstack([resp[defined[:, s]].reshape(-1, n_strat), np.ones((1, n_strat))])
+        # the defined settings' response rows, copied once, over a row of ones
+        a_mat = np.ones((int(defined[:, s].sum()) * n_a + 1, n_strat))
+        np.compress(defined[:, s], resp, axis=0, out=a_mat[:-1].reshape(-1, n_a, n_strat))
         b_vec = np.append(probs[defined[:, s], s].ravel(), 1.0)
         res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(a_mat, b_vec, tol=tol)
         if not res.feasible:

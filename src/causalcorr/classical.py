@@ -197,14 +197,11 @@ def evaluate_naive(model: ClassicalModel, max_states: int | None = None) -> Join
     return JointDistribution(variables, table, norm_tol=1e-9)
 
 
-def evaluate_marginal_ancestral(
-    model: ClassicalModel, subset, max_states: int | None = None
-) -> JointDistribution:
+def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribution:
     """Marginal on an ancestral node set, computed from that set's gates only.
 
     Sums over the hidden values on edges leaving the set; equals the marginal
     of the full evaluation within 1e-12.  The empty set gives the scalar 1.
-    The contraction is guarded by ``max_states`` as in :func:`evaluate`.
     """
     _require_valid(model)
     subset = frozenset(subset)
@@ -216,7 +213,7 @@ def evaluate_marginal_ancestral(
     kept = [v for v in model.graph.nodes if v in subset]
     if not kept:
         return JointDistribution((), np.asarray(1.0), norm_tol=1e-9)
-    return _contract_gates(model, kept, max_states)
+    return _contract_gates(model, kept, None)
 
 
 def _flat_rows(gate: Gate) -> np.ndarray:

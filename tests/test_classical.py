@@ -180,12 +180,6 @@ class TestAncestralMarginal:
         # product structure: P(s) x P(x)
         np.testing.assert_allclose(p.table.sum(axis=1), [1.0], atol=1e-12)
 
-    def test_max_states_guards_the_contraction(self, bell):
-        m = cm.random_model(bell, 2, 0)
-        with pytest.raises(SizeLimitExceeded):
-            cm.evaluate_marginal_ancestral(m, set(bell.nodes), max_states=8)  # the table has 16 entries
-        assert cm.evaluate_marginal_ancestral(m, set(bell.nodes), max_states=16).table.size == 16
-
     def test_not_ancestral_rejected(self, bell):
         with pytest.raises(NotAncestral):
             cm.evaluate_marginal_ancestral(shared_coin_model(bell), {"a"})
