@@ -10,7 +10,9 @@ from .errors import SizeLimitExceeded
 DEFAULT_MAX_STATE_SPACE = 1 << 24
 DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
 DEFAULT_MAX_STRATEGIES = 10**6
-DEFAULT_MAX_PAIR_NODES = 14
+# Disjoint-past pairs listed before graph.maximal_disjoint_past_pairs refuses:
+# the most that any graph of 14 or fewer nodes has (the 14-node antichain)
+DEFAULT_MAX_PAIRS = 2**13 - 1
 
 
 def max_state_space(override=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as cg
-from .dist import JointDistribution
+from .dist import JointDistribution, is_number_list
 from .errors import (
     InvalidModel,
     MissingRelayPath,
@@ -459,10 +459,21 @@ def model_from_dict(data: dict) -> ClassicalModel:
     if not isinstance(data, dict) or set(data) != {"graph", "edge_sizes", "gates"}:
         raise SchemaError(f"malformed model JSON near {list(data) if isinstance(data, dict) else data!r}")
     graph = cg.graph_from_dict(data["graph"])
-    sizes = {str(e): int(s) for e, s in data["edge_sizes"].items()}
+    if not isinstance(data["edge_sizes"], dict) or not isinstance(data["gates"], dict):
+        raise SchemaError("edge_sizes and gates must be JSON objects")
+    # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
+    if any(type(s) is not int for s in data["edge_sizes"].values()):
+        raise SchemaError(f"malformed edge sizes near {data['edge_sizes']!r}")
+    sizes = {str(e): s for e, s in data["edge_sizes"].items()}
     gates = {}
     for v, g in data["gates"].items():
-        if not isinstance(g, dict) or set(g) != {"in", "out", "tensor"}:
+        if (
+            not isinstance(g, dict)
+            or set(g) != {"in", "out", "tensor"}
+            or not isinstance(g["in"], list)
+            or not isinstance(g["out"], list)
+            or not is_number_list(g["tensor"])
+        ):
             raise SchemaError(f"malformed gate JSON for node {v!r}")
         ins = tuple(str(e) for e in g["in"])
         outs = tuple(str(e) for e in g["out"])

@@ -336,18 +336,27 @@ def dist_to_dict(dist: JointDistribution) -> dict:
     }
 
 
+def is_number_list(values) -> bool:
+    """True for a JSON list of numbers; bool is refused, although Python counts it as an int."""
+    return isinstance(values, list) and all(type(x) in (int, float) for x in values)
+
+
 def dist_from_dict(data: dict, norm_tol: float = DEFAULT_NORM_TOL) -> JointDistribution:
     """Parse the distribution JSON schema; unknown fields are rejected."""
-    if not isinstance(data, dict) or set(data) != {"vars", "probs"}:
+    if not isinstance(data, dict) or set(data) != {"vars", "probs"} or not all(
+        isinstance(data[k], list) for k in data
+    ):
         raise SchemaError(f"malformed distribution JSON near {data!r}")
     variables = []
     for item in data["vars"]:
-        if not isinstance(item, dict) or set(item) != {"id", "size"}:
+        # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
+        if not isinstance(item, dict) or set(item) != {"id", "size"} or type(item["size"]) is not int:
             raise SchemaError(f"malformed distribution JSON near {item!r}")
-        variables.append((str(item["id"]), int(item["size"])))
-    sizes = tuple(k for _, k in variables)
-    expected = int(np.prod(sizes, dtype=np.int64)) if sizes else 1
+        variables.append((str(item["id"]), item["size"]))
+    expected = math.prod(k for _, k in variables)
     probs = data["probs"]
     if len(probs) != expected:
         raise SchemaError(f"probs has {len(probs)} entries, expected {expected}")
+    if not is_number_list(probs):
+        raise SchemaError("probs must be a list of numbers")
     return JointDistribution(tuple(variables), np.asarray(probs, dtype=float), norm_tol=norm_tol)

@@ -19,7 +19,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownNode,
 )
-from ._config import DEFAULT_MAX_PAIR_NODES
+from ._config import DEFAULT_MAX_PAIRS
 
 
 class Edge(NamedTuple):
@@ -176,39 +176,6 @@ def topological_order(graph: CausalGraph) -> list[str]:
     return order
 
 
-def all_topological_orders(graph: CausalGraph, limit: int = 100) -> list[list[str]]:
-    """Up to ``limit`` distinct topological orders, in lexicographic order."""
-    adj = _adjacency(graph)
-    indeg = {n: 0 for n in graph.nodes}
-    for e in graph.edges:
-        indeg[e.dst] += 1
-    out: list[list[str]] = []
-    current: list[str] = []
-
-    def rec():
-        if len(out) >= limit:
-            return
-        if len(current) == len(graph.nodes):
-            out.append(list(current))
-            return
-        for n in sorted(graph.nodes):
-            if indeg[n] == 0 and n not in current:
-                current.append(n)
-                for c in adj[n]:
-                    indeg[c] -= 1
-                rec()
-                for c in adj[n]:
-                    indeg[c] += 1
-                current.pop()
-                if len(out) >= limit:
-                    return
-
-    rec()
-    if not out:
-        raise CycleError("graph contains a directed cycle")
-    return out
-
-
 def causal_past(graph: CausalGraph, seed: Iterable[str]) -> frozenset[str]:
     """Union of the seed nodes and everything with a directed path into them.
 
@@ -248,77 +215,80 @@ def _past_masks(graph: CausalGraph) -> list[int]:
     return masks
 
 
-def ancestral_sets(graph: CausalGraph) -> list[frozenset[str]]:
-    """All node sets equal to their own causal past (including the empty set)."""
-    n = len(graph.nodes)
-    if n > 20:
-        raise SizeLimitExceeded(f"{n} nodes is too many for ancestral-set enumeration")
-    masks = _past_masks(graph)
-    out = []
-    for sub in range(1 << n):
-        ok = True
-        for i in range(n):
-            if sub >> i & 1 and masks[i] & ~sub:
-                ok = False
-                break
-        if ok:
-            out.append(frozenset(graph.nodes[i] for i in range(n) if sub >> i & 1))
-    return out
-
-
 def maximal_disjoint_past_pairs(
-    graph: CausalGraph, limit: int = DEFAULT_MAX_PAIR_NODES
+    graph: CausalGraph, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
     """All maximal unordered pairs of nonempty node sets with disjoint causal pasts.
 
     Maximality means no node can be added to either side while keeping the
-    pasts disjoint; it forces both sides to be ancestral.  Enumeration walks
-    the ancestral sets, computes for each one the largest compatible partner
-    ``{v : past(v) disjoint from U}``, and keeps the mutually-maximal pairs.
-    Worst case is exponential in the node count, hence the hard guard.
+    pasts disjoint.  The maximal pairs are the formal concepts of the
+    symmetric relation "past(u) and past(w) are disjoint": with
+    ``partner(U) = {v : past(v) disjoint from past(U)}``, each pair is
+    ``(A, partner(A))`` for a set ``A`` closed under ``partner(partner(.))``
+    with both sides nonempty, so both sides are ancestral.  ``partner`` takes
+    the past of ``U``, not ``U`` itself; only then is the closure extensive.
+    Ganter's NextClosure lists the closed sets in lectic order and computes
+    at most one closure per node for each, so the run time is polynomial in
+    the number of pairs.  Each pair is two closed sets; SizeLimitExceeded is
+    raised as soon as there are more than ``max_pairs`` pairs, which bounds
+    the work as well.  Output is sorted canonically.
     """
     n = len(graph.nodes)
-    if n > limit:
-        raise SizeLimitExceeded(f"{n} nodes exceeds the pair-enumeration limit {limit}")
     masks = _past_masks(graph)
+    # conflict[u]: the nodes whose causal past meets that of u
+    conflict = [sum(1 << v for v in range(n) if masks[v] & m) for m in masks]
+    # hits[k][byte]: the union of conflict[u] over the nodes u of byte k that are set in byte
+    hits = []
+    for k in range(0, n, 8):
+        table = [0]
+        for c in conflict[k:k + 8]:
+            table += [t | c for t in table]
+        hits.append(table)
     full = (1 << n) - 1
 
     def partner(mask: int) -> int:
-        out = 0
-        for i in range(n):
-            if not masks[i] & mask:
-                out |= 1 << i
-        return out
+        hit = 0
+        for table in hits:
+            hit |= table[mask & 255]
+            mask >>= 8
+        return full & ~hit
 
-    ancestral = []
-    for sub in range(1, full + 1):
-        ok = True
-        for i in range(n):
-            if sub >> i & 1 and masks[i] & ~sub:
-                ok = False
+    pairs = []
+    closed = 0
+    w = full  # partner of the empty set
+    a = partner(w)  # the closure of the empty set
+    while True:
+        if a and w:
+            closed += 1
+            if closed > 2 * max_pairs:
+                raise SizeLimitExceeded(
+                    f"more than {max_pairs} disjoint-past pairs, the pair-enumeration guard"
+                )
+            if a < w:
+                pairs.append((a, w))
+        # next closed set in lectic order: the largest node i not in a whose
+        # closure of (a below i) + i adds nothing below i
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if a & bit:
+                continue
+            low = a & (bit - 1)
+            b_partner = partner(low | bit)
+            b = partner(b_partner)
+            if b & (bit - 1) == low:
+                a, w = b, b_partner
                 break
-        if ok:
-            ancestral.append(sub)
+        else:
+            break
 
-    pairs: set[tuple[int, int]] = set()
-    for u in ancestral:
-        w = partner(u)
-        if w == 0:
-            continue
-        if partner(w) == u:
-            pairs.add((min(u, w), max(u, w)))
+    by_name = sorted(range(n), key=graph.nodes.__getitem__)
 
-    def unmask(mask: int) -> frozenset[str]:
-        return frozenset(graph.nodes[i] for i in range(n) if mask >> i & 1)
+    def names(mask: int) -> list[str]:
+        return [graph.nodes[i] for i in by_name if mask >> i & 1]
 
-    out = []
-    for u, w in pairs:
-        su, sw = unmask(u), unmask(w)
-        if sorted(sw) < sorted(su):
-            su, sw = sw, su
-        out.append((su, sw))
-    out.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
-    return out
+    # each side as its sorted name list: the smaller side first, pairs in list order
+    keyed = sorted(sorted((names(u), names(w))) for u, w in pairs)
+    return [(frozenset(su), frozenset(sw)) for su, sw in keyed]
 
 
 def transitive_closure(graph: CausalGraph) -> CausalGraph:

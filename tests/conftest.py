@@ -7,6 +7,8 @@ import pytest
 
 from causalcorr import bell as bell_mod
 from causalcorr import dist as dm
+from causalcorr import graph as gm
+from causalcorr.errors import CycleError
 from causalcorr.graph import CausalGraph
 
 
@@ -123,6 +125,44 @@ def all_test_graphs(outcomes: int = 2) -> dict[str, CausalGraph]:
         "triangle": triangle_graph(outcomes),
         "sequential": sequential_graph(outcomes),
     }
+
+
+def ancestral_sets(graph: CausalGraph) -> list[frozenset[str]]:
+    """All node sets equal to their own causal past (including the empty set), by subset scan."""
+    nodes = graph.nodes
+    subsets = (frozenset(v for i, v in enumerate(nodes) if sub >> i & 1) for sub in range(1 << len(nodes)))
+    return [s for s in subsets if gm.causal_past(graph, s) == s]
+
+
+def all_topological_orders(graph: CausalGraph, limit: int = 100) -> list[list[str]]:
+    """Up to ``limit`` distinct topological orders, in lexicographic order."""
+    adj = {n: [e.dst for e in graph.out_edges(n)] for n in graph.nodes}
+    indeg = {n: len(graph.in_edges(n)) for n in graph.nodes}
+    out: list[list[str]] = []
+    current: list[str] = []
+
+    def rec():
+        if len(out) >= limit:
+            return
+        if len(current) == len(graph.nodes):
+            out.append(list(current))
+            return
+        for n in sorted(graph.nodes):
+            if indeg[n] == 0 and n not in current:
+                current.append(n)
+                for c in adj[n]:
+                    indeg[c] -= 1
+                rec()
+                for c in adj[n]:
+                    indeg[c] += 1
+                current.pop()
+                if len(out) >= limit:
+                    return
+
+    rec()
+    if not out:
+        raise CycleError("graph contains a directed cycle")
+    return out
 
 
 def pr_box_dist() -> dm.JointDistribution:

@@ -20,6 +20,8 @@ from causalcorr.graph import CausalGraph
 
 from conftest import (
     all_test_graphs,
+    all_topological_orders,
+    ancestral_sets,
     bell_graph,
     pr_box_dist,
     popescu_graph,
@@ -140,7 +142,7 @@ def test_criterion_05_ancestral_marginals():
         g = graphs[name]
         m = cm.random_model(g, 2, seed=hash(name) % 1000)
         full = cm.evaluate(m)
-        for subset in gm.ancestral_sets(g):
+        for subset in ancestral_sets(g):
             sub = cm.evaluate_marginal_ancestral(m, subset)
             if not subset:
                 assert abs(float(sub.table) - 1.0) <= 1e-12
@@ -233,7 +235,7 @@ def test_criterion_10_order_invariance():
     for seed, make in ((0, bell_graph), (1, triangle_graph), (2, popescu_graph)):
         g = make()
         model = qm.random_model(g, 2, seed=seed)
-        orders = gm.all_topological_orders(g, limit=5)
+        orders = all_topological_orders(g, limit=5)
         assert len(orders) == 5
         tables = [qm.evaluate(model, order=o).table for o in orders]
         for t in tables[1:]:

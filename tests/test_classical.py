@@ -5,7 +5,6 @@ import pytest
 
 from causalcorr import classical as cm
 from causalcorr import dist as dm
-from causalcorr import graph as gm
 from causalcorr.correlation import is_correlation
 from causalcorr.errors import (
     InvalidModel,
@@ -16,7 +15,7 @@ from causalcorr.errors import (
 )
 from causalcorr.graph import CausalGraph
 
-from conftest import bell_graph, popescu_graph, triangle_graph
+from conftest import ancestral_sets, bell_graph, popescu_graph, triangle_graph
 
 
 def uniform_gate(graph, sizes, v):
@@ -188,7 +187,7 @@ class TestAncestralMarginal:
     def test_matches_marginal_of_full(self, seed, popescu):
         m = cm.random_model(popescu, 2, seed)
         full = cm.evaluate(m)
-        for subset in gm.ancestral_sets(popescu):
+        for subset in ancestral_sets(popescu):
             sub = cm.evaluate_marginal_ancestral(m, subset)
             if not subset:
                 assert float(sub.table) == pytest.approx(1.0, abs=1e-12)

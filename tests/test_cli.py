@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,11 @@ from causalcorr import quantum as qm
 from causalcorr.cli import run
 
 from conftest import bell_graph, pr_box_dist
+
+# child processes import the same causalcorr package as this one
+CHILD_PYTHONPATH = os.pathsep.join(
+    [os.path.dirname(os.path.dirname(cm.__file__)), os.environ.get("PYTHONPATH", "")]
+)
 
 
 @pytest.fixture
@@ -80,6 +86,46 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert run(["graph-validate", "--graph", str(path)]) == 2
         assert "malformed graph JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vars": 5, "probs": []},
+            {"vars": [{"id": "a", "size": 2}], "probs": 0.5},
+            {"vars": [{"id": "a", "size": True}], "probs": [1.0]},
+            {"vars": [{"id": "a", "size": 2}], "probs": [0.5, "0.5"]},
+            {"vars": [{"id": "a", "size": 2}], "probs": [0.5, {}]},
+            {"vars": [{"id": "a", "size": 10**20}], "probs": []},
+        ],
+    )
+    def test_wrongly_typed_dist_is_usage_error(self, tmp_path, capsys, data):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(data))
+        assert run(["chsh", "--dist", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("edge_sizes",), 5),
+            (("edge_sizes", "s->a"), True),
+            (("gates",), 5),
+            (("gates", "a", "in"), "s->a"),
+            (("gates", "a", "out"), 5),
+            (("gates", "a", "tensor"), [0.5, {}]),
+        ],
+    )
+    def test_wrongly_typed_classical_model_is_usage_error(self, tmp_path, capsys, keys, value):
+        data = cm.model_to_dict(cm.random_model(bell_graph(), 2, seed=0))
+        *outer, last = keys
+        target = data
+        for k in outer:
+            target = target[k]
+        target[last] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert run(["eval-classical", "--model", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_nan_probability_is_usage_error(self, bell_files, tmp_path, capsys):
         graph_path, _ = bell_files
@@ -359,6 +405,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_correlation"] is True

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from causalcorr import bell as bm
+from causalcorr import classical as cm
 from causalcorr import graph as gm
+from causalcorr.correlation import is_correlation
 from causalcorr.errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode
 from causalcorr.graph import CausalGraph
 
@@ -21,6 +24,27 @@ def random_dag(rng, n_nodes, p=0.4):
         if rng.uniform() < p:
             edges.append((f"e{i}_{j}", names[i], names[j]))
     return CausalGraph.build([(n, 2) for n in names], edges)
+
+
+def sparse_dag(rng, n_nodes, extra=2):
+    """Random tree on 2-3 roots plus ``extra`` forward edges, nodes declared in shuffled order."""
+    names = [f"v{i:02d}" for i in range(n_nodes)]
+    n_roots = int(rng.integers(2, 4))
+    pairs = {(int(rng.integers(0, j)), j) for j in range(n_roots, n_nodes)}
+    while len(pairs) < n_nodes - n_roots + extra:
+        i, j = sorted(int(v) for v in rng.choice(n_nodes, size=2, replace=False))
+        pairs.add((i, j))
+    nodes = [(names[i], 2) for i in rng.permutation(n_nodes)]
+    edges = [(f"{names[i]}->{names[j]}", names[i], names[j]) for i, j in sorted(pairs)]
+    return CausalGraph.build(nodes, edges)
+
+
+def bell_scenario_graph(parties):
+    return bm.make_bell_graph(bm.BellScenario((2,) * parties, (2,) * parties))
+
+
+def antichain(n_nodes):
+    return CausalGraph.build([(f"n{i:02d}", 2) for i in range(n_nodes)], [])
 
 
 class TestValidate:
@@ -135,6 +159,39 @@ def brute_force_pairs(graph):
     return sorted(found, key=lambda p: (sorted(p[0]), sorted(p[1])))
 
 
+def subset_scan_pairs(graph):
+    """Maximal pairs by the earlier enumeration: every ancestral subset and its largest partner."""
+    n = len(graph.nodes)
+    masks = [
+        sum(1 << i for i, u in enumerate(graph.nodes) if u in gm.causal_past(graph, [v]))
+        for v in graph.nodes
+    ]
+    full = (1 << n) - 1
+
+    def partner(mask):
+        return sum(1 << i for i in range(n) if not masks[i] & mask)
+
+    pairs = set()
+    for sub in range(1, full + 1):
+        if any(sub >> i & 1 and masks[i] & ~sub for i in range(n)):
+            continue
+        w = partner(sub)
+        if w and partner(w) == sub:
+            pairs.add((min(sub, w), max(sub, w)))
+
+    def unmask(mask):
+        return frozenset(graph.nodes[i] for i in range(n) if mask >> i & 1)
+
+    out = []
+    for u, w in pairs:
+        su, sw = unmask(u), unmask(w)
+        if sorted(sw) < sorted(su):
+            su, sw = sw, su
+        out.append((su, sw))
+    out.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
+    return out
+
+
 class TestMaximalDisjointPastPairs:
     def test_bell_exact(self, bell):
         pairs = gm.maximal_disjoint_past_pairs(bell)
@@ -172,6 +229,59 @@ class TestMaximalDisjointPastPairs:
         g = CausalGraph.build([(f"n{i}", 2) for i in range(15)], [])
         with pytest.raises(SizeLimitExceeded):
             gm.maximal_disjoint_past_pairs(g)
+
+
+class TestNextClosureMatchesSubsetScan:
+    """Same pairs in the same order as the earlier subset scan, on graphs it could handle."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sparse_dags(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        g = sparse_dag(rng, 10 + seed % 5, extra=int(rng.integers(0, 4)))
+        assert gm.maximal_disjoint_past_pairs(g) == subset_scan_pairs(g)
+
+    @pytest.mark.parametrize("parties", range(2, 7))
+    def test_bell_graphs(self, parties):
+        g = bell_scenario_graph(parties)
+        pairs = gm.maximal_disjoint_past_pairs(g)
+        assert pairs == subset_scan_pairs(g)
+        assert len(pairs) == 2**parties - 1
+
+    @pytest.mark.parametrize("n_nodes", range(1, 14))
+    def test_antichains(self, n_nodes):
+        g = antichain(n_nodes)
+        pairs = gm.maximal_disjoint_past_pairs(g)
+        assert pairs == subset_scan_pairs(g)
+        assert len(pairs) == 2 ** (n_nodes - 1) - 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_brute_force_cases(self, seed):
+        g = random_dag(np.random.default_rng(seed), 6, p=0.3)
+        assert gm.maximal_disjoint_past_pairs(g) == subset_scan_pairs(g)
+
+    def test_figure_graphs(self, bell, popescu, triangle, bilocality, sequential):
+        for g in (bell, popescu, triangle, bilocality, sequential):
+            assert gm.maximal_disjoint_past_pairs(g) == subset_scan_pairs(g)
+
+
+class TestPairGuard:
+    def test_fourteen_node_antichain_accepted(self):
+        assert len(gm.maximal_disjoint_past_pairs(antichain(14))) == 2**13 - 1
+
+    def test_sixteen_node_dag_gets_a_verdict(self):
+        g = sparse_dag(np.random.default_rng(16), 16)
+        verdict = is_correlation(g, cm.evaluate(cm.random_model(g, 2, seed=16)))
+        assert verdict.is_correlation
+
+    def test_twenty_five_node_bell_graph(self):
+        g = bell_scenario_graph(12)
+        assert len(g.nodes) == 25
+        assert len(gm.maximal_disjoint_past_pairs(g)) == 4095
+
+    def test_max_pairs_refused(self, bell):
+        assert len(gm.maximal_disjoint_past_pairs(bell, max_pairs=3)) == 3
+        with pytest.raises(SizeLimitExceeded):
+            gm.maximal_disjoint_past_pairs(bell, max_pairs=2)
 
 
 class TestClosureAndPosetEqual:

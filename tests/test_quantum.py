@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from causalcorr import classical as cm
-from causalcorr import graph as gm
 from causalcorr import quantum as qm
 from causalcorr.correlation import is_correlation
 from causalcorr import hbn as hm
 from causalcorr.errors import InvalidModel, SchemaError, SizeLimitExceeded
 from causalcorr.graph import CausalGraph
 
-from conftest import all_test_graphs, bell_graph, bilocality_graph, popescu_graph, triangle_graph
+from conftest import (
+    all_test_graphs,
+    all_topological_orders,
+    bell_graph,
+    bilocality_graph,
+    popescu_graph,
+    triangle_graph,
+)
 from test_classical import shared_coin_model, triangle_xor_model
 
 
@@ -111,7 +117,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("seed", range(3))
     def test_order_invariance(self, seed, bell):
         model = qm.random_model(bell, 2, seed)
-        orders = gm.all_topological_orders(bell, limit=5)
+        orders = all_topological_orders(bell, limit=5)
         tables = [qm.evaluate(model, order=o).table for o in orders]
         for t in tables[1:]:
             assert np.abs(t - tables[0]).max() < 1e-10
@@ -287,7 +293,7 @@ class TestSequentialOracle:
         rng = np.random.default_rng(outcomes * 100 + len(g.edges))
         dims = {e.id: int(rng.integers(1, 4)) for e in g.edges}
         model = qm.random_model(g, dims, seed=outcomes)
-        orders = gm.all_topological_orders(g, limit=3)
+        orders = all_topological_orders(g, limit=3)
         assert len(orders) == 3
         for order in orders:
             joint = qm.evaluate(model, order=order)
