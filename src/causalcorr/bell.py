@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph as cg
 from .classical import ClassicalModel, Gate
-from .dist import JointDistribution, conditional, marginal
+from .dist import JointDistribution, conditional, independence_deviation, marginal
 from .errors import (
     IncompletePOVM,
     NotNoSignalling,
@@ -99,30 +99,19 @@ def check_free_will_no_signalling(
     """Check that settings and source are jointly independent and that each
     party's setting is independent of everything else jointly.
 
-    Agrees with the generic disjoint-past factorization check on the scenario
-    graph.
+    Free will is one ``dist.independence_deviation`` over the singletons
+    ``{x_1}, …, {x_n}, {s}``; no-signalling is one more per party, ``{x_i}``
+    against the other outcomes, the other settings and ``s``.  This agrees
+    with the generic disjoint-past factorization check on the scenario graph.
     """
     _check_vars(scenario, dist)
     xs = scenario.setting_ids()
     as_ = scenario.outcome_ids()
-
-    joint_xs = marginal(dist, set(xs) | {"s"}).reorder(xs + ["s"])
-    factor = marginal(dist, {"s"}).table
-    for x in reversed(xs):
-        factor = np.multiply.outer(marginal(dist, {x}).table, factor)
-    freewill_dev = float(np.abs(joint_xs.table - factor).max())
-
-    nosig_devs = []
-    for i in range(scenario.n):
-        keep = [v for v in as_ if v != as_[i]] + xs + ["s"]
-        lhs = marginal(dist, set(keep)).reorder(keep)
-        rest = [v for v in keep if v != xs[i]]
-        rhs = np.multiply.outer(marginal(dist, {xs[i]}).table, marginal(dist, set(rest)).reorder(rest).table)
-        # align: lhs order is keep; rhs order is [x_i] + rest
-        perm = [([xs[i]] + rest).index(v) for v in keep]
-        rhs = np.transpose(rhs, perm)
-        nosig_devs.append(float(np.abs(lhs.table - rhs).max()))
-
+    freewill_dev = independence_deviation(dist, [{x} for x in xs] + [{"s"}])
+    nosig_devs = [
+        independence_deviation(dist, ({x}, set(xs + as_ + ["s"]) - {x, a}))
+        for x, a in zip(xs, as_)
+    ]
     passes = freewill_dev <= tol and all(d <= tol for d in nosig_devs)
     return NoSignallingVerdict(passes, freewill_dev, nosig_devs, tol)
 

@@ -53,7 +53,7 @@ class JointDistribution:
         sizes = tuple(k for _, k in self.variables)
         if any(k < 1 for k in sizes):
             raise ShapeMismatch("alphabet sizes must be >= 1")
-        total = int(np.prod(sizes, dtype=np.int64)) if sizes else 1
+        total = math.prod(sizes)  # exact: an int64 product can wrap below the guard
         if total > max_state_space():
             raise SizeLimitExceeded(f"table with {total} entries exceeds the size guard")
         ids = [v for v, _ in self.variables]
@@ -195,6 +195,35 @@ def product(d1: JointDistribution, d2: JointDistribution) -> JointDistribution:
         unnormalized=d1.unnormalized or d2.unnormalized,
         norm_tol=max(d1.norm_tol, d2.norm_tol),
     )
+
+
+def independence_deviation(dist: JointDistribution, groups) -> float:
+    """Largest |P(G1 ∪ … ∪ Gk) − P(G1)···P(Gk)| over the entries of the joint marginal.
+
+    One numpy sum takes ``dist.table`` onto the union of the groups' axes;
+    each group's marginal is summed from that joint with ``keepdims=True``, so
+    the product forms by broadcasting in the joint's own axis order.  No
+    intermediate JointDistribution is built and nothing is revalidated.
+    """
+    axis_of = {v: i for i, v in enumerate(dist.var_ids)}
+    group_axes = []
+    for group in groups:
+        unknown = set(group) - axis_of.keys()
+        if unknown:
+            raise UnknownVariable(f"unknown variables {sorted(unknown)}")
+        group_axes.append({axis_of[v] for v in group})
+    union = set().union(*group_axes)
+    if len(union) != sum(len(axes) for axes in group_axes):
+        raise OverlappingSets("the groups share a variable")
+    summed = tuple(i for i in range(dist.table.ndim) if i not in union)
+    joint = dist.table.sum(axis=summed) if summed else dist.table
+    # the joint keeps the union's axes in table order
+    kept = sorted(union)
+    prod = 1.0
+    for axes in group_axes:
+        others = tuple(i for i, ax in enumerate(kept) if ax not in axes)
+        prod = prod * joint.sum(axis=others, keepdims=True)
+    return float(np.abs(joint - prod).max())
 
 
 def tv_distance(d1: JointDistribution, d2: JointDistribution) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from . import graph as cg
 from .classical import ClassicalModel, Gate, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
-from .dist import JointDistribution
+from .dist import JointDistribution, is_number_list
 from .errors import InvalidModel, SchemaError, SizeLimitExceeded
 from ._config import _contract, max_state_space
 
@@ -238,7 +238,15 @@ def hbn_from_dict(data: dict) -> HiddenBayesNet:
     if not isinstance(data, dict) or set(data) != {"graph", "node_sizes", "transitions", "readouts"}:
         raise SchemaError("malformed hidden-Bayesian-network JSON")
     graph = cg.graph_from_dict(data["graph"])
-    sizes = {str(v): int(s) for v, s in data["node_sizes"].items()}
+    if not all(isinstance(data[k], dict) for k in ("node_sizes", "transitions", "readouts")):
+        raise SchemaError("node_sizes, transitions and readouts must be JSON objects")
+    # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
+    if any(type(s) is not int for s in data["node_sizes"].values()):
+        raise SchemaError(f"malformed node sizes near {data['node_sizes']!r}")
+    tables = list(data["transitions"].values()) + list(data["readouts"].values())
+    if not all(is_number_list(t) for t in tables):
+        raise SchemaError("transitions and readouts must map nodes to lists of numbers")
+    sizes = {str(v): s for v, s in data["node_sizes"].items()}
     transitions = {}
     readouts = {}
     for v in graph.nodes:

@@ -21,7 +21,7 @@ import numpy as np
 from . import graph as cg
 from .classical import ClassicalModel, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
-from .dist import JointDistribution
+from .dist import JointDistribution, is_number_list
 from .errors import InvalidModel, NegativeProbability, SchemaError, SizeLimitExceeded
 from ._config import _contract, max_state_space
 
@@ -262,13 +262,27 @@ def model_to_dict(model: QuantumModel) -> dict:
     }
 
 
+def _is_complex_matrix(k) -> bool:
+    """True for a JSON list of rows of ``[re, im]`` number pairs."""
+    return isinstance(k, list) and all(
+        isinstance(row, list) and all(is_number_list(z) and len(z) == 2 for z in row) for row in k
+    )
+
+
 def model_from_dict(data: dict) -> QuantumModel:
     if not isinstance(data, dict) or set(data) != {"graph", "edge_dims", "instruments"}:
         raise SchemaError("malformed quantum model JSON")
     graph = cg.graph_from_dict(data["graph"])
-    dims = {str(e): int(d) for e, d in data["edge_dims"].items()}
+    if not isinstance(data["edge_dims"], dict) or not isinstance(data["instruments"], dict):
+        raise SchemaError("edge_dims and instruments must be JSON objects")
+    # bool is rejected too: it is an int subclass, and JSON true is no dimension
+    if any(type(d) is not int for d in data["edge_dims"].values()):
+        raise SchemaError(f"malformed edge dimensions near {data['edge_dims']!r}")
+    dims = {str(e): d for e, d in data["edge_dims"].items()}
     instruments = {}
     for v, byo in data["instruments"].items():
+        if not isinstance(byo, dict):
+            raise SchemaError(f"instrument for node {v!r} must be a JSON object")
         if str(v) not in graph.outcomes:
             raise SchemaError(f"instrument for unknown node {v!r}")
         keys = [str(o) for o in range(graph.outcomes[str(v)])]
@@ -277,8 +291,11 @@ def model_from_dict(data: dict) -> QuantumModel:
             raise SchemaError(f"node {v!r}: unknown outcome keys {sorted(unknown)}")
         components = []
         for o in keys:
+            kraus = byo.get(o, [])
+            if not isinstance(kraus, list) or not all(_is_complex_matrix(k) for k in kraus):
+                raise SchemaError(f"node {v!r}, outcome {o}: malformed Kraus operator list")
             ops = []
-            for k in byo.get(o, []):
+            for k in kraus:
                 arr = np.array(
                     [[complex(z[0], z[1]) for z in row] for row in k], dtype=complex
                 )

@@ -197,6 +197,88 @@ class TestFreeWillNoSignalling:
         assert agree == 50
 
 
+def marginal_loop_free_will_no_signalling(scenario, dist):
+    """Oracle: free-will and no-signalling deviations from validated marginals,
+    outer products and reorders, one marginal per factor."""
+    xs = scenario.setting_ids()
+    as_ = scenario.outcome_ids()
+    joint_xs = dm.marginal(dist, set(xs) | {"s"}).reorder(xs + ["s"])
+    factor = dm.marginal(dist, {"s"}).table
+    for x in reversed(xs):
+        factor = np.multiply.outer(dm.marginal(dist, {x}).table, factor)
+    freewill_dev = float(np.abs(joint_xs.table - factor).max())
+    nosig_devs = []
+    for i in range(scenario.n):
+        keep = [v for v in as_ if v != as_[i]] + xs + ["s"]
+        lhs = dm.marginal(dist, set(keep)).reorder(keep)
+        rest = [v for v in keep if v != xs[i]]
+        rhs = np.multiply.outer(
+            dm.marginal(dist, {xs[i]}).table, dm.marginal(dist, set(rest)).reorder(rest).table
+        )
+        perm = [([xs[i]] + rest).index(v) for v in keep]
+        nosig_devs.append(float(np.abs(lhs.table - np.transpose(rhs, perm)).max()))
+    return freewill_dev, nosig_devs
+
+
+def random_bell_dist(rng, scenario, order=None):
+    """Random table over the scenario's variables, declared in ``order`` if given."""
+    graph = bm.make_bell_graph(scenario)
+    nodes = list(order or graph.nodes)
+    t = rng.uniform(size=tuple(graph.outcomes[v] for v in nodes))
+    return dm.JointDistribution(tuple((v, graph.outcomes[v]) for v in nodes), t / t.sum())
+
+
+def no_signalling_oracle_cases():
+    rng = np.random.default_rng(3)
+    three = bm.BellScenario(settings=(2, 3, 2), outcomes=(2, 2, 3), source_outcomes=2)
+    signalling = np.zeros((1, 2, 2, 2, 2))
+    for x, y, a in itertools.product(range(2), repeat=3):
+        signalling[0, x, y, a, x] = 1 / 8
+    signalling = dm.JointDistribution((("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2)), signalling)
+    mixture = bell_joint(
+        (2, 3, 2), (2, 2, 3),
+        [deterministic_mixture(rng, (2, 3, 2), (2, 2, 3), 4) for _ in range(2)],
+        setting_probs=[[0.3, 0.7], [0.2, 0.5, 0.3], [0.6, 0.4]],
+        source_probs=(0.4, 0.6),
+    )
+    order = ["a2", "x3", "s", "a1", "x1", "a3", "x2"]
+    cases = [
+        ("chsh-pr-box", chsh_222(), pr_box_dist()),
+        ("chsh-pr-box-reorder-view", chsh_222(), pr_box_dist().reorder(("a2", "x1", "s", "a1", "x2"))),
+        ("chsh-singlet", chsh_222(), singlet_joint()),
+        ("chsh-signalling", chsh_222(), signalling),
+        ("chsh-signalling-reorder-view", chsh_222(), signalling.reorder(("x2", "a2", "a1", "s", "x1"))),
+        ("chsh-random", chsh_222(), random_bell_dist(rng, chsh_222())),
+        ("chsh-random-shuffled", chsh_222(), random_bell_dist(rng, chsh_222(), ("a1", "s", "x2", "a2", "x1"))),
+        ("three-party-mixture", three, mixture),
+        ("three-party-mixture-reorder-view", three, mixture.reorder(order)),
+        ("three-party-random", three, random_bell_dist(rng, three)),
+        ("three-party-random-shuffled", three, random_bell_dist(rng, three, order)),
+    ]
+    return cases
+
+
+NO_SIGNALLING_ORACLE_CASES = no_signalling_oracle_cases()
+
+
+class TestFreeWillNoSignallingOracle:
+    @pytest.mark.parametrize(
+        "label, scenario, dist", NO_SIGNALLING_ORACLE_CASES, ids=[c[0] for c in NO_SIGNALLING_ORACLE_CASES]
+    )
+    def test_matches_marginal_loop(self, label, scenario, dist):
+        freewill, nosig = marginal_loop_free_will_no_signalling(scenario, dist)
+        verdict = bm.check_free_will_no_signalling(scenario, dist)
+        assert abs(verdict.freewill_deviation - freewill) <= 1e-15
+        assert len(verdict.nosig_deviations) == len(nosig)
+        for dev, want in zip(verdict.nosig_deviations, nosig):
+            assert abs(dev - want) <= 1e-15
+        assert verdict.passes == (max([freewill] + nosig) <= verdict.tol)
+
+    def test_some_cases_pass_and_some_fail(self):
+        verdicts = [bm.check_free_will_no_signalling(s, d).passes for _, s, d in NO_SIGNALLING_ORACLE_CASES]
+        assert any(verdicts) and not all(verdicts)
+
+
 class TestLocalMembership:
     def test_deterministic_strategy_is_vertex(self):
         strategy = ((0, 1), (1, 0))

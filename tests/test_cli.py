@@ -10,6 +10,7 @@ from causalcorr import bell as bm
 from causalcorr import classical as cm
 from causalcorr import dist as dm
 from causalcorr import graph as gm
+from causalcorr import hbn as hm
 from causalcorr import quantum as qm
 from causalcorr.cli import run
 
@@ -32,6 +33,14 @@ def bell_files(tmp_path):
     return graph_path, dist_path
 
 
+def replace_at(data, keys, value):
+    """Set the entry of nested JSON ``data`` that the key path ``keys`` names."""
+    *outer, last = keys
+    for k in outer:
+        data = data[k]
+    data[last] = value
+
+
 def run_json(argv, capsys):
     code = run([str(a) for a in argv])
     out = capsys.readouterr().out
@@ -46,6 +55,33 @@ class TestExitCodes:
         )
         assert code == 0
         assert payload["is_correlation"] is True
+
+    def test_check_correlation_reports_margin(self, bell_files, tmp_path, capsys):
+        graph_path, dist_path = bell_files
+        code, payload = run_json(
+            ["check-correlation", "--graph", graph_path, "--dist", dist_path], capsys
+        )
+        graph = gm.graph_from_dict(json.loads(graph_path.read_text()))
+        n_pairs = len(gm.maximal_disjoint_past_pairs(graph))
+        assert code == 0
+        assert set(payload) == {"is_correlation", "violations", "tol", "pairs_checked", "max_deviation"}
+        assert payload["violations"] == [] and payload["tol"] == 1e-9
+        assert payload["pairs_checked"] == n_pairs
+        assert 0.0 <= payload["max_deviation"] < 1e-15
+        # party 2's outcome copies party 1's setting: the margin is the worst violation
+        table = np.zeros((1, 2, 2, 2, 2))
+        for x, y, a in np.ndindex(2, 2, 2):
+            table[0, x, y, a, x] = 1 / 8
+        bad = dm.JointDistribution((("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2)), table)
+        bad_path = tmp_path / "signalling.json"
+        bad_path.write_text(json.dumps(dm.dist_to_dict(bad)))
+        code, payload = run_json(
+            ["check-correlation", "--graph", graph_path, "--dist", bad_path], capsys
+        )
+        assert code == 1
+        assert payload["pairs_checked"] == n_pairs
+        assert payload["max_deviation"] == max(v["dev"] for v in payload["violations"])
+        assert payload["max_deviation"] == pytest.approx(0.125, abs=1e-12)
 
     def test_bell_local_pr_box_fails_with_residual(self, bell_files, capsys):
         _, dist_path = bell_files
@@ -117,14 +153,51 @@ class TestExitCodes:
     )
     def test_wrongly_typed_classical_model_is_usage_error(self, tmp_path, capsys, keys, value):
         data = cm.model_to_dict(cm.random_model(bell_graph(), 2, seed=0))
-        *outer, last = keys
-        target = data
-        for k in outer:
-            target = target[k]
-        target[last] = value
+        replace_at(data, keys, value)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
         assert run(["eval-classical", "--model", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("edge_dims",), 5),
+            (("edge_dims", "s->a"), True),
+            (("edge_dims", "s->a"), 2.0),
+            (("instruments",), 5),
+            (("instruments", "a"), [1]),
+            (("instruments", "a", "0"), 5),
+            (("instruments", "a", "0"), [[[["1", 0.0]]]]),
+            (("instruments", "a", "0"), [[[1.0, 0.0]]]),
+        ],
+    )
+    def test_wrongly_typed_quantum_model_is_usage_error(self, tmp_path, capsys, keys, value):
+        data = qm.model_to_dict(qm.random_model(bell_graph(), 2, seed=0))
+        replace_at(data, keys, value)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data))
+        assert run(["eval-quantum", "--model", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("node_sizes",), 5),
+            (("node_sizes", "a"), True),
+            (("node_sizes", "a"), 2.0),
+            (("transitions",), 5),
+            (("transitions", "a"), "0.5"),
+            (("readouts",), [0.5]),
+            (("readouts", "b"), [0.5, {}]),
+        ],
+    )
+    def test_wrongly_typed_hbn_is_usage_error(self, tmp_path, capsys, keys, value):
+        data = hm.hbn_to_dict(hm.random_hbn(bell_graph(), 2, seed=0))
+        replace_at(data, keys, value)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        assert run(["eval-hbn", "--hbn", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_nan_probability_is_usage_error(self, bell_files, tmp_path, capsys):
@@ -278,8 +351,6 @@ class TestPipelines:
         np.testing.assert_array_equal(emitted.table, qm.evaluate(model).table)
 
     def test_eval_hbn_command(self, tmp_path, capsys):
-        from causalcorr import hbn as hm
-
         g = bell_graph()
         net = hm.random_hbn(g, 2, seed=5)
         path = tmp_path / "net.json"

@@ -10,7 +10,7 @@ from causalcorr.correlation import is_correlation
 from causalcorr.errors import ShapeMismatch
 from causalcorr.graph import CausalGraph
 
-from conftest import pr_box_dist
+from conftest import all_test_graphs, pr_box_dist
 
 
 def random_table(rng, graph):
@@ -85,3 +85,100 @@ class TestIsCorrelation:
         assert d["is_correlation"] is True
         assert d["violations"] == []
         assert d["tol"] == 1e-9
+
+
+def factorisation_loop_violations(graph, dist, tol):
+    """Oracle: the per-pair check built from validated distributions, three
+    marginals, one product and one reorder per pair.
+
+    Returns every pair's ``(U, W, deviation)`` in pair order and the
+    violations sorted as ``is_correlation`` sorts them.
+    """
+    checked = []
+    for u_set, w_set in gm.maximal_disjoint_past_pairs(graph):
+        if not u_set or not w_set:
+            continue
+        joint = dm.marginal(dist, u_set | w_set)
+        pu = dm.marginal(dist, u_set)
+        pw = dm.marginal(dist, w_set)
+        prod = dm.product(pu, pw).reorder(joint.var_ids)
+        checked.append((u_set, w_set, float(np.abs(joint.table - prod.table).max())))
+    violations = sorted(
+        (t for t in checked if t[2] > tol), key=lambda t: (sorted(t[0]), sorted(t[1]))
+    )
+    return checked, violations
+
+
+def signalling_bell_table():
+    """Uniform settings and noise outcome a; b copies x (names of the ``bell`` graph)."""
+    table = np.zeros((1, 2, 2, 2, 2))  # s, x, y, a, b
+    for x, y, a in itertools.product(range(2), repeat=3):
+        table[0, x, y, a, x] = 1 / 8
+    return dm.JointDistribution((("s", 1), ("x", 2), ("y", 2), ("a", 2), ("b", 2)), table)
+
+
+def oracle_cases():
+    """(label, graph, distribution) on the five figure graphs."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for outcomes in (2, 3):
+        for name, g in all_test_graphs(outcomes).items():
+            cases.append((f"{name}-o{outcomes}-random", g, random_table(rng, g)))
+            model_output = cm.evaluate(cm.random_model(g, 2, seed=outcomes))
+            cases.append((f"{name}-o{outcomes}-model", g, model_output))
+            nodes = list(g.nodes)
+            rng.shuffle(nodes)
+            sizes = tuple(g.outcomes[v] for v in nodes)
+            t = rng.uniform(size=sizes)
+            shuffled = dm.JointDistribution(tuple((v, g.outcomes[v]) for v in nodes), t / t.sum())
+            cases.append((f"{name}-o{outcomes}-shuffled", g, shuffled))
+            rng.shuffle(nodes)
+            cases.append((f"{name}-o{outcomes}-reorder-view", g, model_output.reorder(nodes)))
+    bell = all_test_graphs()["bell"]
+    signalling = signalling_bell_table()
+    cases.append(("bell-signalling", bell, signalling))
+    cases.append(("bell-signalling-reorder-view", bell, signalling.reorder(("b", "y", "s", "a", "x"))))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+class TestFactorisationKernelOracle:
+    @pytest.mark.parametrize("label, graph, dist", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_marginal_product_loop(self, label, graph, dist):
+        checked, expected = factorisation_loop_violations(graph, dist, tol=1e-9)
+        verdict = is_correlation(graph, dist, tol=1e-9)
+        assert [(u, w) for u, w, _ in verdict.violations] == [(u, w) for u, w, _ in expected]
+        for (_, _, dev), (_, _, want) in zip(verdict.violations, expected):
+            assert abs(dev - want) <= 1e-15
+        assert verdict.is_correlation == (not expected)
+        assert verdict.pairs_checked == len(checked)
+        assert abs(verdict.max_deviation - max((d for _, _, d in checked), default=0.0)) <= 1e-15
+
+    def test_some_cases_pass_and_some_fail(self):
+        verdicts = [is_correlation(g, d).is_correlation for _, g, d in ORACLE_CASES]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_signalling_table_passes_some_pairs(self, bell):
+        checked, violations = factorisation_loop_violations(bell, signalling_bell_table(), 1e-9)
+        assert 0 < len(violations) < len(checked)
+
+
+class TestVerdictMargin:
+    def test_passing_verdict_reports_margin(self, bell):
+        pr = pr_box_dist().reorder(("s", "x1", "x2", "a1", "a2"))
+        renamed = dm.JointDistribution((("s", 1), ("x", 2), ("y", 2), ("a", 2), ("b", 2)), pr.table)
+        verdict = is_correlation(bell, renamed)
+        assert verdict.pairs_checked == len(gm.maximal_disjoint_past_pairs(bell))
+        assert verdict.max_deviation < 1e-15
+
+    def test_failing_verdict_margin_is_worst_violation(self, bell):
+        verdict = is_correlation(bell, signalling_bell_table())
+        assert verdict.max_deviation == max(dev for _, _, dev in verdict.violations)
+        assert verdict.max_deviation == pytest.approx(0.125, abs=1e-12)
+
+    def test_no_pairs_reports_zero(self):
+        g = CausalGraph.build([("x", 2), ("a", 2)], [("x->a", "x", "a")])
+        verdict = is_correlation(g, random_table(np.random.default_rng(0), g))
+        assert verdict.pairs_checked == 0 and verdict.max_deviation == 0.0

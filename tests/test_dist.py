@@ -52,6 +52,11 @@ class TestJointDistribution:
                 tuple((f"v{i}", 4) for i in range(13)), np.zeros(4**13), unnormalized=True
             )
 
+    def test_size_guard_does_not_wrap(self):
+        # 2**32 * 2**32 wraps to 0 in int64 and would pass an int64 guard
+        with pytest.raises(SizeLimitExceeded):
+            dm.JointDistribution((("a", 2**32), ("b", 2**32)), np.zeros(1), unnormalized=True)
+
     def test_duplicate_variable(self):
         with pytest.raises(VariableCollision):
             dm.JointDistribution((("a", 2), ("a", 2)), np.full((2, 2), 0.25))
@@ -169,6 +174,46 @@ class TestProductAndDistance:
         q = random_dist(rng, ("a", 3), ("b", 2))
         r = random_dist(rng, ("a", 3), ("b", 2))
         assert dm.tv_distance(p, r) <= dm.tv_distance(p, q) + dm.tv_distance(q, r) + 1e-12
+
+
+class TestIndependenceDeviation:
+    def test_product_distribution_is_independent(self):
+        rng = np.random.default_rng(0)
+        pa, pb, pc = (random_dist(rng, (v, k)) for v, k in (("a", 2), ("b", 3), ("c", 2)))
+        p = dm.product(dm.product(pa, pb), pc)
+        assert dm.independence_deviation(p, [{"a"}, {"b"}, {"c"}]) < 1e-16
+        assert dm.independence_deviation(p, [{"c", "a"}, {"b"}]) < 1e-16
+
+    def test_copied_bit(self):
+        # P(a, b) = 1/2 on the diagonal against P(a) P(b) = 1/4
+        p = dm.JointDistribution((("a", 2), ("b", 2), ("c", 3)), np.kron(np.eye(2) / 2, np.ones(3) / 3))
+        assert dm.independence_deviation(p, [{"a"}, {"b"}]) == 0.25
+        assert dm.independence_deviation(p, [{"a", "b"}, {"c"}]) < 1e-16
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_marginal_product(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_dist(rng, ("a", 2), ("b", 3), ("c", 2), ("d", 3))
+        view = p.reorder(("d", "b", "a", "c"))
+        joint = dm.marginal(p, {"a", "b", "d"})
+        prod = dm.product(dm.marginal(p, {"d"}), dm.marginal(p, {"a", "b"})).reorder(joint.var_ids)
+        want = float(np.abs(joint.table - prod.table).max())
+        for q in (p, view):
+            for groups in ([{"d"}, {"b", "a"}], [{"a", "b"}, {"d"}]):
+                assert abs(dm.independence_deviation(q, groups) - want) <= 1e-15
+
+    def test_one_group_and_no_group(self):
+        p = random_dist(np.random.default_rng(1), ("a", 2), ("b", 2))
+        assert dm.independence_deviation(p, [{"a", "b"}]) == 0.0
+        assert dm.independence_deviation(p, []) <= 1e-15
+
+    def test_unknown_variable(self):
+        with pytest.raises(UnknownVariable):
+            dm.independence_deviation(uniform(("a", 2)), [{"a"}, {"z"}])
+
+    def test_overlapping_groups(self):
+        with pytest.raises(OverlappingSets):
+            dm.independence_deviation(uniform(("a", 2), ("b", 2)), [{"a", "b"}, {"b"}])
 
 
 def partitions(values):
