@@ -1,5 +1,6 @@
 """Size guards, the guarded contraction core and environment switches."""
 
+import itertools
 import math
 import os
 
@@ -25,50 +26,142 @@ def max_state_space(override=None):
     return DEFAULT_MAX_STATE_SPACE
 
 
+def _entries(mask, size):
+    """Product of the index sizes of the bits set in ``mask``."""
+    n = 1
+    while mask:
+        low = mask & -mask
+        n *= size[low.bit_length() - 1]
+        mask ^= low
+    return n
+
+
+def _greedy_path(masks, out_mask, sizes, guard):
+    """numpy's greedy contraction path, over bitmask index sets.
+
+    ``masks[k]`` has bit i set when operand k carries index i, of size
+    ``sizes[i]`` >= 1.  The rule is that of ``np.einsum_path(...,
+    optimize=("greedy", guard))``, and the path too: scan every pair that
+    shares an index, then only the pairs with the newest operand, keep the
+    earlier candidates, and contract the first pair of least
+    ``(-removed entries, flop cost)``.  A pair is sieved when its result
+    exceeds ``guard`` or the path would cost more than the naive
+    contraction; with no pair left, pairs without a shared index are
+    scanned too, and then every operand is joined in one step.  An index
+    leaves a pair when neither the output nor a third operand carries it,
+    read from the masks of the indices seen at least twice and three times.
+
+    Returns ``(path, largest, widest)``: the steps as (operand positions,
+    mask of the step's result), the most entries any step allocates (a
+    pair's result; every index of a step that joins more than two
+    operands), and the most indices one step spans.
+    """
+    n = len(masks)
+    every = 0
+    for m in masks:
+        every |= m
+    if n <= 2 or every == out_mask:  # one step, as numpy leaves it to einsum
+        kept = every & out_mask
+        return [(tuple(range(n)), kept)], _entries(kept, sizes), every.bit_count()
+
+    naive = _entries(every, sizes) * n  # numpy's cost of one einsum over all: n - 1 products and a sum
+    live = list(masks)
+    live_entries = [_entries(m, sizes) for m in masks]
+    twice = thrice = 0
+    path, known, largest, widest, path_cost = [], [], 0, 0, 0
+
+    def candidate(x, y):
+        a, b = live[x], live[y]
+        union = a | b
+        kept = union & (out_mask | thrice | (twice & ~(a & b)))
+        full = live_entries[x] * live_entries[y] // _entries(a & b, sizes)
+        size = full // _entries(union ^ kept, sizes)
+        if size > guard:
+            return None
+        cost = full if kept == union else 2 * full
+        if path_cost + cost > naive:
+            return None
+        return (size - live_entries[x] - live_entries[y], cost), x, y, kept, size
+
+    pairs = itertools.combinations(range(n), 2)
+    for _ in range(n - 1):
+        once = twice = thrice = 0
+        for m in live:
+            thrice |= twice & m
+            twice |= once & m
+            once |= m
+        known += filter(None, (candidate(x, y) for x, y in pairs if live[x] & live[y]))
+        if not known:
+            outer = itertools.combinations(range(len(live)), 2)
+            known = list(filter(None, itertools.starmap(candidate, outer)))
+            if not known:
+                path.append((tuple(range(len(live))), once & out_mask))
+                largest = max(largest, _entries(once if len(live) > 2 else once & out_mask, sizes))
+                widest = max(widest, once.bit_count())
+                break
+        (_, cost), bx, by, kept, size = min(known, key=lambda c: c[0])
+        known = [
+            (key, x - (x > bx) - (x > by), y - (y > bx) - (y > by), k, e)
+            for key, x, y, k, e in known
+            if x != bx and x != by and y != bx and y != by
+        ]
+        widest = max(widest, (live[bx] | live[by]).bit_count())
+        del live[by], live[bx], live_entries[by], live_entries[bx]
+        live.append(kept)
+        live_entries.append(size)
+        path.append(((bx, by), kept))
+        path_cost += cost
+        largest = max(largest, size)
+        pairs = zip(range(len(live) - 1), itertools.repeat(len(live) - 1))
+    return path, largest, widest
+
+
 def _contract(operands, output, max_states=None):
     """Sum the product of ``(array, subscripts)`` operands onto ``output`` by einsum.
 
     Subscripts are hashable labels, one per axis; a label shared by several
-    operands is one index.  numpy's greedy pairwise path is computed once,
-    with the guard as its memory limit.  Walking it gives every array the
-    contraction allocates: each pairwise intermediate, and for a step that
-    joins more than two operands (numpy's fallback when no pair fits) the
-    full index space it loops over.  SizeLimitExceeded is raised, before any
-    arithmetic, when an operand, such an array or the output has more
-    entries than ``max_state_space(max_states)``, or when there are more
-    indices than einsum's 52.  The steps then run one einsum call each.
+    operands is one index.  The path is numpy's greedy pairwise path, with
+    the guard as its memory limit (:func:`_greedy_path`), and planning it
+    gives every array the contraction allocates: each pairwise intermediate,
+    and for a step that joins more than two operands (the fallback when no
+    pair fits) the full index space it loops over.  SizeLimitExceeded is
+    raised, before any arithmetic, when an operand, such an array or the
+    output has more entries than ``max_state_space(max_states)``, or when one
+    step spans more indices than einsum's 52; the network as a whole may
+    have any number.  The steps then run one einsum call each, over indices
+    numbered within the step.
     """
     guard = max_state_space(max_states)
-    size, label = {}, {}
+    label, size, masks, ops, largest = {}, {}, [], [], 0
     for array, subs in operands:
+        bits, mask = [], 0
         for i, n in zip(subs, array.shape):
-            label.setdefault(i, len(label))
-            size[label[i]] = n
-    if len(label) > 52:
-        raise SizeLimitExceeded(f"{len(label)} contraction indices exceed einsum's 52")
-    ops = [(array, [label[i] for i in subs]) for array, subs in operands]
+            b = label.setdefault(i, len(label))
+            size[b] = n
+            bits.append(b)
+            mask |= 1 << b
+        masks.append(mask)
+        ops.append((array, bits))
+        largest = max(largest, array.size)
     out = [label[i] for i in output]
-    path, _ = np.einsum_path(*[x for op in ops for x in op], out, optimize=("greedy", guard))
-
-    def entries(subs):
-        return math.prod(size[i] for i in subs)
-
-    live = [set(subs) for _, subs in ops]
-    largest = max([entries(out)] + [array.size for array, _ in ops])
-    steps = []
-    for step in path[1:]:
-        joined = [live.pop(i) for i in sorted(step, reverse=True)]
-        union = set().union(*joined)
-        kept = union & set(out).union(*live)
-        live.append(kept)
-        largest = max(largest, entries(union if len(joined) > 2 else kept))
-        steps.append((step, list(kept), entries(union)))
+    out_mask = 0
+    for b in out:
+        out_mask |= 1 << b
+    path, planned, widest = _greedy_path(masks, out_mask, size, guard)
+    if widest > 52:
+        raise SizeLimitExceeded(f"a contraction step over {widest} indices exceeds einsum's 52")
+    largest = max(largest, planned)
     if largest > guard:
         raise SizeLimitExceeded(f"contraction array of {largest} entries exceeds the guard {guard}")
-    for step, kept, work in steps:
-        joined = [ops.pop(i) for i in sorted(step, reverse=True)]
+    for step, kept in path:
+        local, args = {}, []
+        for array, bits in [ops.pop(i) for i in sorted(step, reverse=True)]:
+            args += (array, [local.setdefault(b, len(local)) for b in bits])
+        bits = [b for b in range(kept.bit_length()) if kept >> b & 1]
+        args.append([local[b] for b in bits])
         # numpy's optimized pairwise contraction (BLAS) pays off above about
         # 2^14 terms; below that its set-up costs more than the plain loop
-        ops.append((np.einsum(*[x for op in joined for x in op], kept, optimize=work > 1 << 14), kept))
-    (array, subs), = ops
-    return np.einsum(array, subs, out)
+        work = math.prod(size[b] for b in local)
+        ops.append((np.einsum(*args, optimize=work > 1 << 14), bits))
+    (array, bits), = ops
+    return array.transpose([bits.index(b) for b in out])

@@ -69,35 +69,37 @@ def sorted_out_ids(graph: cg.CausalGraph, v: str) -> tuple[str, ...]:
     return tuple(sorted(e.id for e in graph.out_edges(v)))
 
 
-def gate_shape(model: ClassicalModel, v: str) -> tuple[int, ...]:
-    ins = tuple(model.edge_alphabet[e] for e in sorted_in_ids(model.graph, v))
-    outs = tuple(model.edge_alphabet[e] for e in sorted_out_ids(model.graph, v))
-    return ins + (model.graph.outcomes[v],) + outs
-
-
 def validate_model(model: ClassicalModel) -> list[str]:
     """Check model invariants; returns a list of violations (empty means ok)."""
     violations = list(cg.validate(model.graph))
+    alphabet = model.edge_alphabet
+    in_ids, out_ids = {}, {}  # node -> ids of its in- and out-edges, in one pass
     for e in model.graph.edges:
-        size = model.edge_alphabet.get(e.id)
+        size = alphabet.get(e.id)
         if size is None:
             violations.append(f"edge {e.id!r}: missing hidden alphabet")
         elif size < 1:
             violations.append(f"edge {e.id!r}: hidden alphabet size {size} < 1")
+        in_ids.setdefault(e.dst, []).append(e.id)
+        out_ids.setdefault(e.src, []).append(e.id)
     for v in model.graph.nodes:
         gate = model.gates.get(v)
         if gate is None:
             violations.append(f"node {v!r}: missing gate")
             continue
-        ins = sorted_in_ids(model.graph, v)
-        outs = sorted_out_ids(model.graph, v)
+        ins = tuple(sorted(in_ids.get(v, ())))
+        outs = tuple(sorted(out_ids.get(v, ())))
         if gate.in_edges != ins or gate.out_edges != outs:
             violations.append(
                 f"node {v!r}: gate wired to {gate.in_edges}/{gate.out_edges}, expected {ins}/{outs}"
             )
             continue
         try:
-            expected = gate_shape(model, v)
+            expected = (
+                tuple(alphabet[e] for e in ins)
+                + (model.graph.outcomes[v],)
+                + tuple(alphabet[e] for e in outs)
+            )
         except KeyError:
             continue
         if gate.tensor.shape != expected:
@@ -464,6 +466,8 @@ def model_from_dict(data: dict) -> ClassicalModel:
     # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
     if any(type(s) is not int for s in data["edge_sizes"].values()):
         raise SchemaError(f"malformed edge sizes near {data['edge_sizes']!r}")
+    cg.reject_unknown_keys("edge_sizes", data["edge_sizes"], [e.id for e in graph.edges])
+    cg.reject_unknown_keys("gates", data["gates"], graph.nodes)
     sizes = {str(e): s for e, s in data["edge_sizes"].items()}
     gates = {}
     for v, g in data["gates"].items():

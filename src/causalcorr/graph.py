@@ -350,3 +350,11 @@ def graph_from_dict(data: dict) -> CausalGraph:
             raise SchemaError(f"malformed graph JSON near {item!r}")
         edges.append((str(item["id"]), str(item["src"]), str(item["dst"])))
     return CausalGraph.build(nodes, edges)
+
+
+def reject_unknown_keys(field_name: str, keys, known) -> None:
+    """Raise SchemaError when the JSON map ``field_name`` has keys outside ``known``
+    (the graph's edge or node ids): such an entry would be silently ignored."""
+    unknown = {str(k) for k in keys}.difference(known)
+    if unknown:
+        raise SchemaError(f"{field_name} names no edge or node of the graph: {sorted(unknown)}")

@@ -246,6 +246,8 @@ def hbn_from_dict(data: dict) -> HiddenBayesNet:
     tables = list(data["transitions"].values()) + list(data["readouts"].values())
     if not all(is_number_list(t) for t in tables):
         raise SchemaError("transitions and readouts must map nodes to lists of numbers")
+    for name in ("node_sizes", "transitions", "readouts"):
+        cg.reject_unknown_keys(name, data[name], graph.nodes)
     sizes = {str(v): s for v, s in data["node_sizes"].items()}
     transitions = {}
     readouts = {}

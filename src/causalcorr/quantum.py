@@ -278,6 +278,7 @@ def model_from_dict(data: dict) -> QuantumModel:
     # bool is rejected too: it is an int subclass, and JSON true is no dimension
     if any(type(d) is not int for d in data["edge_dims"].values()):
         raise SchemaError(f"malformed edge dimensions near {data['edge_dims']!r}")
+    cg.reject_unknown_keys("edge_dims", data["edge_dims"], [e.id for e in graph.edges])
     dims = {str(e): d for e, d in data["edge_dims"].items()}
     instruments = {}
     for v, byo in data["instruments"].items():

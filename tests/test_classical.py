@@ -10,6 +10,7 @@ from causalcorr.errors import (
     InvalidModel,
     MissingRelayPath,
     NotAncestral,
+    SchemaError,
     SizeLimitExceeded,
     WouldCreateCycle,
 )
@@ -364,3 +365,10 @@ class TestModelJson:
         again = cm.model_from_dict(data)
         assert cm.validate_model(again) == []
         np.testing.assert_array_equal(cm.evaluate(m).table, cm.evaluate(again).table)
+
+    @pytest.mark.parametrize("field", ["edge_sizes", "gates"])
+    def test_entry_naming_no_edge_or_node_rejected(self, bell, field):
+        data = cm.model_to_dict(cm.random_model(bell, 2, seed=8))
+        data[field]["ghost"] = 2 if field == "edge_sizes" else data["gates"]["a"]
+        with pytest.raises(SchemaError, match="ghost"):
+            cm.model_from_dict(data)

@@ -200,6 +200,23 @@ class TestExitCodes:
         assert run(["eval-hbn", "--hbn", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, field",
+        [("eval-classical", "--model", "edge_sizes"), ("eval-quantum", "--model", "edge_dims"),
+         ("eval-hbn", "--hbn", "node_sizes")],
+    )
+    def test_entry_naming_no_edge_or_node_is_usage_error(self, tmp_path, capsys, command, flag, field):
+        data = {
+            "eval-classical": lambda: cm.model_to_dict(cm.random_model(bell_graph(), 2, seed=0)),
+            "eval-quantum": lambda: qm.model_to_dict(qm.random_model(bell_graph(), 2, seed=0)),
+            "eval-hbn": lambda: hm.hbn_to_dict(hm.random_hbn(bell_graph(), 2, seed=0)),
+        }[command]()
+        data[field]["ghost"] = 2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert run([command, flag, str(path)]) == 2
+        assert "ghost" in capsys.readouterr().err
+
     def test_nan_probability_is_usage_error(self, bell_files, tmp_path, capsys):
         graph_path, _ = bell_files
         data = dm.dist_to_dict(pr_box_dist())

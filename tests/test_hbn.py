@@ -6,6 +6,7 @@ import pytest
 from causalcorr import classical as cm
 from causalcorr import hbn as hm
 from causalcorr.correlation import is_correlation
+from causalcorr.errors import SchemaError
 from causalcorr.graph import CausalGraph
 
 from conftest import bell_graph, popescu_graph, triangle_graph
@@ -189,3 +190,10 @@ class TestHbnJson:
         again = hm.hbn_from_dict(data)
         assert hm.validate(again) == []
         np.testing.assert_array_equal(hm.evaluate(net).table, hm.evaluate(again).table)
+
+    @pytest.mark.parametrize("field, entry", [("node_sizes", 1), ("transitions", [1.0]), ("readouts", [1.0])])
+    def test_entry_naming_no_node_rejected(self, bell, field, entry):
+        data = hm.hbn_to_dict(hm.random_hbn(bell, 2, seed=6))
+        data[field]["ghost"] = entry
+        with pytest.raises(SchemaError, match="ghost"):
+            hm.hbn_from_dict(data)

@@ -332,10 +332,30 @@ class TestSizeGuard:
             cm.evaluate(m, max_states=64)  # the table has 64 entries, one intermediate 72
         assert cm.evaluate(m, max_states=72).table.size == 64
 
-    def test_more_indices_than_einsum_refused(self):
-        g = CausalGraph.build([(f"n{i:02d}", 1) for i in range(53)], [])
-        with pytest.raises(SizeLimitExceeded):
-            cm.evaluate(cm.random_model(g, 2, seed=0))  # 53 outcome indices
+    def test_more_indices_than_einsum_letters_evaluate(self):
+        # a 30-node chain of binary edges: 30 outcome and 29 hidden indices
+        # classically, 30 + 2 x 29 quantumly; each step spans only a few
+        nodes = [(f"n{i:02d}", 2 if i in (0, 29) else 1) for i in range(30)]
+        g = CausalGraph.build(nodes, [(f"e{i:02d}", f"n{i:02d}", f"n{i + 1:02d}") for i in range(29)])
+        m = cm.random_model(g, 2, seed=0)
+        gates = [m.gates[v].tensor for v, _ in nodes]
+        transfer = gates[0]  # (first outcome, hidden value), then one edge per matrix
+        for t in gates[1:-1]:
+            transfer = transfer @ t[:, 0, :]
+        expected = transfer @ gates[-1]
+        table = cm.evaluate(m).table
+        assert table.shape == (2,) + (1,) * 28 + (2,)
+        assert np.abs(table.reshape(2, 2) - expected).max() < 1e-12
+        q = qm.decohere_embed(m)
+        assert np.abs(qm.evaluate(q).table - table).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [53, 65])
+    def test_output_with_more_axes_than_einsum_refused(self, n):
+        # one-outcome nodes: the table has one entry but n axes, more than
+        # one einsum call can write (and, at 65, than a numpy array can have)
+        g = CausalGraph.build([(f"n{i:02d}", 1) for i in range(n)], [])
+        with pytest.raises(SizeLimitExceeded, match="52"):
+            cm.evaluate(cm.random_model(g, 2, seed=0))
 
     def test_large_alphabet_product_with_small_contraction_accepted(self):
         from conftest import sequential_graph
@@ -428,4 +448,10 @@ class TestQuantumJson:
         data = qm.model_to_dict(qm.random_model(bell, 2, seed=3))
         data["instruments"]["ghost"] = data["instruments"]["a"]
         with pytest.raises(SchemaError):
+            qm.model_from_dict(data)
+
+    def test_edge_dim_naming_no_edge_rejected(self, bell):
+        data = qm.model_to_dict(qm.random_model(bell, 2, seed=3))
+        data["edge_dims"]["ghost"] = 2
+        with pytest.raises(SchemaError, match="ghost"):
             qm.model_from_dict(data)
