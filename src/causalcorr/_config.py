@@ -131,6 +131,8 @@ def _contract(operands, output, max_states=None):
     have any number.  The steps then run one einsum call each, over indices
     numbered within the step.
     """
+    if not operands:  # the empty product
+        return np.ones(())
     guard = max_state_space(max_states)
     label, size, masks, ops, largest = {}, {}, [], [], 0
     for array, subs in operands:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _schema
 from . import graph as cg
 from .classical import ClassicalModel, Gate
 from .dist import JointDistribution, conditional, independence_deviation, marginal
@@ -301,20 +302,21 @@ def quantum_bell_model(
     for i, fam in enumerate(povms):
         if len(fam) != scenario.settings[i]:
             raise ShapeMismatch(f"party {i + 1}: {len(fam)} settings, expected {scenario.settings[i]}")
-        d = np.asarray(fam[0][0]).shape[0]
-        dims.append(d)
         for x, effects in enumerate(fam):
             if len(effects) != scenario.outcomes[i]:
                 raise ShapeMismatch(
                     f"party {i + 1}, setting {x}: {len(effects)} effects, expected {scenario.outcomes[i]}"
                 )
+        d = np.asarray(fam[0][0]).shape[0]
+        dims.append(d)
+        for x, effects in enumerate(fam):
             acc = np.zeros((d, d), dtype=complex)
             for e in effects:
                 e = np.asarray(e, dtype=complex)
                 if e.shape != (d, d):
                     raise ShapeMismatch(f"party {i + 1}: effect shape {e.shape}, expected {(d, d)}")
                 acc += e
-            if np.abs(acc - np.eye(d)).max() > 1e-10:
+            if not np.abs(acc - np.eye(d)).max(initial=0.0) <= 1e-10:
                 raise IncompletePOVM(f"party {i + 1}, setting {x}: effects sum off identity")
 
     states = [np.asarray(psi, dtype=complex).ravel() for psi in states]
@@ -324,14 +326,19 @@ def quantum_bell_model(
     for psi in states:
         if psi.shape != (full_dim,):
             raise ShapeMismatch(f"state has dimension {psi.shape[0]}, expected {full_dim}")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
             raise ShapeMismatch("states must be unit vectors")
     source_dist = np.asarray(source_dist, dtype=float).ravel()
-    if source_dist.shape != (scenario.source_outcomes,) or abs(source_dist.sum() - 1.0) > 1e-10:
+    # a negated comparison, so that a NaN fails it
+    if source_dist.shape != (scenario.source_outcomes,) or not (
+        source_dist.min() >= 0 and abs(source_dist.sum() - 1.0) <= 1e-10
+    ):
         raise ShapeMismatch("source distribution must be normalized with one entry per outcome")
     setting_dists = [np.asarray(p, dtype=float).ravel() for p in setting_dists]
+    if len(setting_dists) != n:
+        raise ShapeMismatch(f"{len(setting_dists)} setting distributions for {n} parties")
     for i, p in enumerate(setting_dists):
-        if p.shape != (scenario.settings[i],) or abs(p.sum() - 1.0) > 1e-10:
+        if p.shape != (scenario.settings[i],) or not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-10):
             raise ShapeMismatch(f"setting distribution {i + 1} must be normalized")
 
     graph = make_bell_graph(scenario)
@@ -380,6 +387,28 @@ def quantum_bell_model(
         instruments[f"a{i + 1}"] = Instrument(tuple(comps))
 
     return QuantumModel(graph, edge_dim, instruments)
+
+
+def setup_from_dict(data: dict) -> QuantumModel:
+    """The :func:`quantum_bell_model` that a ``bell-quantum`` setup JSON describes
+    (schema in the README); unknown fields are rejected."""
+    what = "bell-quantum setup JSON"
+    kinds = {"scenario": dict, "states": list, "povms": list, "setting_dists": list, "source_dist": list}
+    scenario, states, povms, setting_dists, source_dist = _schema.fields(data, what, kinds)
+    settings, outcomes = _schema.fields(scenario, f"{what} scenario", {"settings": list, "outcomes": list},
+                                        ["source_outcomes"])
+    return quantum_bell_model(
+        BellScenario(
+            tuple(_schema.numbers(settings, f"{what} settings", (None,), int).tolist()),
+            tuple(_schema.numbers(outcomes, f"{what} outcomes", (None,), int).tolist()),
+            _schema.typed(scenario.get("source_outcomes", 1), int, f"{what} source_outcomes"),
+        ),
+        _schema.numbers(states, f"{what} states", (None, None), complex),
+        # per party: effects as (settings, outcomes, dimension, dimension), and a setting distribution
+        [_schema.numbers(p, f"{what} povms", (None,) * 4, complex) for p in povms],
+        [_schema.numbers(p, f"{what} setting_dists", (None,)) for p in setting_dists],
+        _schema.numbers(source_dist, f"{what} source_dist", (None,)),
+    )
 
 
 def chsh_value(dist: JointDistribution) -> float:

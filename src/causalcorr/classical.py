@@ -21,15 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as cg
-from .dist import JointDistribution, is_number_list
+from . import _schema
+from .dist import JointDistribution
 from .errors import (
-    InvalidModel,
     MissingRelayPath,
     NotAncestral,
     SchemaError,
     SizeLimitExceeded,
     UnknownNode,
     WouldCreateCycle,
+    require_valid,
 )
 from ._config import DEFAULT_MAX_PUSHBACK_ALPHABET, _contract, max_state_space
 
@@ -119,12 +120,6 @@ def validate_model(model: ClassicalModel) -> list[str]:
     return violations
 
 
-def _require_valid(model: ClassicalModel) -> None:
-    problems = validate_model(model)
-    if problems:
-        raise InvalidModel("; ".join(problems))
-
-
 def _state_space(model: ClassicalModel) -> int:
     total = 1
     for v in model.graph.nodes:
@@ -160,7 +155,7 @@ def evaluate(model: ClassicalModel, max_states: int | None = None) -> JointDistr
     edge leaves the result bit-identical.  Must agree with
     :func:`evaluate_naive` within 1e-12.
     """
-    _require_valid(model)
+    require_valid(validate_model(model))
     return _contract_gates(model, model.graph.nodes, max_states)
 
 
@@ -169,7 +164,7 @@ def evaluate_naive(model: ClassicalModel, max_states: int | None = None) -> Join
 
     Independent of the einsum path; intended as a cross-check for small models.
     """
-    _require_valid(model)
+    require_valid(validate_model(model))
     if _state_space(model) > max_state_space(max_states):
         raise SizeLimitExceeded(f"state space {_state_space(model)} exceeds the guard")
     graph = model.graph
@@ -205,17 +200,14 @@ def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribut
     Sums over the hidden values on edges leaving the set; equals the marginal
     of the full evaluation within 1e-12.  The empty set gives the scalar 1.
     """
-    _require_valid(model)
+    require_valid(validate_model(model))
     subset = frozenset(subset)
     for v in subset:
         if v not in set(model.graph.nodes):
             raise UnknownNode(f"unknown node {v!r}")
     if cg.causal_past(model.graph, subset) != subset:
         raise NotAncestral(f"{sorted(subset)} is not equal to its causal past")
-    kept = [v for v in model.graph.nodes if v in subset]
-    if not kept:
-        return JointDistribution((), np.asarray(1.0), norm_tol=1e-9)
-    return _contract_gates(model, kept, None)
+    return _contract_gates(model, [v for v in model.graph.nodes if v in subset], None)
 
 
 def _flat_rows(gate: Gate) -> np.ndarray:
@@ -239,7 +231,7 @@ def push_back_determinism(
     doubly exponentially, hence the hard guard; the evaluated joint is
     preserved within 1e-12.
     """
-    _require_valid(model)
+    require_valid(validate_model(model))
     graph = model.graph
     edge_sizes = dict(model.edge_alphabet)
     gates = dict(model.gates)
@@ -315,6 +307,7 @@ def lift_trivial_edge(
     edge); adding any acyclic edge with a trivial alphabet is sound since a
     one-point hidden variable carries no information.
     """
+    require_valid(validate_model(model))
     graph = model.graph
     nodes = set(graph.nodes)
     if src not in nodes or dst not in nodes:
@@ -356,6 +349,7 @@ def reroute_transitive_edge(model: ClassicalModel, edge_id: str, via: str) -> Cl
     and the endpoint gates are rewired.  The evaluated joint is preserved
     within 1e-12.
     """
+    require_valid(validate_model(model))
     graph = model.graph
     edge = graph.edge(edge_id)
     u, w = edge.src, edge.dst
@@ -458,33 +452,16 @@ def model_to_dict(model: ClassicalModel) -> dict:
 
 
 def model_from_dict(data: dict) -> ClassicalModel:
-    if not isinstance(data, dict) or set(data) != {"graph", "edge_sizes", "gates"}:
-        raise SchemaError(f"malformed model JSON near {list(data) if isinstance(data, dict) else data!r}")
-    graph = cg.graph_from_dict(data["graph"])
-    if not isinstance(data["edge_sizes"], dict) or not isinstance(data["gates"], dict):
-        raise SchemaError("edge_sizes and gates must be JSON objects")
-    # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
-    if any(type(s) is not int for s in data["edge_sizes"].values()):
-        raise SchemaError(f"malformed edge sizes near {data['edge_sizes']!r}")
-    cg.reject_unknown_keys("edge_sizes", data["edge_sizes"], [e.id for e in graph.edges])
-    cg.reject_unknown_keys("gates", data["gates"], graph.nodes)
-    sizes = {str(e): s for e, s in data["edge_sizes"].items()}
-    gates = {}
-    for v, g in data["gates"].items():
-        if (
-            not isinstance(g, dict)
-            or set(g) != {"in", "out", "tensor"}
-            or not isinstance(g["in"], list)
-            or not isinstance(g["out"], list)
-            or not is_number_list(g["tensor"])
-        ):
-            raise SchemaError(f"malformed gate JSON for node {v!r}")
-        ins = tuple(str(e) for e in g["in"])
-        outs = tuple(str(e) for e in g["out"])
-        shape = (
-            tuple(sizes[e] for e in ins)
-            + (graph.outcomes[str(v)],)
-            + tuple(sizes[e] for e in outs)
-        )
-        gates[str(v)] = Gate(ins, outs, np.asarray(g["tensor"], dtype=float).reshape(shape))
-    return ClassicalModel(graph, sizes, gates)
+    """Parse the classical model JSON schema; unknown fields and map keys are rejected."""
+    graph, sizes, gates = _schema.fields(data, "model JSON", {"graph": dict, "edge_sizes": dict, "gates": dict})
+    graph = cg.graph_from_dict(graph)
+    sizes = _schema.sizes(sizes, "model JSON edge_sizes", [e.id for e in graph.edges])
+    parsed = {}
+    for v, g in _schema.named(gates, "model JSON gates", graph.outcomes).items():
+        what = f"gate JSON of node {v!r}"
+        ins, outs, tensor = _schema.fields(g, what, {"in": list, "out": list, "tensor": list})
+        ins = tuple(_schema.named(ins, f"{what}, in", sizes, list))
+        outs = tuple(_schema.named(outs, f"{what}, out", sizes, list))
+        shape = [sizes[e] for e in ins] + [graph.outcomes[v]] + [sizes[e] for e in outs]
+        parsed[v] = Gate(ins, outs, _schema.table(tensor, f"{what}, tensor", shape))
+    return ClassicalModel(graph, sizes, parsed)

@@ -1,12 +1,13 @@
 """Command-line front end over JSON files.
 
 Exit codes: 0 when the command succeeds (and any checked property holds),
-1 when a checked property fails, 2 for malformed input, usage errors
-(including a negative or non-finite --tol) or when the LP solver could not
+1 when a checked property fails, 2 for bad input or usage (an unreadable
+file, a payload that is not JSON or does not match its schema, an invalid
+model, a negative or non-finite --tol) or when the LP solver could not
 decide.  --tol 0 allows no slack; without --tol each command uses its
-library default.  The machine-readable payload goes to stdout (or
---out); diagnostics go to stderr.  CC_MAX_STATE_SPACE overrides the
-state-space guards.
+library default.  The machine-readable payload goes to stdout (or --out);
+diagnostics go to stderr.  CC_MAX_STATE_SPACE overrides the state-space
+guards.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from . import bell as bell_mod
@@ -52,7 +51,12 @@ COMMANDS = (
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        # JSONDecodeError, UnicodeDecodeError and an integer of too many digits
+        # are ValueErrors; nesting too deep for the parser is a RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"{path} is not a JSON document: {exc}") from None
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -65,14 +69,9 @@ def _emit(payload, out_path: str | None) -> None:
 
 
 def _scenario_from_dist(d: dist_mod.JointDistribution) -> bell_mod.BellScenario:
-    """Recover the scenario from canonical Bell variable names (s, x{i}, a{i})."""
-    ids = set(d.var_ids)
-    if "s" not in ids:
-        raise SchemaError("distribution lacks the source variable 's'")
-    n = sum(1 for v in ids if v.startswith("x") and v[1:].isdigit())
-    expected = {"s"} | {f"x{i + 1}" for i in range(n)} | {f"a{i + 1}" for i in range(n)}
-    if ids != expected:
-        raise SchemaError(f"variables {sorted(ids)} are not a Bell scenario naming")
+    """Recover the scenario from canonical Bell variable names (s, x{i}, a{i});
+    the Bell checks refuse a distribution with any other variable."""
+    n = sum(1 for v in d.var_ids if v.startswith("x") and v[1:].isdigit())
     return bell_mod.BellScenario(
         settings=tuple(d.size_of(f"x{i + 1}") for i in range(n)),
         outcomes=tuple(d.size_of(f"a{i + 1}") for i in range(n)),
@@ -80,13 +79,9 @@ def _scenario_from_dist(d: dist_mod.JointDistribution) -> bell_mod.BellScenario:
     )
 
 
-def _parse_sizes(text: str, parties: int, what: str) -> tuple[int, ...]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) == 1:
-        parts = parts * parties
-    if len(parts) != parties:
-        raise SchemaError(f"{what} must list one size or one per party")
-    return tuple(parts)
+def _sizes(text: str) -> tuple[int, ...]:
+    """Comma-separated integers: one size for every party, or one per party."""
+    return tuple(int(p) for p in text.split(","))
 
 
 # default --tol per command: the library defaults of the calls they make
@@ -136,10 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "values, ignoring --tol: a float mixture not exactly one is judged not local")
             elif flag == "parties":
                 p.add_argument("--parties", type=int, required=True)
-            elif flag == "settings":
-                p.add_argument("--settings", type=str, default="2")
-            elif flag == "outcomes":
-                p.add_argument("--outcomes", type=str, default="2")
+            elif flag in ("settings", "outcomes"):
+                p.add_argument(f"--{flag}", type=_sizes, default="2")
             elif flag == "source-outcomes":
                 p.add_argument("--source-outcomes", type=int, default=1)
             else:
@@ -212,11 +205,10 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "bell-gen":
-        scenario = bell_mod.BellScenario(
-            settings=_parse_sizes(args.settings, args.parties, "--settings"),
-            outcomes=_parse_sizes(args.outcomes, args.parties, "--outcomes"),
-            source_outcomes=args.source_outcomes,
-        )
+        settings, outcomes = (s * args.parties if len(s) == 1 else s for s in (args.settings, args.outcomes))
+        if len(settings) != args.parties or len(outcomes) != args.parties:
+            raise SchemaError("--settings and --outcomes must list one size or one per party")
+        scenario = bell_mod.BellScenario(settings, outcomes, args.source_outcomes)
         _emit(graph_mod.graph_to_dict(bell_mod.make_bell_graph(scenario)), args.out)
         return 0
 
@@ -235,34 +227,12 @@ def _dispatch(args) -> int:
         return 0 if verdict.is_local else 1
 
     if cmd == "bell-quantum":
-        setup = _load_json(args.model)
-        required = {"scenario", "states", "povms", "setting_dists", "source_dist"}
-        if not isinstance(setup, dict) or set(setup) != required:
-            raise SchemaError(f"bell-quantum setup must have fields {sorted(required)}")
-        sc = setup["scenario"]
-        scenario = bell_mod.BellScenario(
-            settings=tuple(sc["settings"]),
-            outcomes=tuple(sc["outcomes"]),
-            source_outcomes=int(sc.get("source_outcomes", 1)),
-        )
-        states = [np.array([complex(z[0], z[1]) for z in psi]) for psi in setup["states"]]
-        povms = [
-            [
-                [np.array([[complex(z[0], z[1]) for z in row] for row in eff]) for eff in setting]
-                for setting in party
-            ]
-            for party in setup["povms"]
-        ]
-        model = bell_mod.quantum_bell_model(
-            scenario, states, povms, setup["setting_dists"], setup["source_dist"]
-        )
+        model = bell_mod.setup_from_dict(_load_json(args.model))
         _emit(quantum_mod.model_to_dict(model), args.out)
         return 0
 
     if cmd == "chsh":
         d = dist_mod.dist_from_dict(_load_json(args.dist))
-        if "s" in d.var_ids:
-            _scenario_from_dist(d)
         _emit({"chsh": bell_mod.chsh_value(d)}, None)
         return 0
 
@@ -273,14 +243,7 @@ def _dispatch(args) -> int:
 
     if cmd == "compress-cg":
         d = dist_mod.dist_from_dict(_load_json(args.dist))
-        cg_data = _load_json(args.cg)
-        if not isinstance(cg_data, dict) or set(cg_data) != {"domain", "codomain", "map"}:
-            raise SchemaError("coarse-graining JSON must have fields domain, codomain, map")
-        cgr = dist_mod.CoarseGraining(
-            domain=tuple(cg_data["domain"]),
-            codomain=int(cg_data["codomain"]),
-            map=np.asarray(cg_data["map"], dtype=np.int64),
-        )
+        cgr = dist_mod.coarse_graining_from_dict(_load_json(args.cg))
         result = dist_mod.factor_coarse_graining(d, cgr, eps=args.eps)
         _emit(
             {
@@ -305,7 +268,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, CausalCorrError) as exc:
+    except (OSError, CausalCorrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

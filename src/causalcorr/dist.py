@@ -15,13 +15,13 @@ import numpy as np
 from .errors import (
     BadEpsilon,
     OverlappingSets,
-    SchemaError,
     ShapeMismatch,
     SizeLimitExceeded,
     UnknownVariable,
     VariableCollision,
     VariableMismatch,
 )
+from . import _schema
 from ._config import max_state_space
 
 DEFAULT_NORM_TOL = 1e-9
@@ -243,7 +243,10 @@ class CoarseGraining:
 
     def __post_init__(self):
         self.domain = tuple(int(k) for k in self.domain)
-        self.map = np.asarray(self.map, dtype=np.int64).reshape(self.domain)
+        self.map = np.asarray(self.map, dtype=np.int64)
+        if min(self.domain, default=1) < 1 or self.map.size != math.prod(self.domain):
+            raise ShapeMismatch(f"coarse-graining map of {self.map.size} values for the domain {self.domain}")
+        self.map = self.map.reshape(self.domain)
         if self.map.size and (self.map.min() < 0 or self.map.max() >= self.codomain):
             raise ShapeMismatch("coarse-graining map has values outside the codomain")
 
@@ -365,27 +368,17 @@ def dist_to_dict(dist: JointDistribution) -> dict:
     }
 
 
-def is_number_list(values) -> bool:
-    """True for a JSON list of numbers; bool is refused, although Python counts it as an int."""
-    return isinstance(values, list) and all(type(x) in (int, float) for x in values)
-
-
 def dist_from_dict(data: dict, norm_tol: float = DEFAULT_NORM_TOL) -> JointDistribution:
     """Parse the distribution JSON schema; unknown fields are rejected."""
-    if not isinstance(data, dict) or set(data) != {"vars", "probs"} or not all(
-        isinstance(data[k], list) for k in data
-    ):
-        raise SchemaError(f"malformed distribution JSON near {data!r}")
-    variables = []
-    for item in data["vars"]:
-        # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
-        if not isinstance(item, dict) or set(item) != {"id", "size"} or type(item["size"]) is not int:
-            raise SchemaError(f"malformed distribution JSON near {item!r}")
-        variables.append((str(item["id"]), item["size"]))
-    expected = math.prod(k for _, k in variables)
-    probs = data["probs"]
-    if len(probs) != expected:
-        raise SchemaError(f"probs has {len(probs)} entries, expected {expected}")
-    if not is_number_list(probs):
-        raise SchemaError("probs must be a list of numbers")
-    return JointDistribution(tuple(variables), np.asarray(probs, dtype=float), norm_tol=norm_tol)
+    variables, probs = _schema.fields(data, "distribution JSON", {"vars": list, "probs": list})
+    variables = [_schema.fields(v, "distribution JSON variable", {"id": str, "size": int}) for v in variables]
+    probs = _schema.table(probs, "distribution JSON probs", [k for _, k in variables])
+    return JointDistribution(tuple(variables), probs, norm_tol=norm_tol)
+
+
+def coarse_graining_from_dict(data: dict) -> CoarseGraining:
+    """Parse the coarse-graining JSON schema; unknown fields are rejected."""
+    what = "coarse-graining JSON"
+    domain, codomain, cg_map = _schema.fields(data, what, {"domain": list, "codomain": int, "map": list})
+    domain = tuple(_schema.numbers(domain, f"{what} domain", (None,), int).tolist())
+    return CoarseGraining(domain, codomain, _schema.numbers(cg_map, f"{what} map", (None,), int))

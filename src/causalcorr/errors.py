@@ -49,6 +49,12 @@ class InvalidModel(CausalCorrError):
     """A model failed validation where a valid one is required."""
 
 
+def require_valid(violations: list[str]) -> None:
+    """Raise InvalidModel naming each violation a validator reported, if there is any."""
+    if violations:
+        raise InvalidModel("; ".join(violations))
+
+
 class NotAncestral(CausalCorrError):
     """The node set is not equal to its own causal past."""
 
@@ -74,8 +80,8 @@ class NegativeProbability(CausalCorrError):
 
 
 class SchemaError(CausalCorrError):
-    """JSON input does not match the documented schema (unknown or missing fields)."""
-
+    """JSON input does not match its documented schema: a missing or unknown field,
+    a wrong JSON type or a wrong list length."""
 
 
 class SolverError(CausalCorrError, RuntimeError):

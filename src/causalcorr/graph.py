@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    CycleError,
-    NodeMismatch,
-    SchemaError,
-    SizeLimitExceeded,
-    UnknownNode,
-)
+from . import _schema
+from .errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode
 from ._config import DEFAULT_MAX_PAIRS
 
 
@@ -159,6 +154,8 @@ def topological_order(graph: CausalGraph) -> list[str]:
     indeg = {n: 0 for n in graph.nodes}
     adj = _adjacency(graph)
     for e in graph.edges:
+        if e.src not in indeg or e.dst not in indeg:
+            raise UnknownNode(f"edge {e.id!r} joins an unknown node")
         indeg[e.dst] += 1
     layer = sorted(n for n in graph.nodes if indeg[n] == 0)
     order = []
@@ -202,12 +199,13 @@ def causal_past(graph: CausalGraph, seed: Iterable[str]) -> frozenset[str]:
 
 def _past_masks(graph: CausalGraph) -> list[int]:
     """Bitmask of causal_past({v}) for each node, indexed by position in graph.nodes."""
+    order = topological_order(graph)  # first: it refuses edges that join unknown nodes
     index = {n: i for i, n in enumerate(graph.nodes)}
     preds: dict[str, set[str]] = {n: set() for n in graph.nodes}
     for e in graph.edges:
         preds[e.dst].add(e.src)
     masks = [0] * len(graph.nodes)
-    for n in topological_order(graph):
+    for n in order:
         m = 1 << index[n]
         for p in preds[n]:
             m |= masks[index[p]]
@@ -334,27 +332,8 @@ def graph_to_dict(graph: CausalGraph) -> dict:
 
 def graph_from_dict(data: dict) -> CausalGraph:
     """Parse the graph JSON schema; unknown fields are rejected."""
-    if not isinstance(data, dict) or set(data) != {"nodes", "edges"} or not all(
-        isinstance(data[k], list) for k in data
-    ):
-        raise SchemaError(f"malformed graph JSON near {data!r}")
-    nodes = []
-    for item in data["nodes"]:
-        # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
-        if not isinstance(item, dict) or set(item) != {"id", "outcomes"} or type(item["outcomes"]) is not int:
-            raise SchemaError(f"malformed graph JSON near {item!r}")
-        nodes.append((str(item["id"]), item["outcomes"]))
-    edges = []
-    for item in data["edges"]:
-        if not isinstance(item, dict) or set(item) != {"id", "src", "dst"}:
-            raise SchemaError(f"malformed graph JSON near {item!r}")
-        edges.append((str(item["id"]), str(item["src"]), str(item["dst"])))
-    return CausalGraph.build(nodes, edges)
-
-
-def reject_unknown_keys(field_name: str, keys, known) -> None:
-    """Raise SchemaError when the JSON map ``field_name`` has keys outside ``known``
-    (the graph's edge or node ids): such an entry would be silently ignored."""
-    unknown = {str(k) for k in keys}.difference(known)
-    if unknown:
-        raise SchemaError(f"{field_name} names no edge or node of the graph: {sorted(unknown)}")
+    nodes, edges = _schema.fields(data, "graph JSON", {"nodes": list, "edges": list})
+    return CausalGraph.build(
+        [_schema.fields(item, "graph JSON node", {"id": str, "outcomes": int}) for item in nodes],
+        [_schema.fields(item, "graph JSON edge", {"id": str, "src": str, "dst": str}) for item in edges],
+    )

@@ -18,8 +18,9 @@ import numpy as np
 from . import graph as cg
 from .classical import ClassicalModel, Gate, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
-from .dist import JointDistribution, is_number_list
-from .errors import InvalidModel, SchemaError, SizeLimitExceeded
+from . import _schema
+from .dist import JointDistribution
+from .errors import SizeLimitExceeded, require_valid
 from ._config import _contract, max_state_space
 
 ROW_NORM_TOL = 1e-12
@@ -74,19 +75,13 @@ def validate(hbn: HiddenBayesNet) -> list[str]:
     return violations
 
 
-def _require_valid(hbn: HiddenBayesNet) -> None:
-    problems = validate(hbn)
-    if problems:
-        raise InvalidModel("; ".join(problems))
-
-
 def evaluate(hbn: HiddenBayesNet, max_states: int | None = None) -> JointDistribution:
     """Exact sum over hidden assignments of readout times transition products.
 
     One einsum contraction, refused when an operand, an intermediate or the
     table exceeds the state-space guard.
     """
-    _require_valid(hbn)
+    require_valid(validate(hbn))
     graph = hbn.graph
     operands = []
     for v in graph.nodes:
@@ -105,9 +100,7 @@ def from_classical(model: ClassicalModel, max_states: int | None = None) -> Hidd
     values read off the parents' states, and readouts project onto the
     outcome.  Evaluations agree within 1e-12.
     """
-    problems = validate_classical(model)
-    if problems:
-        raise InvalidModel("; ".join(problems))
+    require_valid(validate_classical(model))
     graph = model.graph
     guard = max_state_space(max_states)
     sizes = {}
@@ -169,7 +162,7 @@ def to_classical(hbn: HiddenBayesNet, max_states: int | None = None) -> Classica
     parallel edges from the same parent, the incoming value is read from the
     lexicographically smallest edge.  Evaluations agree within 1e-12.
     """
-    _require_valid(hbn)
+    require_valid(validate(hbn))
     graph = hbn.graph
     guard = max_state_space(max_states)
     alphabet = {e.id: hbn.node_alphabet[e.src] for e in graph.edges}
@@ -235,27 +228,20 @@ def hbn_to_dict(hbn: HiddenBayesNet) -> dict:
 
 
 def hbn_from_dict(data: dict) -> HiddenBayesNet:
-    if not isinstance(data, dict) or set(data) != {"graph", "node_sizes", "transitions", "readouts"}:
-        raise SchemaError("malformed hidden-Bayesian-network JSON")
-    graph = cg.graph_from_dict(data["graph"])
-    if not all(isinstance(data[k], dict) for k in ("node_sizes", "transitions", "readouts")):
-        raise SchemaError("node_sizes, transitions and readouts must be JSON objects")
-    # bool is rejected too: it is an int subclass, and JSON true is no alphabet size
-    if any(type(s) is not int for s in data["node_sizes"].values()):
-        raise SchemaError(f"malformed node sizes near {data['node_sizes']!r}")
-    tables = list(data["transitions"].values()) + list(data["readouts"].values())
-    if not all(is_number_list(t) for t in tables):
-        raise SchemaError("transitions and readouts must map nodes to lists of numbers")
-    for name in ("node_sizes", "transitions", "readouts"):
-        cg.reject_unknown_keys(name, data[name], graph.nodes)
-    sizes = {str(v): s for v, s in data["node_sizes"].items()}
-    transitions = {}
-    readouts = {}
-    for v in graph.nodes:
-        pa = sorted_parents(graph, v)
-        shape = tuple(sizes[u] for u in pa) + (sizes[v],)
-        transitions[v] = np.asarray(data["transitions"][v], dtype=float).reshape(shape)
-        readouts[v] = np.asarray(data["readouts"][v], dtype=float).reshape(
-            (sizes[v], graph.outcomes[v])
-        )
+    """Parse the hidden-Bayesian-network JSON schema; unknown fields and map keys are rejected."""
+    what = "hidden-Bayesian-network JSON"
+    kinds = {"graph": dict, "node_sizes": dict, "transitions": dict, "readouts": dict}
+    graph, sizes, transitions, readouts = _schema.fields(data, what, kinds)
+    graph = cg.graph_from_dict(graph)
+    # a transition table's shape is read off the graph's parents, so the graph must be sound first
+    require_valid(cg.validate(graph))
+    sizes = _schema.sizes(sizes, f"{what} node_sizes", graph.nodes)
+    transitions = {
+        v: _schema.table(t, f"{what} transitions of {v!r}", [sizes[u] for u in sorted_parents(graph, v) + (v,)])
+        for v, t in _schema.named(transitions, f"{what} transitions", graph.outcomes).items()
+    }
+    readouts = {
+        v: _schema.table(r, f"{what} readouts of {v!r}", [sizes[v], graph.outcomes[v]])
+        for v, r in _schema.named(readouts, f"{what} readouts", graph.outcomes).items()
+    }
     return HiddenBayesNet(graph, sizes, transitions, readouts)

@@ -21,8 +21,9 @@ import numpy as np
 from . import graph as cg
 from .classical import ClassicalModel, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
-from .dist import JointDistribution, is_number_list
-from .errors import InvalidModel, NegativeProbability, SchemaError, SizeLimitExceeded
+from . import _schema
+from .dist import JointDistribution
+from .errors import InvalidModel, NegativeProbability, SizeLimitExceeded, require_valid
 from ._config import _contract, max_state_space
 
 COMPLETENESS_TOL = 1e-10
@@ -109,12 +110,6 @@ def validate_model(model: QuantumModel) -> list[str]:
     return violations
 
 
-def _require_valid(model: QuantumModel) -> None:
-    problems = validate_model(model)
-    if problems:
-        raise InvalidModel("; ".join(problems))
-
-
 def _check_order(model: QuantumModel, order) -> list[str]:
     nodes = list(model.graph.nodes)
     order = list(order)
@@ -164,7 +159,7 @@ def evaluate(
     -1e-9 raise NegativeProbability, smaller negative noise is clamped to
     zero.
     """
-    _require_valid(model)
+    require_valid(validate_model(model))
     graph = model.graph
     order = _check_order(model, order if order is not None else cg.topological_order(graph))
     guard = max_state_space(max_states)
@@ -190,9 +185,7 @@ def decohere_embed(cmodel: ClassicalModel) -> QuantumModel:
     sending the incoming basis vector to the outgoing one.  Evaluation agrees
     with the classical evaluation within 1e-10.
     """
-    problems = validate_classical(cmodel)
-    if problems:
-        raise InvalidModel("; ".join(problems))
+    require_valid(validate_classical(cmodel))
     graph = cmodel.graph
     dims = {e: int(s) for e, s in cmodel.edge_alphabet.items()}
     instruments = {}
@@ -262,45 +255,20 @@ def model_to_dict(model: QuantumModel) -> dict:
     }
 
 
-def _is_complex_matrix(k) -> bool:
-    """True for a JSON list of rows of ``[re, im]`` number pairs."""
-    return isinstance(k, list) and all(
-        isinstance(row, list) and all(is_number_list(z) and len(z) == 2 for z in row) for row in k
-    )
-
-
 def model_from_dict(data: dict) -> QuantumModel:
-    if not isinstance(data, dict) or set(data) != {"graph", "edge_dims", "instruments"}:
-        raise SchemaError("malformed quantum model JSON")
-    graph = cg.graph_from_dict(data["graph"])
-    if not isinstance(data["edge_dims"], dict) or not isinstance(data["instruments"], dict):
-        raise SchemaError("edge_dims and instruments must be JSON objects")
-    # bool is rejected too: it is an int subclass, and JSON true is no dimension
-    if any(type(d) is not int for d in data["edge_dims"].values()):
-        raise SchemaError(f"malformed edge dimensions near {data['edge_dims']!r}")
-    cg.reject_unknown_keys("edge_dims", data["edge_dims"], [e.id for e in graph.edges])
-    dims = {str(e): d for e, d in data["edge_dims"].items()}
-    instruments = {}
-    for v, byo in data["instruments"].items():
-        if not isinstance(byo, dict):
-            raise SchemaError(f"instrument for node {v!r} must be a JSON object")
-        if str(v) not in graph.outcomes:
-            raise SchemaError(f"instrument for unknown node {v!r}")
-        keys = [str(o) for o in range(graph.outcomes[str(v)])]
-        unknown = set(byo) - set(keys)
-        if unknown:
-            raise SchemaError(f"node {v!r}: unknown outcome keys {sorted(unknown)}")
+    """Parse the quantum model JSON schema; unknown fields and map keys are rejected."""
+    what = "quantum model JSON"
+    graph, dims, instruments = _schema.fields(data, what, {"graph": dict, "edge_dims": dict, "instruments": dict})
+    graph = cg.graph_from_dict(graph)
+    dims = _schema.sizes(dims, f"{what} edge_dims", [e.id for e in graph.edges])
+    parsed = {}
+    for v, byo in _schema.named(instruments, f"{what} instruments", graph.outcomes).items():
+        keys = [str(o) for o in range(graph.outcomes[v])]
+        what_v = f"{what} instrument of {v!r}"
+        _schema.named(byo, what_v, keys)
         components = []
         for o in keys:
-            kraus = byo.get(o, [])
-            if not isinstance(kraus, list) or not all(_is_complex_matrix(k) for k in kraus):
-                raise SchemaError(f"node {v!r}, outcome {o}: malformed Kraus operator list")
-            ops = []
-            for k in kraus:
-                arr = np.array(
-                    [[complex(z[0], z[1]) for z in row] for row in k], dtype=complex
-                )
-                ops.append(arr)
-            components.append(tuple(ops))
-        instruments[str(v)] = Instrument(tuple(components))
-    return QuantumModel(graph, dims, instruments)
+            kraus = _schema.typed(byo.get(o, []), list, what_v)
+            components.append(tuple(_schema.numbers(k, what_v, (None, None), complex) for k in kraus))
+        parsed[v] = Instrument(tuple(components))
+    return QuantumModel(graph, dims, parsed)

@@ -372,3 +372,9 @@ class TestModelJson:
         data[field]["ghost"] = 2 if field == "edge_sizes" else data["gates"]["a"]
         with pytest.raises(SchemaError, match="ghost"):
             cm.model_from_dict(data)
+
+    def test_gate_wired_to_unknown_edge_rejected(self, bell):
+        data = cm.model_to_dict(cm.random_model(bell, 2, seed=8))
+        data["gates"]["a"]["in"] = ["nope", "x->a"]
+        with pytest.raises(SchemaError, match="nope"):
+            cm.model_from_dict(data)

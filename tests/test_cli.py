@@ -41,6 +41,21 @@ def replace_at(data, keys, value):
     data[last] = value
 
 
+def bell_quantum_setup() -> dict:
+    """Two qubits in |00>, both parties measuring in the computational basis."""
+    def enc(mat):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+
+    comp0 = [enc(np.diag([1.0, 0.0])), enc(np.diag([0.0, 1.0]))]
+    return {
+        "scenario": {"settings": [2, 2], "outcomes": [2, 2], "source_outcomes": 1},
+        "states": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+        "povms": [[comp0, comp0], [comp0, comp0]],
+        "setting_dists": [[0.5, 0.5], [0.5, 0.5]],
+        "source_dist": [1.0],
+    }
+
+
 def run_json(argv, capsys):
     code = run([str(a) for a in argv])
     out = capsys.readouterr().out
@@ -132,6 +147,7 @@ class TestExitCodes:
             {"vars": [{"id": "a", "size": 2}], "probs": [0.5, "0.5"]},
             {"vars": [{"id": "a", "size": 2}], "probs": [0.5, {}]},
             {"vars": [{"id": "a", "size": 10**20}], "probs": []},
+            {"vars": [{"id": "a", "size": 1}], "probs": [10**400]},
         ],
     )
     def test_wrongly_typed_dist_is_usage_error(self, tmp_path, capsys, data):
@@ -149,6 +165,7 @@ class TestExitCodes:
             (("gates", "a", "in"), "s->a"),
             (("gates", "a", "out"), 5),
             (("gates", "a", "tensor"), [0.5, {}]),
+            (("gates", "a", "in"), ["nope", "x->a"]),
         ],
     )
     def test_wrongly_typed_classical_model_is_usage_error(self, tmp_path, capsys, keys, value):
@@ -190,6 +207,7 @@ class TestExitCodes:
             (("transitions", "a"), "0.5"),
             (("readouts",), [0.5]),
             (("readouts", "b"), [0.5, {}]),
+            (("transitions", "a"), [0.5]),
         ],
     )
     def test_wrongly_typed_hbn_is_usage_error(self, tmp_path, capsys, keys, value):
@@ -216,6 +234,97 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert run([command, flag, str(path)]) == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", [b"[" * 100000, b"1" * 5000, b"\xff{}"], ids=["deep-nesting", "long-integer", "not-utf-8"]
+    )
+    def test_unreadable_json_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert run(["graph-validate", "--graph", str(path)]) == 2
+        assert "is not a JSON document" in capsys.readouterr().err
+
+    def test_hbn_without_a_transition_table_is_usage_error(self, tmp_path, capsys):
+        data = hm.hbn_to_dict(hm.random_hbn(bell_graph(), 2, seed=0))
+        del data["transitions"]["a"]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        assert run(["eval-hbn", "--hbn", str(path)]) == 2
+        assert "missing transition or readout table" in capsys.readouterr().err
+
+    def test_edge_joining_an_unknown_node(self, tmp_path, capsys):
+        graph = gm.graph_to_dict(bell_graph())
+        graph["edges"][0]["src"] = "ghost"
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        code, payload = run_json(["graph-validate", "--graph", path], capsys)
+        assert code == 1 and "unknown source node 'ghost'" in payload["violations"][0]
+        assert run(["poset-closure", "--graph", str(path)]) == 2
+        net = hm.hbn_to_dict(hm.random_hbn(bell_graph(), 2, seed=0))
+        net["graph"] = graph
+        path.write_text(json.dumps(net))
+        assert run(["eval-hbn", "--hbn", str(path)]) == 2
+        assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lift-edge", "--src", "u", "--dst", "w"], ["reroute-edge", "--edge", "u->w", "--via", "v"]],
+    )
+    def test_rewrite_of_an_invalid_model_is_usage_error(self, tmp_path, capsys, argv):
+        g = gm.CausalGraph.build(
+            [("u", 2), ("v", 2), ("w", 2)], [("uv", "u", "v"), ("vw", "v", "w"), ("u->w", "u", "w")]
+        )
+        data = cm.model_to_dict(cm.random_model(g, 2, seed=0))
+        del data["gates"]["w"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert run(argv + ["--model", str(path)]) == 2
+        assert "missing gate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("states",), [[1]]),
+            (("scenario",), 5),
+            (("scenario", "settings"), [2]),
+            (("scenario", "source_outcomes"), 1.0),
+            (("povms", 0, 0, 0), [[[1.0, 0.0]]]),
+            (("setting_dists",), [[0.5, 0.5]]),
+            (("setting_dists", 0), [1.5, -0.5]),
+            (("source_dist",), [float("nan")]),
+        ],
+    )
+    def test_malformed_bell_quantum_setup_is_usage_error(self, tmp_path, capsys, keys, value):
+        setup = bell_quantum_setup()
+        replace_at(setup, keys, value)
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(setup))
+        assert run(["bell-quantum", "--model", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cg",
+        [
+            {"domain": 5, "codomain": 2, "map": [0]},
+            {"domain": [3, 3], "codomain": 2, "map": [0] * 8},
+            {"domain": [3, 3], "codomain": True, "map": [0] * 9},
+            {"domain": [3, 3], "codomain": 2, "map": [0.0] * 9},
+            {"domain": [3, 3], "codomain": 2, "map": [0] * 9, "extra": 1},
+        ],
+    )
+    def test_malformed_coarse_graining_is_usage_error(self, tmp_path, capsys, cg):
+        dist_path = tmp_path / "p.json"
+        dist_path.write_text(json.dumps(dm.dist_to_dict(
+            dm.JointDistribution((("v1", 3), ("v2", 3)), np.full((3, 3), 1 / 9))
+        )))
+        cg_path = tmp_path / "cg.json"
+        cg_path.write_text(json.dumps(cg))
+        assert run(["compress-cg", "--dist", str(dist_path), "--cg", str(cg_path), "--eps", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [["--settings", "two"], ["--settings", "2,2,2", "--outcomes", "2,2,2"]])
+    def test_bell_gen_bad_sizes_is_usage_error(self, capsys, sizes):
+        assert run(["bell-gen", "--parties", "2"] + sizes) == 2
 
     def test_nan_probability_is_usage_error(self, bell_files, tmp_path, capsys):
         graph_path, _ = bell_files
@@ -455,20 +564,8 @@ class TestPipelines:
         assert payload["achieved_error"] == 0.0
 
     def test_bell_quantum_setup(self, tmp_path, capsys):
-        def enc(mat):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
-
-        eye = np.eye(2)
-        comp0 = [enc(np.diag([1.0, 0.0])), enc(np.diag([0.0, 1.0]))]
-        setup = {
-            "scenario": {"settings": [2, 2], "outcomes": [2, 2], "source_outcomes": 1},
-            "states": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
-            "povms": [[comp0, comp0], [comp0, comp0]],
-            "setting_dists": [[0.5, 0.5], [0.5, 0.5]],
-            "source_dist": [1.0],
-        }
         path = tmp_path / "setup.json"
-        path.write_text(json.dumps(setup))
+        path.write_text(json.dumps(bell_quantum_setup()))
         out_path = tmp_path / "qmodel.json"
         assert run(["bell-quantum", "--model", str(path), "--out", str(out_path)]) == 0
         model = qm.model_from_dict(json.loads(out_path.read_text()))

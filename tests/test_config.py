@@ -13,6 +13,7 @@ from causalcorr import hbn as hm
 from causalcorr import quantum as qm
 from causalcorr._config import _contract, _greedy_path, max_state_space
 from causalcorr.errors import SizeLimitExceeded
+from causalcorr.graph import CausalGraph
 
 from conftest import all_test_graphs
 
@@ -191,3 +192,13 @@ class TestContract:
                 m.setattr(family, "_contract", einsum_path_contract)
                 expected = family.evaluate(model).table
             assert np.abs(table - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("family, build", [
+        (cm, lambda g: cm.random_model(g, 2, seed=0)),
+        (qm, lambda g: qm.random_model(g, 2, seed=0)),
+        (hm, lambda g: hm.random_hbn(g, 2, seed=0)),
+    ], ids=["classical", "quantum", "hbn"])
+    def test_empty_graph_evaluates_to_the_scalar_one(self, family, build):
+        assert _contract([], []) == 1.0
+        joint = family.evaluate(build(CausalGraph.build([], [])))
+        assert joint.variables == () and joint.table.shape == () and joint.table == 1.0

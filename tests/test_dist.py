@@ -265,6 +265,11 @@ class TestFactorCoarseGraining:
         # first factor map is the parity restriction up to relabelling
         assert res.factor_maps[0][0] == res.factor_maps[0][2] != res.factor_maps[0][1]
 
+    @pytest.mark.parametrize("domain, values", [((3, 4), 11), ((3, 4), 13), ((-1, -2), 2), ((0, 3), 0)])
+    def test_map_not_filling_the_domain_rejected(self, domain, values):
+        with pytest.raises(ShapeMismatch):
+            dm.CoarseGraining(domain, 2, np.zeros(values, dtype=np.int64))
+
     def test_identity_factoring_always_exact(self):
         rng = np.random.default_rng(1)
         f = rng.integers(0, 3, size=(3, 3, 2))

@@ -6,7 +6,7 @@ import pytest
 from causalcorr import classical as cm
 from causalcorr import hbn as hm
 from causalcorr.correlation import is_correlation
-from causalcorr.errors import SchemaError
+from causalcorr.errors import InvalidModel, SchemaError
 from causalcorr.graph import CausalGraph
 
 from conftest import bell_graph, popescu_graph, triangle_graph
@@ -197,3 +197,15 @@ class TestHbnJson:
         data[field]["ghost"] = entry
         with pytest.raises(SchemaError, match="ghost"):
             hm.hbn_from_dict(data)
+
+    def test_short_table_rejected(self, bell):
+        data = hm.hbn_to_dict(hm.random_hbn(bell, 2, seed=6))
+        data["transitions"]["a"].pop()
+        with pytest.raises(SchemaError, match="transitions of 'a'"):
+            hm.hbn_from_dict(data)
+
+    def test_missing_table_refused_by_the_validator(self, bell):
+        data = hm.hbn_to_dict(hm.random_hbn(bell, 2, seed=6))
+        del data["transitions"]["a"]
+        with pytest.raises(InvalidModel, match="node 'a': missing transition"):
+            hm.evaluate(hm.hbn_from_dict(data))
