@@ -1,19 +1,32 @@
-"""Phase-1 simplex feasibility solver (dense tableau, Bland's rule).
+"""Phase-1 feasibility of ``A x = b, x >= 0``: HiGHS in float64, a ``Fraction``
+tableau when exact.
 
-Decides whether ``A x = b`` has a solution with ``x >= 0`` by minimizing the
-sum of artificial variables.  Bland's smallest-index rules make the pivot
-sequence deterministic.  One tableau serves two arithmetics: float64, pivoted
-by the vectorized :func:`_phase1_numpy` with a small pivot tolerance, and
-exact ``Fraction`` entries (for small instances), pivoted row by row by
-:func:`_phase1_loops` with tolerance 0.  Both kernels follow the same rules
-and both skip the rows whose factor in the entering column is zero, so on
-the same float tableau they produce identical tableaus.  A solve that
-hits the pivot limit or finds the phase-1 objective unbounded raises
-:class:`SolverError` instead of reading a solution from an unfinished tableau.
+The float solver poses the L1 phase-1 LP
+
+    minimise 1ᵀ(u + v)  subject to  A x + u - v = b,  x, u, v >= 0,
+
+which is always feasible, and solves it with the simplex solver of HiGHS
+(Huangfu & Hall, Math. Prog. Comp. 10, 119 (2018)), presolve off.  Its
+optimum is the L1 residual of the best ``x``, and its row duals ``y`` are a
+Farkas vector: ``yᵀa_j <= 0`` for every column ``a_j`` and ``yᵀb`` equals
+the residual.  The caller checks whichever certificate its verdict rests on.
+
+The exact solver is a dense tableau in ``Fraction`` arithmetic with Bland's
+smallest-index rules, pivoted row by row; each pivot skips the rows whose
+factor in the entering column is zero.
+
+A solve that hits its iteration limit, or ends in any state but optimal,
+raises :class:`SolverError` instead of returning a solution.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import itertools
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,14 +34,109 @@ import numpy as np
 
 from .errors import SolverError
 
-_PIVOT_TOL = 1e-12
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 
+# scipy's compiled HiGHS module; this file layout is that of scipy 1.17
+HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-def _phase1_loops(T, basis, tol_piv, max_iter):
-    """Pivot loop with one update per row; runs the exact ``Fraction`` tableau."""
+
+def highs_core():
+    """scipy's compiled HiGHS module, loaded at the first float solve.
+
+    The extension file is loaded on its own, under its real module name, so
+    that the solve skips the package import of ``scipy.optimize`` (about
+    0.5 s and 49 MB of peak memory, against about 10 ms and 3 MB).  Where that file is not found
+    the module is imported the ordinary way; it is the same module either way.
+    """
+    module = sys.modules.get(HIGHS_MODULE)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    folders = (scipy.submodule_search_locations or []) if scipy else []
+    for folder, suffix in itertools.product(folders, importlib.machinery.EXTENSION_SUFFIXES):
+        path = os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[HIGHS_MODULE] = module
+            return module
+    try:
+        return importlib.import_module(HIGHS_MODULE)
+    except ImportError as exc:
+        raise SolverError(f"the HiGHS solver is unavailable ({exc}); install scipy >= 1.17") from exc
+
+
+@dataclass
+class Phase1Result:
+    """Outcome of a phase-1 solve.
+
+    ``x`` is a float array, or an object array of ``Fraction`` for the exact
+    solver; ``infeasibility`` is the optimal L1 residual of the best ``x``, a
+    float or a ``Fraction`` likewise.  ``y`` is the float solver's Farkas
+    vector (the row duals, one per row of ``A``); the exact solver leaves it
+    ``None``.
+    """
+
+    feasible: bool
+    x: np.ndarray
+    infeasibility: float | Fraction
+    iterations: int
+    y: np.ndarray | None = None
+
+
+def solve_phase1(
+    A: np.ndarray, b: np.ndarray, tol: float = 1e-7, max_iter: int | None = None
+) -> Phase1Result:
+    """Float feasibility of ``A x = b, x >= 0`` by HiGHS: feasible when the L1
+    residual is <= ``tol``.
+
+    ``x`` is clipped at 0, so it is nonnegative whatever the solver's bound
+    tolerance.  Raises SolverError when ``max_iter`` simplex iterations
+    (default ``200 * (rows + columns)``) do not reach an optimum.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    if max_iter is None:
+        max_iter = 200 * (m + n)
+    # column-wise sparse [A | I | -I]: A's nonzeros column by column, then one entry per u and v
+    cols, rows = np.nonzero(A.T)
+    n_col = n + 2 * m
+    start = np.zeros(n_col, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n)[:-1], out=start[1:n])
+    start[n:] = len(cols) + np.arange(2 * m)
+    ids = np.arange(m, dtype=np.int32)
+    index = np.concatenate([rows.astype(np.int32), ids, ids])
+    value = np.concatenate([A.T[cols, rows], np.ones(m), -np.ones(m)])
+
+    h = highs_core()
+    highs = h._Highs()
+    for option, setting in (("output_flag", False), ("presolve", "off"), ("simplex_iteration_limit", int(max_iter))):
+        highs.setOptionValue(option, setting)
+    # columns, rows, nonzeros, column-wise, minimise, no offset, costs, column
+    # bounds, row bounds (b both sides), the matrix, every column continuous
+    highs.passModel(
+        n_col, m, len(index), int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
+        np.repeat([0.0, 1.0], [n, 2 * m]), np.zeros(n_col), np.full(n_col, np.inf), b, b,
+        start, index, value, np.zeros(n_col, dtype=np.int32),
+    )
+    highs.run()
+    status, info = highs.getModelStatus(), highs.getInfo()
+    if status == h.HighsModelStatus.kIterationLimit:
+        raise SolverError(f"simplex did not terminate within {max_iter} pivots")
+    if status != h.HighsModelStatus.kOptimal:
+        raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)!r}")
+    solution = highs.getSolution()
+    x = np.maximum(np.asarray(solution.col_value)[:n], 0.0)
+    infeas = max(0.0, float(info.objective_function_value))
+    return Phase1Result(infeas <= tol, x, infeas, int(info.simplex_iteration_count), np.asarray(solution.row_dual))
+
+
+def _phase1_loops(T, basis, max_iter):
+    """Bland's-rule pivot loop on the exact tableau, one update per row."""
     m = basis.shape[0]
     ncols = T.shape[1] - 1
     it = 0
@@ -36,16 +144,16 @@ def _phase1_loops(T, basis, tol_piv, max_iter):
         it += 1
         enter = -1
         for j in range(ncols):
-            if T[m, j] < -tol_piv:
+            if T[m, j] < 0:
                 enter = j
                 break
         if enter < 0:
             return STATUS_OPTIMAL, it
         leave = -1
-        best = 0.0
+        best = 0
         for i in range(m):
             a = T[i, enter]
-            if a > tol_piv:
+            if a > 0:
                 r = T[i, ncols] / a
                 if leave < 0 or r < best or (r == best and basis[i] < basis[leave]):
                     leave = i
@@ -62,120 +170,48 @@ def _phase1_loops(T, basis, tol_piv, max_iter):
     return STATUS_ITER_LIMIT, it
 
 
-def _phase1_numpy(T, basis, tol_piv, max_iter):
-    """Same pivot rules as :func:`_phase1_loops`, with vectorized row operations."""
-    m = basis.shape[0]
-    ncols = T.shape[1] - 1
-    it = 0
-    while it < max_iter:
-        it += 1
-        negative = np.nonzero(T[m, :ncols] < -tol_piv)[0]
-        if negative.size == 0:
-            return STATUS_OPTIMAL, it
-        enter = int(negative[0])
-        col = T[:m, enter]
-        rows = np.nonzero(col > tol_piv)[0]
-        if rows.size == 0:
-            return STATUS_UNBOUNDED, it
-        ratios = T[rows, ncols] / col[rows]
-        best = ratios.min()
-        tied = rows[ratios == best]
-        leave = int(tied[np.argmin(basis[tied])])
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        rows = np.flatnonzero(factors)
-        T[rows] -= factors[rows, None] * T[leave]
-        basis[leave] = enter
-    return STATUS_ITER_LIMIT, it
+def _tableau(A, b):
+    """Initial exact phase-1 tableau and basis for ``A x = b``.
 
-
-def _tableau(A, b, exact):
-    """Initial phase-1 tableau and basis for ``A x = b``.
-
-    Rows with ``b < 0`` are negated, one artificial column per row starts in
-    the basis, and the last row holds the artificial-sum objective.  Entries
-    are float64, or ``Fraction`` objects when ``exact`` (floats taken at their
-    exact binary values).
+    Entries are ``Fraction`` objects (floats taken at their exact binary
+    values).  Rows with ``b < 0`` are negated, one artificial column per row
+    starts in the basis, and the last row holds the artificial-sum objective.
     """
-    if exact:
-        to_fraction = np.vectorize(Fraction, otypes=[object])
-        A = to_fraction(np.asarray(A, dtype=object))
-        b = to_fraction(np.asarray(b, dtype=object))
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        zero, one = 0.0, 1.0
+    to_fraction = np.vectorize(Fraction, otypes=[object])
+    A = to_fraction(np.asarray(A, dtype=object))
+    b = to_fraction(np.asarray(b, dtype=object))
     m, n = A.shape
     flip = b < 0
     A = np.where(flip[:, None], -A, A)
     b = np.where(flip, -b, b)
-    T = np.full((m + 1, n + m + 1), zero, dtype=A.dtype)
+    T = np.full((m + 1, n + m + 1), Fraction(0), dtype=object)
     T[:m, :n] = A
-    T[np.arange(m), n + np.arange(m)] = one
+    T[np.arange(m), n + np.arange(m)] = Fraction(1)
     T[:m, -1] = b
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     return T, np.arange(n, n + m, dtype=np.int64)
 
 
-@dataclass
-class Phase1Result:
-    """Outcome of a phase-1 solve.
-
-    ``x`` is a float array, or an object array of ``Fraction`` for the exact
-    solver; ``infeasibility`` is the optimal artificial-variable sum (the L1
-    residual of the best ``x``), a float or a ``Fraction`` likewise.
-    """
-
-    feasible: bool
-    x: np.ndarray
-    infeasibility: float | Fraction
-    iterations: int
-
-
-def _solve(A, b, exact, tol, max_iter):
-    T, basis = _tableau(A, b, exact)
-    m = basis.shape[0]
-    n = T.shape[1] - m - 1
-    if max_iter is None:
-        max_iter = 200 * (m + n)
-    if exact:
-        status, iters = _phase1_loops(T, basis, 0, max_iter)
-    else:
-        status, iters = _phase1_numpy(T, basis, _PIVOT_TOL, max_iter)
-    if status == STATUS_ITER_LIMIT:
-        raise SolverError(f"simplex did not terminate within {max_iter} pivots")
-    if status != STATUS_OPTIMAL:
-        raise SolverError("phase-1 objective unbounded; the tableau lost consistency")
-    zero = Fraction(0) if exact else 0.0
-    infeas = max(zero, -T[m, -1])
-    if not exact:
-        infeas = float(infeas)
-    x = np.full(n, zero, dtype=T.dtype)
-    in_x = basis < n
-    x[basis[in_x]] = T[:m, -1][in_x]
-    return Phase1Result(feasible=infeas <= tol, x=x, infeasibility=infeas, iterations=iters)
-
-
-def solve_phase1(
-    A: np.ndarray, b: np.ndarray, tol: float = 1e-7, max_iter: int | None = None
-) -> Phase1Result:
-    """Float feasibility of ``A x = b, x >= 0``: feasible when the residual is <= ``tol``.
-
-    Raises SolverError when ``max_iter`` pivots (default ``200 * (rows +
-    columns)``) do not reach an optimal tableau.
-    """
-    return _solve(A, b, False, tol, max_iter)
-
-
 def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     """Rational-arithmetic feasibility of ``A x = b, x >= 0`` (exact, no tolerance).
 
     Entries are converted with ``Fraction``, so float inputs are taken at
-    their exact binary values.  Same Bland pivot rules as the float solver,
-    and the same SolverError on the pivot limit.
+    their exact binary values.  Raises SolverError when ``max_iter`` pivots
+    (default ``200 * (rows + columns)``) do not reach an optimal tableau.
     """
-    return _solve(A, b, True, 0, max_iter)
+    T, basis = _tableau(A, b)
+    m = basis.shape[0]
+    n = T.shape[1] - m - 1
+    if max_iter is None:
+        max_iter = 200 * (m + n)
+    status, iters = _phase1_loops(T, basis, max_iter)
+    if status == STATUS_ITER_LIMIT:
+        raise SolverError(f"simplex did not terminate within {max_iter} pivots")
+    if status != STATUS_OPTIMAL:
+        raise SolverError("phase-1 objective unbounded; the tableau lost consistency")
+    infeas = max(Fraction(0), -T[m, -1])
+    x = np.full(n, Fraction(0), dtype=object)
+    in_x = basis < n
+    x[basis[in_x]] = T[:m, -1][in_x]
+    return Phase1Result(feasible=infeas == 0, x=x, infeasibility=infeas, iterations=iters)

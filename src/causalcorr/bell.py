@@ -11,7 +11,9 @@ decouple.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     NotNoSignalling,
     ShapeMismatch,
     SizeLimitExceeded,
+    SolverError,
 )
 from .quantum import Instrument, QuantumModel
 from ._config import DEFAULT_MAX_STRATEGIES
@@ -133,30 +136,114 @@ def enumerate_strategies(scenario: BellScenario) -> list[tuple[tuple[int, ...], 
 
 @dataclass
 class LocalityVerdict:
-    """Membership in the convex hull of deterministic strategies.
+    """Membership in the convex hull of deterministic strategies, with its certificate.
 
     When local, ``weights[s]`` maps strategies to their convex weights for
-    each source outcome ``s``.  When not, ``max_residual`` is the largest
-    L1 infeasibility over source outcomes.
+    each source outcome ``s``; they reproduce the conditional within ``tol``.
+    When not, ``inequality[s]`` maps (setting tuple, outcome tuple) pairs to
+    the coefficients ``c`` of a Bell inequality ``sum c p(a|x) <= 0`` that
+    every deterministic strategy satisfies within ``tol`` and the input
+    violates by ``max_residual`` (the float solver; exact mode leaves it
+    empty).  ``solver`` names the solver, ``iterations`` sums its simplex
+    iterations and ``lp_shape`` is the (rows, strategies) shape of the
+    largest LP posed.
     """
 
     is_local: bool
     weights: dict[int, dict[tuple, float]] = field(default_factory=dict)
     max_residual: float = 0.0
     tol: float = 1e-7
+    solver: str = "highs"
+    iterations: int = 0
+    lp_shape: tuple[int, int] = (0, 0)
+    inequality: dict[int, dict[tuple, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def key(strategy):
-            return "|".join(",".join(str(o) for o in d) for d in strategy)
+        def keyed(by_source):
+            return {
+                str(s): {"|".join(",".join(map(str, part)) for part in k): v for k, v in terms.items()}
+                for s, terms in by_source.items()
+            }
 
         return {
             "is_local": self.is_local,
-            "weights": {
-                str(s): {key(d): w for d, w in byd.items()} for s, byd in self.weights.items()
-            },
+            "weights": keyed(self.weights),
             "max_residual": self.max_residual,
             "tol": self.tol,
+            "solver": self.solver,
+            "iterations": self.iterations,
+            "lp_shape": list(self.lp_shape),
+            "inequality": keyed(self.inequality),
         }
+
+
+# allowance for float round-off in the certificate checks, on top of ``tol``
+ROUND_OFF = 1e-12
+
+
+def _collins_gisin(scenario: BellScenario, onehots, defined):
+    """The Collins–Gisin row map ``C`` and strategy matrix ``A`` of one LP.
+
+    A party's rows are the sum over outcomes at its first setting of
+    positive probability, then one row per (such setting, outcome < m - 1);
+    the LP's rows are the Kronecker product of the parties' rows, which
+    under no-signalling determine the behaviour.  Each row reads one setting
+    tuple; the rows that read a tuple ``defined`` leaves out are dropped.
+    ``C`` acts on (setting tuple, joint outcome) indices, and ``A`` is the
+    Kronecker product of the per-party rows applied to the one-hot tensors.
+    """
+    n = scenario.n
+    grid = defined.reshape(scenario.settings)
+    rows = []
+    for i, (k, m) in enumerate(zip(scenario.settings, scenario.outcomes)):
+        xs = np.flatnonzero(grid.any(axis=tuple(j for j in range(n) if j != i)))
+        r = np.zeros((1 + len(xs) * (m - 1), k, m))
+        r[0, xs[0]] = 1.0
+        r[np.arange(1, len(r)), np.repeat(xs, m - 1), np.tile(np.arange(m - 1), len(xs))] = 1.0
+        rows.append(r.reshape(len(r), k * m))
+    a_mat = functools.reduce(np.kron, [r @ o.reshape(len(r.T), -1) for r, o in zip(rows, onehots)])
+    # the Kronecker product runs over (x1, a1, x2, a2, ...); reorder to (x1, ..., xn, a1, ..., an)
+    sizes = [d for km in zip(scenario.settings, scenario.outcomes) for d in km]
+    c_map = functools.reduce(np.kron, rows).reshape([-1] + sizes)
+    c_map = c_map.transpose([0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)]).reshape(len(a_mat), len(defined), -1)
+    if not defined.all():
+        keep = ~c_map[:, ~defined].any(axis=(1, 2))
+        c_map, a_mat = c_map[keep], a_mat[keep]
+    return c_map.reshape(len(a_mat), -1), a_mat
+
+
+def _respond(onehots, w):
+    """``R w`` for the response tensor ``R[x, a, j]`` (1 when strategy ``j``
+    answers the setting tuple ``x`` with the joint outcome ``a``), as a
+    (setting tuples, joint outcomes) table per trailing column of ``w``.
+
+    ``R`` is the Kronecker product of the per-party one-hot tensors
+    ``onehot[x, a, j] = [digit x of j == a]`` (digits in itertools.product
+    order), so ``w`` is folded through each party's tensor in turn and ``R``
+    itself is never formed.
+    """
+    n = len(onehots)
+    t = w.reshape([o.shape[2] for o in onehots] + list(w.shape[1:]))
+    for o in onehots:
+        t = np.tensordot(t, o, axes=([0], [2]))
+    batch = t.ndim - 2 * n  # the axes after each party's (setting, outcome) pair are w's columns
+    t = t.transpose([*range(batch), *range(batch, t.ndim, 2), *range(batch + 1, t.ndim, 2)])
+    return t.reshape(t.shape[:batch] + (-1, math.prod(t.shape[batch + n :])))
+
+
+def check_weights(rw, probs, w, tol):
+    """Raise SolverError unless ``w >= 0`` and the response ``rw = R w`` is
+    within ``tol`` of ``probs`` entrywise."""
+    miss = float(np.abs(rw - probs).max())
+    if not (w.min() >= 0 and miss <= tol + ROUND_OFF):
+        raise SolverError(f"the solver's weights miss the input by {miss:.3g} (tol {tol})")
+
+
+def check_inequality(a_mat, b_vec, y, tol):
+    """Raise SolverError unless ``y @ a_j <= tol`` for every column and ``y @ b > tol``."""
+    top, value = float((y @ a_mat).max()), float(y @ b_vec)
+    if not (top <= tol + ROUND_OFF and value > tol + ROUND_OFF):
+        raise SolverError(f"the solver's Farkas vector fails its check: max y.a {top:.3g}, y.b {value:.3g} (tol {tol})")
 
 
 def local_membership(
@@ -168,13 +255,18 @@ def local_membership(
     """LP feasibility of the conditional inside the local polytope, per source outcome.
 
     Requires a no-signalling input (checked first).  For each source outcome
-    with positive probability, a phase-1 simplex decides whether the
-    conditional outcome distribution is a convex mixture of deterministic
-    strategies; ``exact=True`` switches to rational arithmetic for small
-    strategy counts.  Exact mode takes the inputs at their binary float
-    values and ignores ``tol``, so a float mixture that is local within
-    ``tol`` may be judged not local.  Raises SolverError when a simplex
-    stops before an optimal tableau.
+    with positive probability, an LP decides whether the conditional outcome
+    distribution is a convex mixture of deterministic strategies.  The float
+    path poses it on Collins–Gisin rows, solves the L1 phase-1 LP with HiGHS
+    and checks the answer here: "local" weights must reproduce the full
+    conditional within ``tol``, and a "not local" Farkas vector must be a
+    Bell inequality that every strategy satisfies within ``tol`` and the
+    input violates by more; an answer that fails its check raises
+    SolverError.  ``exact=True`` instead solves the full rows in rational
+    arithmetic for small strategy counts; it takes the inputs at their
+    binary float values and ignores ``tol``, so a float mixture that is
+    local within ``tol`` may be judged not local.  Raises SolverError when a
+    solve stops early.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -188,33 +280,48 @@ def local_membership(
         raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies")
     cond = conditional(dist, targets=scenario.outcome_ids(), givens=scenario.setting_ids() + ["s"])
 
-    # resp[x, a, j] = 1 when strategy j answers the setting tuple x with the
-    # joint outcome a: the Kronecker product of per-party one-hot tensors
-    # onehot[x, a, s] = [digit x of s == a], digits in itertools.product order
-    resp = np.ones((1, 1, 1))
+    onehots = []
     for k, m in zip(scenario.settings, scenario.outcomes):
         digits = np.arange(m**k) // m ** np.arange(k - 1, -1, -1)[:, None] % m
-        onehot = (digits[:, None, :] == np.arange(m)[:, None]).astype(float)
-        resp = np.einsum("XAS,xas->XxAaSs", resp, onehot).reshape(len(resp) * k, resp.shape[1] * m, -1)
-    n_x, n_a = resp.shape[:2]
+        onehots.append((digits[:, None, :] == np.arange(m)[:, None]).astype(float))
+    n_x, n_a = math.prod(scenario.settings), math.prod(scenario.outcomes)
     probs = cond.probs.reshape(n_x, scenario.source_outcomes, n_a)
     defined = cond.defined.reshape(n_x, scenario.source_outcomes)
 
-    weights: dict[int, dict[tuple, float]] = {}
+    verdict = LocalityVerdict(True, tol=tol, solver="exact" if exact else "highs")
+    resp = _respond(onehots, np.eye(n_strat)) if exact else None  # R's columns, as (strategies, x, a)
     p_s = marginal(dist, {"s"}).table
     for s in range(scenario.source_outcomes):
         if p_s[s] <= cond.zero_tol:
             continue
-        # the defined settings' response rows, copied once, over a row of ones
-        a_mat = np.ones((int(defined[:, s].sum()) * n_a + 1, n_strat))
-        np.compress(defined[:, s], resp, axis=0, out=a_mat[:-1].reshape(-1, n_a, n_strat))
-        b_vec = np.append(probs[defined[:, s], s].ravel(), 1.0)
-        res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(a_mat, b_vec, tol=tol)
+        probs_s = probs[defined[:, s], s].ravel()
+        if exact:
+            a_mat = np.vstack([resp[:, defined[:, s]].reshape(n_strat, -1).T, np.ones((1, n_strat))])
+            b_vec = np.append(probs_s, 1.0)
+            res = solve_phase1_exact(a_mat, b_vec)
+        else:
+            c_map, a_mat = _collins_gisin(scenario, onehots, defined[:, s])
+            b_vec = c_map @ probs[:, s].ravel()
+            res = solve_phase1(a_mat, b_vec, tol=tol + ROUND_OFF)
+        verdict.iterations += res.iterations
+        verdict.lp_shape = max(verdict.lp_shape, a_mat.shape)
         if not res.feasible:
-            return LocalityVerdict(False, {}, max_residual=float(res.infeasibility), tol=tol)
-        x = res.x.astype(float)
-        weights[s] = {strategies[j]: float(w) for j, w in enumerate(x) if w > 1e-12}
-    return LocalityVerdict(True, weights, max_residual=0.0, tol=tol)
+            verdict.is_local, verdict.weights = False, {}
+            verdict.max_residual = float(res.infeasibility)
+            if not exact:
+                check_inequality(a_mat, b_vec, res.y, tol)
+                verdict.max_residual = float(res.y @ b_vec)
+                z = (res.y @ c_map).reshape(n_x, n_a)
+                x_tuples, a_tuples = list(np.ndindex(*scenario.settings)), list(np.ndindex(*scenario.outcomes))
+                verdict.inequality[s] = {
+                    (x_tuples[i], a_tuples[j]): float(z[i, j]) for i, j in zip(*np.nonzero(np.abs(z) > 1e-12))
+                }
+            return verdict
+        w = np.where(res.x > 1e-12, res.x, 0).astype(float)
+        if not exact:
+            check_weights(_respond(onehots, w)[defined[:, s]].ravel(), probs_s, w, tol)
+        verdict.weights[s] = {strategies[j]: float(w[j]) for j in np.flatnonzero(w)}
+    return verdict
 
 
 def classical_bell_model(

@@ -268,20 +268,22 @@ class Factorization:
     sizes: tuple[int, ...]
 
 
-def _partition_error_and_g(p_table, f_map, labels, group_sizes, codomain):
+def _partition_error_and_g(p_table, f_map, labels, group_sizes):
     """Exact disagreement mass and the optimal composed map for a factor partition.
 
     The composed map sends each reduced cell to the map value carrying the
     most probability there, and the error is the summed probability of the
     tuples that disagree - computed by direct enumeration, so it is a sum of
-    non-negative entries and never goes negative by cancellation.
+    non-negative entries and never goes negative by cancellation.  The mass
+    table has one column per value the map takes, not one per codomain value.
     """
     grids = np.meshgrid(*labels, indexing="ij")
     cells = np.ravel_multi_index(tuple(g.ravel() for g in grids), group_sizes)
     n_cells = int(np.prod(group_sizes, dtype=np.int64))
-    mass = np.zeros((n_cells, codomain))
-    np.add.at(mass, (cells, f_map.ravel()), p_table.ravel())
-    g_flat = mass.argmax(axis=1)
+    values, taken = np.unique(f_map.ravel(), return_inverse=True)
+    mass = np.zeros((n_cells, len(values)))
+    np.add.at(mass, (cells, taken), p_table.ravel())
+    g_flat = values[mass.argmax(axis=1)]
     # Zero-mass cells carry no error either way; pin them to the map value of
     # the first tuple (row-major) landing in the cell, for reproducibility.
     zero_cells = ~(mass.sum(axis=1) > 0)
@@ -328,7 +330,7 @@ def factor_coarse_graining(
     def error_of(gs):
         labs = labels_of(gs)
         sizes = tuple(len(g) for g in gs)
-        err, _ = _partition_error_and_g(dist.table, cg.map, labs, sizes, cg.codomain)
+        err, _ = _partition_error_and_g(dist.table, cg.map, labs, sizes)
         return err
 
     for k in range(n):
@@ -352,7 +354,7 @@ def factor_coarse_graining(
 
     labs = labels_of(groups)
     sizes = tuple(len(g) for g in groups)
-    err, g_map = _partition_error_and_g(dist.table, cg.map, labs, sizes, cg.codomain)
+    err, g_map = _partition_error_and_g(dist.table, cg.map, labs, sizes)
     return Factorization(
         factor_maps=tuple(labs),
         composed=g_map,

@@ -61,7 +61,7 @@ def validate(hbn: HiddenBayesNet) -> list[str]:
         if np.any(trans < 0):
             violations.append(f"node {v!r}: negative transition entry")
         dev = float(np.abs(trans.sum(axis=-1) - 1.0).max())
-        if dev > ROW_NORM_TOL:
+        if not dev <= ROW_NORM_TOL:  # negated, so that a NaN entry's row sum fails it
             violations.append(f"node {v!r}: transition rows deviate from 1 by {dev}")
         expected_r = (hbn.node_alphabet[v], hbn.graph.outcomes[v])
         if read.shape != expected_r:
@@ -70,7 +70,7 @@ def validate(hbn: HiddenBayesNet) -> list[str]:
         if np.any(read < 0):
             violations.append(f"node {v!r}: negative readout entry")
         dev = float(np.abs(read.sum(axis=-1) - 1.0).max())
-        if dev > ROW_NORM_TOL:
+        if not dev <= ROW_NORM_TOL:
             violations.append(f"node {v!r}: readout rows deviate from 1 by {dev}")
     return violations
 

@@ -261,6 +261,10 @@ def model_from_dict(data: dict) -> QuantumModel:
     graph, dims, instruments = _schema.fields(data, what, {"graph": dict, "edge_dims": dict, "instruments": dict})
     graph = cg.graph_from_dict(graph)
     dims = _schema.sizes(dims, f"{what} edge_dims", [e.id for e in graph.edges])
+    # refused before one key per outcome is made: evaluation would refuse the table anyway
+    entries = math.prod(graph.outcomes.values())
+    if entries > max_state_space():
+        raise SizeLimitExceeded(f"the joint outcome table of {entries} entries exceeds the guard {max_state_space()}")
     parsed = {}
     for v, byo in _schema.named(instruments, f"{what} instruments", graph.outcomes).items():
         keys = [str(o) for o in range(graph.outcomes[v])]

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from causalcorr.errors import (
     IncompletePOVM,
     NotNoSignalling,
     ShapeMismatch,
+    SolverError,
 )
 from causalcorr._simplex import solve_phase1
 
@@ -55,8 +57,8 @@ def response_loop_lps(scenario, dist):
     """Oracle: the per-source-outcome LPs ``(A, b)``, built one response row
     index per (setting tuple, strategy) and one zero block per setting tuple.
 
-    Returns the strategies and ``{source outcome: (A, b)}`` for the source
-    outcomes with positive probability.
+    Returns the strategies and ``{source outcome: (A, b, defined setting
+    tuples)}`` for the source outcomes with positive probability.
     """
     strategies = bm.enumerate_strategies(scenario)
     n_strat = len(strategies)
@@ -79,17 +81,63 @@ def response_loop_lps(scenario, dist):
             continue
         rows = []
         rhs = []
-        for xt in x_tuples:
-            if not cond.defined[xt + (s,)]:
-                continue
+        tuples = [xt for xt in x_tuples if cond.defined[xt + (s,)]]
+        for xt in tuples:
             block = np.zeros((n_a, n_strat))
             block[response[xt], np.arange(n_strat)] = 1.0
             rows.append(block)
             rhs.append(cond.probs[xt + (s,)].ravel())
         rows.append(np.ones((1, n_strat)))
         rhs.append(np.array([1.0]))
-        lps[s] = (np.vstack(rows), np.concatenate(rhs))
+        lps[s] = (np.vstack(rows), np.concatenate(rhs), tuples)
     return strategies, lps
+
+
+def collins_gisin_oracle(scenario, tuples):
+    """Oracle: the Collins–Gisin row map over the response rows of
+    ``response_loop_lps`` (its row of ones left out), built entry by entry.
+
+    A party's labels are ``None`` (its outcomes summed at its first used
+    setting) and (setting, outcome) for each used setting and outcome but
+    the last; the rows are the label tuples in ``itertools.product`` order.
+    """
+    n = scenario.n
+    used = [sorted({xt[i] for xt in tuples}) for i in range(n)]
+    labels = [[None] + [(x, a) for x in used[i] for a in range(scenario.outcomes[i] - 1)] for i in range(n)]
+    cols = [(xt, at) for xt in tuples for at in itertools.product(*(range(m) for m in scenario.outcomes))]
+    c = np.zeros((int(np.prod([len(lab) for lab in labels])), len(cols)))
+    for r, row in enumerate(itertools.product(*labels)):
+        for j, (xt, at) in enumerate(cols):
+            c[r, j] = all(
+                xt[i] == used[i][0] if label is None else (xt[i], at[i]) == label for i, label in enumerate(row)
+            )
+    return c[c.any(axis=1)]  # a row that reads only undefined tuples is dropped
+
+
+def assert_certificate_holds(scenario, joint, verdict):
+    """Check a verdict's certificate on the full conditional, by loops over
+    strategies and setting tuples, independently of the package's matrices."""
+    cond = dm.conditional(joint, targets=scenario.outcome_ids(), givens=scenario.setting_ids() + ["s"])
+    x_tuples = list(itertools.product(*(range(k) for k in scenario.settings)))
+    if verdict.is_local:
+        assert verdict.weights and not verdict.inequality
+        for s, weights in verdict.weights.items():
+            assert min(weights.values()) > 0
+            assert sum(weights.values()) == pytest.approx(1.0, abs=verdict.tol)
+            for xt in x_tuples:
+                if cond.defined[xt + (s,)]:
+                    rebuilt = np.zeros(scenario.outcomes)
+                    for strategy, w in weights.items():
+                        rebuilt[tuple(strategy[i][x] for i, x in enumerate(xt))] += w
+                    assert np.abs(rebuilt - cond.probs[xt + (s,)]).max() <= verdict.tol
+        return
+    assert not verdict.weights and verdict.max_residual > verdict.tol
+    [(s, terms)] = verdict.inequality.items()
+    for strategy in bm.enumerate_strategies(scenario):
+        value = sum(c for (xt, at), c in terms.items() if at == tuple(strategy[i][x] for i, x in enumerate(xt)))
+        assert value <= verdict.tol
+    violation = sum(c * cond.probs[xt + (s,) + at] for (xt, at), c in terms.items())
+    assert violation == pytest.approx(verdict.max_residual, abs=1e-9)
 
 
 def embedded_pr_box(settings, outcomes):
@@ -111,6 +159,13 @@ def oracle_case(name):
         probs = [np.array([0.5, 0.5]), np.array([0.6, 0.0, 0.4])]
         joint = bell_joint(settings, outcomes, conds, probs, source_probs=(0.25, 0.75))
         return bm.BellScenario(settings, outcomes, source_outcomes=2), joint, True
+    if name == "tiny-setting-pair":
+        # each party's setting 1 has probability 1e-7, so the pair (1, 1) has
+        # 1e-14, under the conditional's zero tolerance, and its rows are undefined
+        settings, outcomes = (2, 2), (2, 2)
+        probs = [np.array([1 - 1e-7, 1e-7])] * 2
+        joint = bell_joint(settings, outcomes, [deterministic_mixture(rng, settings, outcomes, 4)], probs)
+        return bm.BellScenario(settings, outcomes), joint, True
     if name == "three-party":
         settings, outcomes = (2, 3, 2), (2, 2, 3)
         joint = bell_joint(settings, outcomes, [deterministic_mixture(rng, settings, outcomes, 6)])
@@ -370,29 +425,180 @@ class TestLocalMembership:
         assert verdict.weights[1][strats[1]] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "name", ["unequal-mixture", "unequal-box", "three-party", "two-sources-zero-setting"]
+        "name", ["unequal-mixture", "unequal-box", "three-party", "two-sources-zero-setting", "tiny-setting-pair"]
     )
-    def test_strategy_matrix_matches_response_loop_oracle(self, name, monkeypatch):
+    def test_collins_gisin_lp_matches_response_loop_oracle(self, name, monkeypatch):
+        # each LP is the oracle's response rows under the Collins-Gisin row map,
+        # the verdict is the full-row LP's, and its certificate holds on the full rows
         scenario, joint, expect_local = oracle_case(name)
         built = record_bell_lps(monkeypatch)
         verdict = bm.local_membership(scenario, joint)
         strategies, lps = response_loop_lps(scenario, joint)
-        oracle_local, weights, residual = True, {}, 0.0
-        for (a, b), (s, (a_ref, b_ref)) in zip(built, lps.items()):
-            assert a.dtype == a_ref.dtype and a.shape == a_ref.shape and a.tobytes() == a_ref.tobytes()
-            assert b.dtype == b_ref.dtype and b.shape == b_ref.shape and b.tobytes() == b_ref.tobytes()
-            res = solve_phase1(a_ref, b_ref, tol=verdict.tol)
-            if not res.feasible:
-                oracle_local, residual = False, float(res.infeasibility)
+        oracle_local, solved = True, 0
+        for (a, b), (s, (a_ref, b_ref, tuples)) in zip(built, lps.items()):
+            c = collins_gisin_oracle(scenario, tuples)
+            assert a.shape == (len(c), len(strategies)) and len(a) < len(a_ref)
+            np.testing.assert_array_equal(a, c @ a_ref[:-1])
+            np.testing.assert_allclose(b, c @ b_ref[:-1], rtol=0, atol=1e-15)
+            solved += 1
+            if not solve_phase1(a_ref, b_ref, tol=verdict.tol).feasible:
+                oracle_local = False
                 break
-            weights[s] = {strategies[j]: float(w) for j, w in enumerate(res.x) if w > 1e-12}
-        assert len(built) == (len(lps) if oracle_local else len(weights) + 1)
+        assert solved == len(built) == (len(lps) if oracle_local else len(verdict.inequality) + len(verdict.weights))
         assert verdict.is_local is oracle_local is expect_local
-        assert verdict.weights == weights
-        assert verdict.max_residual == residual
+        assert verdict.solver == "highs" and verdict.iterations > 0
+        assert verdict.lp_shape == max(a.shape for a, _ in built)
+        assert_certificate_holds(scenario, joint, verdict)
         if name == "two-sources-zero-setting":
-            n_rows = np.prod(scenario.settings) * np.prod(scenario.outcomes) + 1
-            assert sorted(lps) == [0, 1] and all(len(a) < n_rows for a, _ in lps.values())
+            # party 2's setting 1 is dropped: 3 x 3 rows where the full rows are 2 * 2 * 4 + 1
+            assert sorted(lps) == [0, 1] and [a.shape for a, _ in built] == [(9, 32)] * 2
+        if name == "tiny-setting-pair":
+            # the one row reading the pair (1, 1) is dropped
+            assert len(lps[0][2]) == 3 and [a.shape for a, _ in built] == [(8, 16)]
+
+    @pytest.mark.parametrize(
+        "settings, outcomes, rows", [((2, 2), (2, 2), 9), ((2, 2, 2), (3, 3, 3), 125), ((3, 3, 3), (2, 2, 2), 64)]
+    )
+    def test_collins_gisin_row_counts(self, settings, outcomes, rows, monkeypatch):
+        built = record_bell_lps(monkeypatch)
+        joint = bell_joint(settings, outcomes, [deterministic_mixture(np.random.default_rng(1), settings, outcomes, 3)])
+        assert bm.local_membership(bm.BellScenario(settings, outcomes), joint).is_local
+        [(a, b)] = built
+        assert a.shape == (rows, np.prod([m**k for k, m in zip(settings, outcomes)])) and b.shape == (rows,)
+
+    @pytest.mark.parametrize("probe", ["3-party 2s3o box", "3-party 3s2o dense mixture"])
+    def test_probe_lps_get_checked_verdicts(self, probe):
+        # the dense float tableau stalled on both for 20k pivots with a blown-up objective
+        if probe.endswith("box"):
+            settings, outcomes = (2, 2, 2), (3, 3, 3)
+            box = np.zeros(settings + outcomes)
+            for xs in itertools.product(range(2), repeat=3):
+                for a in itertools.product(range(3), repeat=3):
+                    box[xs + a] = (sum(a) % 3 == np.prod(xs) % 3) / 9
+            cond = 0.7 * box + 0.3 / 27
+        else:
+            settings, outcomes = (3, 3, 3), (2, 2, 2)
+            cond = deterministic_mixture(np.random.default_rng(2), settings, outcomes, 100)
+        scenario = bm.BellScenario(settings, outcomes)
+        joint = bell_joint(settings, outcomes, [cond])
+        start = time.perf_counter()
+        verdict = bm.local_membership(scenario, joint)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.is_local is probe.endswith("mixture")
+        assert_certificate_holds(scenario, joint, verdict)
+
+
+class TestCertificates:
+    """A solver answer that its certificate does not back raises SolverError."""
+
+    @staticmethod
+    def tampered(monkeypatch, change):
+        solve = bm.solve_phase1
+
+        def tampered_solve(a, b, tol):
+            res = solve(a, b, tol=tol)
+            change(res)
+            return res
+
+        monkeypatch.setattr(bm, "solve_phase1", tampered_solve)
+
+    @staticmethod
+    def mixture():
+        cond = deterministic_mixture(np.random.default_rng(4), (2, 2), (2, 2), 3)
+        return bell_joint((2, 2), (2, 2), [cond])
+
+    def test_untampered_answers_pass(self):
+        assert bm.local_membership(chsh_222(), self.mixture()).is_local
+        assert not bm.local_membership(chsh_222(), pr_box_dist()).is_local
+
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3])
+    def test_tampered_weight_fails(self, monkeypatch, shift):
+        def change(res):
+            j = np.flatnonzero(res.x)[0]
+            res.x[j] = max(res.x[j] + shift, 0.0)
+
+        self.tampered(monkeypatch, change)
+        with pytest.raises(SolverError, match="weights miss the input"):
+            bm.local_membership(chsh_222(), self.mixture())
+
+    def test_weight_moved_to_another_strategy_fails(self, monkeypatch):
+        def change(res):
+            j = np.flatnonzero(res.x)[0]
+            res.x[(j + 1) % len(res.x)] += res.x[j]
+            res.x[j] = 0.0
+
+        self.tampered(monkeypatch, change)
+        with pytest.raises(SolverError, match="weights miss the input"):
+            bm.local_membership(chsh_222(), self.mixture())
+
+    @pytest.mark.parametrize("change", ["normalisation row", "sign", "one entry"])
+    def test_tampered_dual_fails(self, monkeypatch, change):
+        def tamper(res):
+            if change == "normalisation row":  # the all-ones row: every strategy's y.a rises
+                res.y[0] += 0.5
+            elif change == "sign":
+                res.y *= -1
+            else:
+                res.y[np.argmax(np.abs(res.y))] *= 3
+
+        self.tampered(monkeypatch, tamper)
+        with pytest.raises(SolverError, match="Farkas vector fails its check"):
+            bm.local_membership(chsh_222(), pr_box_dist())
+
+    def test_false_local_claim_fails(self, monkeypatch):
+        self.tampered(monkeypatch, lambda res: setattr(res, "feasible", True))
+        with pytest.raises(SolverError, match="weights miss the input"):
+            bm.local_membership(chsh_222(), pr_box_dist())
+
+    def test_false_nonlocal_claim_fails(self, monkeypatch):
+        self.tampered(monkeypatch, lambda res: setattr(res, "feasible", False))
+        with pytest.raises(SolverError, match="Farkas vector fails its check"):
+            bm.local_membership(chsh_222(), self.mixture())
+
+    def test_checks_directly(self):
+        resp, p = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.25, 0.75])
+        bm.check_weights(resp @ [0.2, 0.05, 0.75], p, np.array([0.2, 0.05, 0.75]), 1e-7)
+        for w in ([0.25, 0.0, 0.7501], [-0.25, 0.5, 0.75]):
+            with pytest.raises(SolverError):
+                bm.check_weights(resp @ w, p, np.array(w), 1e-7)
+
+    @pytest.mark.parametrize("settings, outcomes", [((2, 3), (3, 2)), ((2, 1, 2), (2, 3, 2))])
+    def test_response_fold_matches_strategy_loop(self, settings, outcomes):
+        scenario = bm.BellScenario(settings, outcomes)
+        strategies = bm.enumerate_strategies(scenario)
+        onehots = [
+            np.array([[[s[x] == a for s in itertools.product(range(m), repeat=k)] for a in range(m)]
+                      for x in range(k)], dtype=float)
+            for k, m in zip(settings, outcomes)
+        ]
+        w = np.random.default_rng(0).dirichlet(np.ones(len(strategies)))
+        expected = np.zeros(settings + outcomes)
+        for strategy, wj in zip(strategies, w):
+            for xt in itertools.product(*(range(k) for k in settings)):
+                expected[xt + tuple(strategy[i][x] for i, x in enumerate(xt))] += wj
+        got = bm._respond(onehots, w)
+        np.testing.assert_allclose(got, expected.reshape(got.shape), rtol=0, atol=1e-15)
+        columns = bm._respond(onehots, np.eye(len(strategies)))
+        np.testing.assert_allclose(np.tensordot(w, columns, axes=1), got, rtol=0, atol=1e-15)
+        a, b = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0])
+        bm.check_inequality(a, b, np.array([-1.0, 1.0]), 1e-7)
+        for y in ([-1.0, 1.1], [0.0, 0.0], [1.0, -1.0]):
+            with pytest.raises(SolverError):
+                bm.check_inequality(a, b, np.array(y), 1e-7)
+
+    def test_verdict_json_carries_solver_and_certificate(self):
+        payload = bm.local_membership(chsh_222(), pr_box_dist()).to_dict()
+        assert payload["solver"] == "highs" and payload["iterations"] > 0 and payload["lp_shape"] == [9, 16]
+        assert payload["weights"] == {}
+        [terms] = payload["inequality"].values()
+        assert all(len(key.split("|")) == 2 for key in terms)
+        local = bm.local_membership(chsh_222(), self.mixture()).to_dict()
+        assert local["inequality"] == {} and local["weights"]["0"]
+
+    def test_exact_mode_reports_its_solver(self):
+        verdict = bm.local_membership(chsh_222(), pr_box_dist(), exact=True)
+        assert not verdict.is_local and verdict.solver == "exact" and verdict.lp_shape == (17, 16)
+        assert verdict.inequality == {} and verdict.iterations > 0
 
 
 class TestClassicalBellModel:

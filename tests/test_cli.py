@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,50 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert run(["check-correlation", "--graph", str(graph_path), "--dist", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["transitions", "readouts"])
+    def test_nan_hbn_entry_is_usage_error(self, tmp_path, capsys, table):
+        data = hm.hbn_to_dict(hm.random_hbn(bell_graph(), 2, seed=0))
+        entries = data[table]["a"]
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[0] = float("nan")
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        assert run(["from-hbn", "--hbn", str(path)]) == 2
+        assert "deviate from 1 by nan" in capsys.readouterr().err
+
+    def test_huge_codomain_allocates_one_column_per_map_value(self, tmp_path, capsys):
+        # a 2x2 map whose codomain would make a 14.6 TiB table of cells x codomain values
+        dist_path = tmp_path / "p.json"
+        dist_path.write_text(json.dumps(dm.dist_to_dict(
+            dm.JointDistribution((("v1", 2), ("v2", 2)), np.full((2, 2), 0.25))
+        )))
+        cg_path = tmp_path / "cg.json"
+        cg_path.write_text(json.dumps({"domain": [2, 2], "codomain": 10**12, "map": [0, 10**12 - 1, 7, 0]}))
+        code, payload = run_json(["compress-cg", "--dist", dist_path, "--cg", cg_path, "--eps", "0"], capsys)
+        assert code == 0
+        assert payload["achieved_error"] == 0.0
+        assert payload["composed"] == [0, 10**12 - 1, 7, 0]
+
+    def test_huge_outcome_count_is_refused_before_parsing(self, tmp_path, capsys, monkeypatch):
+        # the parser made one key string per outcome before any guard; under a
+        # small guard, 10^5 outcomes would cost several MB of keys
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "4096")
+        data = qm.model_to_dict(qm.random_model(bell_graph(), 2, seed=0))
+        node = next(v for v in data["graph"]["nodes"] if v["id"] == "x")
+        node["outcomes"] = 10**5
+        data["instruments"]["x"] = {}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            assert run(["eval-quantum", "--model", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "exceeds the guard" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_unknown_flag_is_usage_error(self, bell_files, capsys):
         graph_path, _ = bell_files

@@ -1,34 +1,36 @@
-import itertools
+import os
+import subprocess
+import sys
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from causalcorr import _simplex
-from causalcorr import bell as bm
 from causalcorr._simplex import (
-    _PIVOT_TOL,
     STATUS_UNBOUNDED,
-    _phase1_loops,
-    _phase1_numpy,
     _tableau,
     solve_phase1,
     solve_phase1_exact,
 )
 from causalcorr.errors import CausalCorrError, SolverError
 
-from conftest import bell_joint, deterministic_mixture, record_bell_lps
+SRC = os.path.dirname(os.path.dirname(_simplex.__file__))
+
 
 
 def _phase1_tableau(a, b):
-    """Initial phase-1 tableau and basis, laid out as ``solve_phase1`` lays them out."""
+    """Initial phase-1 tableau and basis, laid out as ``solve_phase1_exact`` lays them out."""
+    a = np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=object))
+    b = np.vectorize(Fraction, otypes=[object])(np.asarray(b, dtype=object))
     m, n = a.shape
     flip = b < 0
     a = np.where(flip[:, None], -a, a)
     b = np.where(flip, -b, b)
-    t = np.zeros((m + 1, n + m + 1))
+    t = np.full((m + 1, n + m + 1), Fraction(0), dtype=object)
     t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)
+    t[np.arange(m), n + np.arange(m)] = Fraction(1)
     t[:m, -1] = b
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
@@ -155,59 +157,60 @@ class TestPhase1:
 
 class TestBackends:
     @pytest.mark.parametrize("seed", range(4))
-    def test_loop_and_numpy_kernels_identical(self, seed):
-        # the exact solver's row-wise kernel and the float solver's vectorized
-        # kernel follow the same pivot rules: on a float tableau they agree bit for bit
+    def test_highs_and_exact_solver_agree_with_checked_certificates(self, seed):
+        # the two solvers decide the same systems alike, and every float answer
+        # carries its certificate: x >= 0 with A x = b, or a Farkas vector y
+        # with y.a_j <= 0 for every column and y.b equal to the L1 residual
         rng = np.random.default_rng(100 + seed)
-        m, n = 10, 25
-        a = rng.uniform(-1, 1, size=(m, n))
-        b = a @ rng.uniform(0, 1, size=n)
-        t_loop, basis_loop = _phase1_tableau(a, b)
-        t_np, basis_np = _phase1_tableau(a, b)
-        max_iter = 200 * (m + n)
-        out_loop = _phase1_loops(t_loop, basis_loop, _PIVOT_TOL, max_iter)
-        out_np = _phase1_numpy(t_np, basis_np, _PIVOT_TOL, max_iter)
-        assert out_loop == out_np
-        np.testing.assert_array_equal(basis_loop, basis_np)
-        np.testing.assert_array_equal(t_loop, t_np)
+        seen = set()
+        for _ in range(40):
+            a, b = random_integer_system(rng)
+            a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+            res = solve_phase1(a, b, tol=1e-9)
+            assert res.feasible is solve_phase1_exact(a, b).feasible
+            assert res.x.min() >= 0 and res.y.shape == b.shape
+            if res.feasible:
+                np.testing.assert_allclose(a @ res.x, b, atol=1e-9)
+            else:
+                assert (res.y @ a).max() <= 1e-9
+                assert res.y @ b == pytest.approx(res.infeasibility, abs=1e-9)
+                assert res.infeasibility == pytest.approx(np.abs(a @ res.x - b).sum(), abs=1e-9)
+            seen.add(res.feasible)
+        assert seen == {True, False}
 
-    @pytest.mark.parametrize("case", ["2-party 3s2o PR box", "3-party 2s2o mixture"])
-    def test_loop_and_numpy_kernels_identical_on_bell_tableaus(self, case, monkeypatch):
-        # Bell LPs are sparse 0/1, so most pivots meet rows whose factor is
-        # exactly 0; both kernels skip those rows and stay equal byte for byte
-        if case.startswith("2-party"):
-            settings, outcomes, local = (3, 3), (2, 2), False
-            cond = np.zeros((3, 3, 2, 2))
-            for x, y, a1, a2 in itertools.product(range(3), range(3), range(2), range(2)):
-                cond[x, y, a1, a2] = 0.5 * (a1 ^ a2 == x * y % 2)
-        else:
-            settings, outcomes, local = (2, 2, 2), (2, 2, 2), True
-            cond = deterministic_mixture(np.random.default_rng(3), settings, outcomes, 5)
-        built = record_bell_lps(monkeypatch)
-        joint = bell_joint(settings, outcomes, [cond])
-        assert bm.local_membership(bm.BellScenario(settings, outcomes), joint).is_local is local
-        [(a, b)] = built
-        assert (a == 0).mean() > 0.5
-        t_loop, basis_loop = _phase1_tableau(a, b)
-        t_np, basis_np = _phase1_tableau(a, b)
-        max_iter = 200 * sum(a.shape)
-        out_loop = _phase1_loops(t_loop, basis_loop, _PIVOT_TOL, max_iter)
-        out_np = _phase1_numpy(t_np, basis_np, _PIVOT_TOL, max_iter)
-        assert out_loop == out_np and out_loop[0] == _simplex.STATUS_OPTIMAL
-        assert (-t_np[-1, -1] > 1e-7) is not local
-        np.testing.assert_array_equal(basis_loop, basis_np)
-        assert t_loop.tobytes() == t_np.tobytes()
+    def test_l1_residual_and_dual_of_a_known_system(self):
+        # x1 + x2 = 1 and x1 + x2 = 3: residual 2, and y = (-1, 1) proves it
+        res = solve_phase1(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))
+        assert res.infeasibility == pytest.approx(2.0)
+        np.testing.assert_allclose(res.y, [-1.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_float_tableau_matches_reference_layout(self, seed):
+    def test_exact_tableau_matches_reference_layout(self, seed):
         rng = np.random.default_rng(100 + seed)
-        a = rng.uniform(-1, 1, size=(10, 25))
-        b = rng.uniform(-1, 1, size=10)
-        t, basis = _tableau(a, b, exact=False)
+        a = rng.integers(-4, 5, size=(10, 25)) / 4
+        b = rng.integers(-4, 5, size=10) / 4
+        t, basis = _tableau(a, b)
         t_ref, basis_ref = _phase1_tableau(a, b)
-        assert t.dtype == np.float64
+        assert all(type(v) is Fraction for v in t.ravel())
         np.testing.assert_array_equal(t, t_ref)
         np.testing.assert_array_equal(basis, basis_ref)
+
+    def test_highs_loads_without_the_scipy_optimize_package(self):
+        # the extension file alone is loaded; scipy.optimize, imported later,
+        # finds the same module and its own solvers still work
+        code = (
+            "import sys, numpy as np\n"
+            "from causalcorr._simplex import HIGHS_MODULE, solve_phase1\n"
+            "assert solve_phase1(np.ones((1, 2)), np.ones(1)).feasible\n"
+            "assert 'scipy.optimize' not in sys.modules and HIGHS_MODULE in sys.modules\n"
+            "core = sys.modules[HIGHS_MODULE]\n"
+            "from scipy.optimize import linprog\n"
+            "assert sys.modules[HIGHS_MODULE] is core\n"
+            "assert linprog([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]).status == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 class TestExact:
@@ -274,6 +277,18 @@ class TestSolverError:
             solve_phase1_exact(np.round(a * 8), np.round(b * 8), max_iter=2)
 
     def test_unbounded_status_raises(self, monkeypatch):
-        monkeypatch.setattr(_simplex, "_phase1_numpy", lambda T, basis, tol, max_iter: (STATUS_UNBOUNDED, 1))
+        monkeypatch.setattr(_simplex, "_phase1_loops", lambda T, basis, max_iter: (STATUS_UNBOUNDED, 1))
         with pytest.raises(SolverError, match="unbounded"):
+            solve_phase1_exact(np.array([[1.0, 1.0]]), np.array([1.0]))
+
+    def test_highs_status_other_than_optimal_raises(self, monkeypatch):
+        core = _simplex.highs_core()
+
+        class Unbounded(core._Highs):
+            def getModelStatus(self):
+                return core.HighsModelStatus.kUnbounded
+
+        fake = types.SimpleNamespace(**{**vars(core), "_Highs": Unbounded})
+        monkeypatch.setattr(_simplex, "highs_core", lambda: fake)
+        with pytest.raises(SolverError, match="Unbounded"):
             solve_phase1(np.array([[1.0, 1.0]]), np.array([1.0]))
