@@ -47,8 +47,9 @@ def highs_core():
 
     The extension file is loaded on its own, under its real module name, so
     that the solve skips the package import of ``scipy.optimize`` (about
-    0.5 s and 49 MB of peak memory, against about 10 ms and 3 MB).  Where that file is not found
-    the module is imported the ordinary way; it is the same module either way.
+    0.5 s and 49 MB of peak memory, against about 10 ms and 3 MB).  Where
+    that file is not found the module is imported the ordinary way; it is
+    the same module either way.
     """
     module = sys.modules.get(HIGHS_MODULE)
     if module is not None:

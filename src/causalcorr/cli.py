@@ -4,10 +4,10 @@ Exit codes: 0 when the command succeeds (and any checked property holds),
 1 when a checked property fails, 2 for bad input or usage (an unreadable
 file, a payload that is not JSON or does not match its schema, an invalid
 model, a negative or non-finite --tol) or when the LP solver could not
-decide or its answer failed the package's certificate check.  --tol 0 allows no slack; without --tol each command uses its
-library default.  The machine-readable payload goes to stdout (or --out);
-diagnostics go to stderr.  CC_MAX_STATE_SPACE overrides the state-space
-guards.
+decide or its answer failed the package's certificate check.  --tol 0
+allows no slack; without --tol each command uses its library default.
+The machine-readable payload goes to stdout (or --out); diagnostics go to
+stderr.  CC_MAX_STATE_SPACE overrides the state-space guards.
 """
 
 from __future__ import annotations
