@@ -13,7 +13,9 @@ the residual.  The caller checks whichever certificate its verdict rests on.
 
 The exact solver is a dense tableau in ``Fraction`` arithmetic with Bland's
 smallest-index rules, pivoted row by row; each pivot skips the rows whose
-factor in the entering column is zero.
+factor in the entering column is zero.  Its Farkas vector is read from the
+artificial columns of the final objective row, with the same two properties
+holding exactly.
 
 A solve that hits its iteration limit, or ends in any state but optimal,
 raises :class:`SolverError` instead of returning a solution.
@@ -76,16 +78,16 @@ class Phase1Result:
 
     ``x`` is a float array, or an object array of ``Fraction`` for the exact
     solver; ``infeasibility`` is the optimal L1 residual of the best ``x``, a
-    float or a ``Fraction`` likewise.  ``y`` is the float solver's Farkas
-    vector (the row duals, one per row of ``A``); the exact solver leaves it
-    ``None``.
+    float or a ``Fraction`` likewise.  ``y`` is the Farkas vector, one entry
+    per row of ``A`` (the float solver's row duals, or ``Fraction``
+    multipliers from the exact tableau).
     """
 
     feasible: bool
     x: np.ndarray
     infeasibility: float | Fraction
     iterations: int
-    y: np.ndarray | None = None
+    y: np.ndarray
 
 
 def solve_phase1(
@@ -215,4 +217,6 @@ def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     x = np.full(n, Fraction(0), dtype=object)
     in_x = basis < n
     x[basis[in_x]] = T[:m, -1][in_x]
-    return Phase1Result(feasible=infeas == 0, x=x, infeasibility=infeas, iterations=iters)
+    # the artificial columns' reduced costs are 1 - y on the rows _tableau negated where b < 0
+    y = np.where(np.asarray(b, dtype=object) < 0, -1, 1) * (1 - T[m, n:n + m])
+    return Phase1Result(feasible=infeas == 0, x=x, infeasibility=infeas, iterations=iters, y=y)

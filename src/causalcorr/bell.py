@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -139,14 +140,14 @@ class LocalityVerdict:
     """Membership in the convex hull of deterministic strategies, with its certificate.
 
     When local, ``weights[s]`` maps strategies to their convex weights for
-    each source outcome ``s``; they reproduce the conditional within ``tol``.
-    When not, ``inequality[s]`` maps (setting tuple, outcome tuple) pairs to
-    the coefficients ``c`` of a Bell inequality ``sum c p(a|x) <= 0`` that
-    every deterministic strategy satisfies within ``tol`` and the input
-    violates by ``max_residual`` (the float solver; exact mode leaves it
-    empty).  ``solver`` names the solver, ``iterations`` sums its simplex
-    iterations and ``lp_shape`` is the (rows, strategies) shape of the
-    largest LP posed.
+    each source outcome ``s``; they reproduce the conditional within ``tol``
+    (its Collins–Gisin rows exactly, in exact mode).  When not,
+    ``inequality[s]`` maps (setting tuple, outcome tuple) pairs to the
+    coefficients ``c`` of a Bell inequality ``sum c p(a|x) <= 0`` that every
+    deterministic strategy satisfies within ``tol`` (exactly, in exact mode)
+    and the input violates by ``max_residual``.  ``solver`` names the
+    solver, ``iterations`` sums its simplex iterations and ``lp_shape`` is
+    the (rows, strategies) shape of the largest LP posed.
     """
 
     is_local: bool
@@ -231,19 +232,21 @@ def _respond(onehots, w):
     return t.reshape(t.shape[:batch] + (-1, math.prod(t.shape[batch + n :])))
 
 
-def check_weights(rw, probs, w, tol):
+def check_weights(rw, probs, w, slack):
     """Raise SolverError unless ``w >= 0`` and the response ``rw = R w`` is
-    within ``tol`` of ``probs`` entrywise."""
-    miss = float(np.abs(rw - probs).max())
-    if not (w.min() >= 0 and miss <= tol + ROUND_OFF):
-        raise SolverError(f"the solver's weights miss the input by {miss:.3g} (tol {tol})")
+    within ``slack`` of ``probs`` entrywise; float or ``Fraction`` arrays."""
+    miss = np.abs(rw - probs).max()
+    if not (w.min() >= 0 and miss <= slack):
+        raise SolverError(f"the solver's weights miss the input by {float(miss):.3g} (slack {slack:.3g})")
 
 
-def check_inequality(a_mat, b_vec, y, tol):
-    """Raise SolverError unless ``y @ a_j <= tol`` for every column and ``y @ b > tol``."""
-    top, value = float((y @ a_mat).max()), float(y @ b_vec)
-    if not (top <= tol + ROUND_OFF and value > tol + ROUND_OFF):
-        raise SolverError(f"the solver's Farkas vector fails its check: max y.a {top:.3g}, y.b {value:.3g} (tol {tol})")
+def check_inequality(a_mat, b_vec, y, slack):
+    """Raise SolverError unless ``y @ a_j <= slack`` for every column and
+    ``y @ b > slack``; float or ``Fraction`` arrays."""
+    top, value = (y @ a_mat).max(), y @ b_vec
+    if not (top <= slack and value > slack):
+        raise SolverError(f"the solver's Farkas vector fails its check: max y.a {float(top):.3g}, "
+                          f"y.b {float(value):.3g} (slack {slack:.3g})")
 
 
 def local_membership(
@@ -262,11 +265,13 @@ def local_membership(
     conditional within ``tol``, and a "not local" Farkas vector must be a
     Bell inequality that every strategy satisfies within ``tol`` and the
     input violates by more; an answer that fails its check raises
-    SolverError.  ``exact=True`` instead solves the full rows in rational
-    arithmetic for small strategy counts; it takes the inputs at their
-    binary float values and ignores ``tol``, so a float mixture that is
-    local within ``tol`` may be judged not local.  Raises SolverError when a
-    solve stops early.
+    SolverError.  ``exact=True`` poses the same Collins–Gisin LP, its rows
+    ``C p`` summed in ``Fraction`` arithmetic from the inputs' binary float
+    values, and solves it with the rational simplex for small strategy
+    counts; both certificates are then checked with no slack.  Exact mode
+    thus decides the Collins–Gisin projection of the input exactly, while
+    the input's signalling is still checked within ``tol``.  Raises
+    SolverError when a solve stops early.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -275,8 +280,7 @@ def local_membership(
             f"{max([ns.freewill_deviation] + ns.nosig_deviations)}"
         )
     strategies = enumerate_strategies(scenario)
-    n_strat = len(strategies)
-    if exact and n_strat > EXACT_MODE_MAX_STRATEGIES:
+    if exact and len(strategies) > EXACT_MODE_MAX_STRATEGIES:
         raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies")
     cond = conditional(dist, targets=scenario.outcome_ids(), givens=scenario.setting_ids() + ["s"])
 
@@ -289,37 +293,35 @@ def local_membership(
     defined = cond.defined.reshape(n_x, scenario.source_outcomes)
 
     verdict = LocalityVerdict(True, tol=tol, solver="exact" if exact else "highs")
-    resp = _respond(onehots, np.eye(n_strat)) if exact else None  # R's columns, as (strategies, x, a)
+    slack = 0 if exact else tol + ROUND_OFF
     p_s = marginal(dist, {"s"}).table
     for s in range(scenario.source_outcomes):
         if p_s[s] <= cond.zero_tol:
             continue
-        probs_s = probs[defined[:, s], s].ravel()
-        if exact:
-            a_mat = np.vstack([resp[:, defined[:, s]].reshape(n_strat, -1).T, np.ones((1, n_strat))])
-            b_vec = np.append(probs_s, 1.0)
-            res = solve_phase1_exact(a_mat, b_vec)
-        else:
-            c_map, a_mat = _collins_gisin(scenario, onehots, defined[:, s])
-            b_vec = c_map @ probs[:, s].ravel()
-            res = solve_phase1(a_mat, b_vec, tol=tol + ROUND_OFF)
+        c_map, a_mat = _collins_gisin(scenario, onehots, defined[:, s])
+        p_col = probs[:, s].ravel()
+        if exact:  # C and A are 0/1, so C p and every check below are exact in Fractions
+            c_map, a_mat = c_map.astype(int).astype(object), a_mat.astype(int).astype(object)
+            p_col = np.frompyfunc(Fraction, 1, 1)(p_col)
+        b_vec = c_map @ p_col
+        res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(a_mat, b_vec, tol=slack)
         verdict.iterations += res.iterations
         verdict.lp_shape = max(verdict.lp_shape, a_mat.shape)
         if not res.feasible:
+            check_inequality(a_mat, b_vec, res.y, slack)
             verdict.is_local, verdict.weights = False, {}
-            verdict.max_residual = float(res.infeasibility)
-            if not exact:
-                check_inequality(a_mat, b_vec, res.y, tol)
-                verdict.max_residual = float(res.y @ b_vec)
-                z = (res.y @ c_map).reshape(n_x, n_a)
-                x_tuples, a_tuples = list(np.ndindex(*scenario.settings)), list(np.ndindex(*scenario.outcomes))
-                verdict.inequality[s] = {
-                    (x_tuples[i], a_tuples[j]): float(z[i, j]) for i, j in zip(*np.nonzero(np.abs(z) > 1e-12))
-                }
+            verdict.max_residual = float(res.y @ b_vec)
+            z = (res.y @ c_map).reshape(n_x, n_a)
+            x_tuples, a_tuples = list(np.ndindex(*scenario.settings)), list(np.ndindex(*scenario.outcomes))
+            verdict.inequality[s] = {
+                (x_tuples[i], a_tuples[j]): float(z[i, j]) for i, j in zip(*np.nonzero(np.abs(z) > 1e-12))
+            }
             return verdict
         w = np.where(res.x > 1e-12, res.x, 0).astype(float)
-        if not exact:
-            check_weights(_respond(onehots, w)[defined[:, s]].ravel(), probs_s, w, tol)
+        if exact:  # the weights reproduce the Collins–Gisin rows exactly
+            check_weights(a_mat @ res.x, b_vec, res.x, slack)
+        else:  # the weights reproduce the full conditional within tol
+            check_weights(_respond(onehots, w)[defined[:, s]].ravel(), probs[defined[:, s], s].ravel(), w, slack)
         verdict.weights[s] = {strategies[j]: float(w[j]) for j in np.flatnonzero(w)}
     return verdict
 

@@ -27,45 +27,17 @@ from . import hbn as hbn_mod
 from . import quantum as quantum_mod
 from .errors import CausalCorrError, SchemaError
 
-COMMANDS = (
-    "graph-validate",
-    "check-correlation",
-    "eval-classical",
-    "eval-quantum",
-    "eval-hbn",
-    "to-hbn",
-    "from-hbn",
-    "push-determinism",
-    "embed-quantum",
-    "lift-edge",
-    "reroute-edge",
-    "bell-gen",
-    "bell-check-ns",
-    "bell-local",
-    "bell-quantum",
-    "chsh",
-    "poset-closure",
-    "compress-cg",
-)
 
-
-def _load_json(path: str):
+def _read(path: str, parse):
+    """``parse`` applied to the JSON document at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         # JSONDecodeError, UnicodeDecodeError and an integer of too many digits
         # are ValueErrors; nesting too deep for the parser is a RecursionError
         except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path} is not a JSON document: {exc}") from None
-
-
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    return parse(data)
 
 
 def _scenario_from_dist(d: dist_mod.JointDistribution) -> bell_mod.BellScenario:
@@ -95,168 +67,143 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _graph_validate(args):
+    violations = graph_mod.validate(_read(args.graph, graph_mod.graph_from_dict))
+    return {"ok": not violations, "violations": violations}, not violations
+
+
+def _check_correlation(args):
+    graph = _read(args.graph, graph_mod.graph_from_dict)
+    verdict = correlation_mod.is_correlation(graph, _read(args.dist, dist_mod.dist_from_dict), tol=args.tol)
+    return verdict.to_dict(), verdict.is_correlation
+
+
+def _bell_gen(args):
+    settings, outcomes = (s * args.parties if len(s) == 1 else s for s in (args.settings, args.outcomes))
+    if len(settings) != args.parties or len(outcomes) != args.parties:
+        raise SchemaError("--settings and --outcomes must list one size or one per party")
+    scenario = bell_mod.BellScenario(settings, outcomes, args.source_outcomes)
+    return graph_mod.graph_to_dict(bell_mod.make_bell_graph(scenario)), True
+
+
+def _bell_check_ns(args):
+    d = _read(args.dist, dist_mod.dist_from_dict)
+    verdict = bell_mod.check_free_will_no_signalling(_scenario_from_dist(d), d, tol=args.tol)
+    return verdict.to_dict(), verdict.passes
+
+
+def _bell_local(args):
+    d = _read(args.dist, dist_mod.dist_from_dict)
+    verdict = bell_mod.local_membership(_scenario_from_dist(d), d, tol=args.tol, exact=args.exact)
+    return verdict.to_dict(), verdict.is_local
+
+
+def _compress_cg(args):
+    d = _read(args.dist, dist_mod.dist_from_dict)
+    cgr = _read(args.cg, dist_mod.coarse_graining_from_dict)
+    result = dist_mod.factor_coarse_graining(d, cgr, eps=args.eps)
+    return {
+        "factor_maps": [[int(x) for x in fm] for fm in result.factor_maps],
+        "composed": [int(x) for x in result.composed.ravel()],
+        "achieved_error": result.achieved_error,
+        "sizes": list(result.sizes),
+    }, True
+
+
+def _lift_edge(args):
+    model = _read(args.model, classical_mod.model_from_dict)
+    lifted = classical_mod.lift_trivial_edge(model, args.src, args.dst, edge_id=args.edge_id)
+    return classical_mod.model_to_dict(lifted), True
+
+
+def _reroute_edge(args):
+    model = _read(args.model, classical_mod.model_from_dict)
+    return classical_mod.model_to_dict(classical_mod.reroute_transitive_edge(model, args.edge, args.via)), True
+
+
+def _pipe(flag, parse, *steps):
+    """Handler that parses the JSON at ``--flag`` and passes it through
+    ``steps`` in turn (compute, serialise); it checks no property."""
+    def handler(args):
+        value = _read(getattr(args, flag), parse)
+        for step in steps:
+            value = step(value)
+        return value, True
+
+    return handler
+
+
+# add_argument keywords of every flag; --tol takes its default from DEFAULT_TOL
+FLAGS = {
+    **{flag: {"type": str, "required": True}
+       for flag in ("graph", "dist", "model", "hbn", "cg", "src", "dst", "edge", "via")},
+    "edge-id": {"type": str},
+    "out": {"type": str},
+    "tol": {"type": _tolerance},
+    "eps": {"type": float, "required": True},
+    "exact": {"action": "store_true", "help": "decide the Collins-Gisin LP in rational arithmetic, with no "
+              "tolerance; the input's signalling is still checked within --tol"},
+    "parties": {"type": int, "required": True},
+    "settings": {"type": _sizes, "default": "2"},
+    "outcomes": {"type": _sizes, "default": "2"},
+    "source-outcomes": {"type": int, "default": 1},
+}
+
+# every command: its flags, and the handler that returns its payload and
+# whether the checked property holds
+COMMANDS = {
+    "graph-validate": (("graph",), _graph_validate),
+    "check-correlation": (("graph", "dist", "tol"), _check_correlation),
+    "eval-classical": (("model", "out"), _pipe("model", classical_mod.model_from_dict, classical_mod.evaluate,
+                                               dist_mod.dist_to_dict)),
+    "eval-quantum": (("model", "out"), _pipe("model", quantum_mod.model_from_dict, quantum_mod.evaluate,
+                                             dist_mod.dist_to_dict)),
+    "eval-hbn": (("hbn", "out"), _pipe("hbn", hbn_mod.hbn_from_dict, hbn_mod.evaluate, dist_mod.dist_to_dict)),
+    "to-hbn": (("model", "out"), _pipe("model", classical_mod.model_from_dict, hbn_mod.from_classical,
+                                       hbn_mod.hbn_to_dict)),
+    "from-hbn": (("hbn", "out"), _pipe("hbn", hbn_mod.hbn_from_dict, hbn_mod.to_classical,
+                                       classical_mod.model_to_dict)),
+    "push-determinism": (("model", "out"), _pipe("model", classical_mod.model_from_dict,
+                                                 classical_mod.push_back_determinism, classical_mod.model_to_dict)),
+    "embed-quantum": (("model", "out"), _pipe("model", classical_mod.model_from_dict, quantum_mod.decohere_embed,
+                                              quantum_mod.model_to_dict)),
+    "lift-edge": (("model", "src", "dst", "edge-id", "out"), _lift_edge),
+    "reroute-edge": (("model", "edge", "via", "out"), _reroute_edge),
+    "bell-gen": (("parties", "settings", "outcomes", "source-outcomes", "out"), _bell_gen),
+    "bell-check-ns": (("dist", "tol"), _bell_check_ns),
+    "bell-local": (("dist", "tol", "exact"), _bell_local),
+    "bell-quantum": (("model", "out"), _pipe("model", bell_mod.setup_from_dict, quantum_mod.model_to_dict)),
+    "chsh": (("dist",), _pipe("dist", dist_mod.dist_from_dict, bell_mod.chsh_value, lambda v: {"chsh": v})),
+    "poset-closure": (("graph", "out"), _pipe("graph", graph_mod.graph_from_dict, graph_mod.transitive_closure,
+                                              graph_mod.graph_to_dict)),
+    "compress-cg": (("dist", "cg", "eps", "out"), _compress_cg),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="causalcorr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"causalcorr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    flag_table = {
-        "graph-validate": ["graph"],
-        "check-correlation": ["graph", "dist", "tol"],
-        "eval-classical": ["model", "out"],
-        "eval-quantum": ["model", "out"],
-        "eval-hbn": ["hbn", "out"],
-        "to-hbn": ["model", "out"],
-        "from-hbn": ["hbn", "out"],
-        "push-determinism": ["model", "out"],
-        "embed-quantum": ["model", "out"],
-        "lift-edge": ["model", "src", "dst", "edge-id", "out"],
-        "reroute-edge": ["model", "edge", "via", "out"],
-        "bell-gen": ["parties", "settings", "outcomes", "source-outcomes", "out"],
-        "bell-check-ns": ["dist", "tol"],
-        "bell-local": ["dist", "tol", "exact"],
-        "bell-quantum": ["model", "out"],
-        "chsh": ["dist"],
-        "poset-closure": ["graph", "out"],
-        "compress-cg": ["dist", "cg", "eps", "out"],
-    }
-    for name in COMMANDS:
+    for name, (flags, _) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in flag_table[name]:
-            if flag == "tol":
-                p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL[name])
-            elif flag == "eps":
-                p.add_argument("--eps", type=float, required=True)
-            elif flag == "exact":
-                p.add_argument("--exact", action="store_true", help="rational LP on the binary float "
-                               "values, ignoring --tol: a float mixture not exactly one is judged not local")
-            elif flag == "parties":
-                p.add_argument("--parties", type=int, required=True)
-            elif flag in ("settings", "outcomes"):
-                p.add_argument(f"--{flag}", type=_sizes, default="2")
-            elif flag == "source-outcomes":
-                p.add_argument("--source-outcomes", type=int, default=1)
-            else:
-                p.add_argument(f"--{flag}", type=str, required=flag not in ("out", "edge-id"))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag], **({"default": DEFAULT_TOL[name]} if flag == "tol" else {}))
     return parser
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "graph-validate":
-        graph = graph_mod.graph_from_dict(_load_json(args.graph))
-        violations = graph_mod.validate(graph)
-        _emit({"ok": not violations, "violations": violations}, None)
-        return 0 if not violations else 1
-
-    if cmd == "check-correlation":
-        graph = graph_mod.graph_from_dict(_load_json(args.graph))
-        d = dist_mod.dist_from_dict(_load_json(args.dist))
-        verdict = correlation_mod.is_correlation(graph, d, tol=args.tol)
-        _emit(verdict.to_dict(), None)
-        return 0 if verdict.is_correlation else 1
-
-    if cmd == "eval-classical":
-        model = classical_mod.model_from_dict(_load_json(args.model))
-        _emit(dist_mod.dist_to_dict(classical_mod.evaluate(model)), args.out)
-        return 0
-
-    if cmd == "eval-quantum":
-        model = quantum_mod.model_from_dict(_load_json(args.model))
-        _emit(dist_mod.dist_to_dict(quantum_mod.evaluate(model)), args.out)
-        return 0
-
-    if cmd == "eval-hbn":
-        net = hbn_mod.hbn_from_dict(_load_json(args.hbn))
-        _emit(dist_mod.dist_to_dict(hbn_mod.evaluate(net)), args.out)
-        return 0
-
-    if cmd == "to-hbn":
-        model = classical_mod.model_from_dict(_load_json(args.model))
-        _emit(hbn_mod.hbn_to_dict(hbn_mod.from_classical(model)), args.out)
-        return 0
-
-    if cmd == "from-hbn":
-        net = hbn_mod.hbn_from_dict(_load_json(args.hbn))
-        _emit(classical_mod.model_to_dict(hbn_mod.to_classical(net)), args.out)
-        return 0
-
-    if cmd == "push-determinism":
-        model = classical_mod.model_from_dict(_load_json(args.model))
-        _emit(classical_mod.model_to_dict(classical_mod.push_back_determinism(model)), args.out)
-        return 0
-
-    if cmd == "embed-quantum":
-        model = classical_mod.model_from_dict(_load_json(args.model))
-        _emit(quantum_mod.model_to_dict(quantum_mod.decohere_embed(model)), args.out)
-        return 0
-
-    if cmd == "lift-edge":
-        model = classical_mod.model_from_dict(_load_json(args.model))
-        lifted = classical_mod.lift_trivial_edge(
-            model, args.src, args.dst, edge_id=getattr(args, "edge_id", None)
-        )
-        _emit(classical_mod.model_to_dict(lifted), args.out)
-        return 0
-
-    if cmd == "reroute-edge":
-        model = classical_mod.model_from_dict(_load_json(args.model))
-        rerouted = classical_mod.reroute_transitive_edge(model, args.edge, args.via)
-        _emit(classical_mod.model_to_dict(rerouted), args.out)
-        return 0
-
-    if cmd == "bell-gen":
-        settings, outcomes = (s * args.parties if len(s) == 1 else s for s in (args.settings, args.outcomes))
-        if len(settings) != args.parties or len(outcomes) != args.parties:
-            raise SchemaError("--settings and --outcomes must list one size or one per party")
-        scenario = bell_mod.BellScenario(settings, outcomes, args.source_outcomes)
-        _emit(graph_mod.graph_to_dict(bell_mod.make_bell_graph(scenario)), args.out)
-        return 0
-
-    if cmd == "bell-check-ns":
-        d = dist_mod.dist_from_dict(_load_json(args.dist))
-        scenario = _scenario_from_dist(d)
-        verdict = bell_mod.check_free_will_no_signalling(scenario, d, tol=args.tol)
-        _emit(verdict.to_dict(), None)
-        return 0 if verdict.passes else 1
-
-    if cmd == "bell-local":
-        d = dist_mod.dist_from_dict(_load_json(args.dist))
-        scenario = _scenario_from_dist(d)
-        verdict = bell_mod.local_membership(scenario, d, tol=args.tol, exact=args.exact)
-        _emit(verdict.to_dict(), None)
-        return 0 if verdict.is_local else 1
-
-    if cmd == "bell-quantum":
-        model = bell_mod.setup_from_dict(_load_json(args.model))
-        _emit(quantum_mod.model_to_dict(model), args.out)
-        return 0
-
-    if cmd == "chsh":
-        d = dist_mod.dist_from_dict(_load_json(args.dist))
-        _emit({"chsh": bell_mod.chsh_value(d)}, None)
-        return 0
-
-    if cmd == "poset-closure":
-        graph = graph_mod.graph_from_dict(_load_json(args.graph))
-        _emit(graph_mod.graph_to_dict(graph_mod.transitive_closure(graph)), args.out)
-        return 0
-
-    if cmd == "compress-cg":
-        d = dist_mod.dist_from_dict(_load_json(args.dist))
-        cgr = dist_mod.coarse_graining_from_dict(_load_json(args.cg))
-        result = dist_mod.factor_coarse_graining(d, cgr, eps=args.eps)
-        _emit(
-            {
-                "factor_maps": [[int(x) for x in fm] for fm in result.factor_maps],
-                "composed": [int(x) for x in result.composed.ravel()],
-                "achieved_error": result.achieved_error,
-                "sizes": list(result.sizes),
-            },
-            args.out,
-        )
-        return 0
-
-    raise SchemaError(f"unknown command {cmd!r}")
+    """Run the command's handler and write its payload (to --out where the
+    command has that flag and it is given); the exit code says whether the
+    checked property holds."""
+    payload, holds = COMMANDS[args.command][1](args)
+    text = json.dumps(payload, indent=2) + "\n"
+    out = getattr(args, "out", None)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if holds else 1
 
 
 def run(argv: list[str]) -> int:

@@ -93,70 +93,32 @@ def validate(graph: CausalGraph) -> list[str]:
             violations.append(f"node {n!r}: missing outcome alphabet")
         elif size < 1:
             violations.append(f"node {n!r}: outcome alphabet size {size} < 1")
-    cycle = _find_cycle(graph)
-    if cycle is not None:
-        violations.append("cycle: " + "->".join(cycle))
+    _, indeg = _kahn(graph)
+    if any(indeg.values()):
+        # every node Kahn's pass leaves has a left-over predecessor: walk back
+        # from the smallest until a node repeats; that loop, forwards, is a cycle
+        pred: dict[str, str] = {}
+        for e in graph.edges:
+            if indeg.get(e.src) and indeg.get(e.dst):
+                pred[e.dst] = min(pred.get(e.dst, e.src), e.src)
+        walk, seen = [min(n for n, d in indeg.items() if d)], set()
+        while walk[-1] not in seen:
+            seen.add(walk[-1])
+            walk.append(pred[walk[-1]])
+        violations.append("cycle: " + "->".join(walk[walk.index(walk[-1]):][::-1]))
     return violations
 
 
-def _adjacency(graph: CausalGraph) -> dict[str, list[str]]:
+def _kahn(graph: CausalGraph) -> tuple[list[str], dict[str, int]]:
+    """Kahn's pass over the edges between known nodes: the nodes in layered
+    order (each layer sorted), and each node's in-degree from the nodes the
+    pass never reached, positive exactly on and after the cycles."""
+    indeg = {n: 0 for n in graph.nodes}
     adj: dict[str, list[str]] = {n: [] for n in graph.nodes}
     for e in graph.edges:
         if e.src in adj and e.dst in adj:
             adj[e.src].append(e.dst)
-    return adj
-
-
-def _find_cycle(graph: CausalGraph) -> list[str] | None:
-    adj = _adjacency(graph)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-    stack_path: list[str] = []
-
-    def dfs(start: str) -> list[str] | None:
-        stack = [(start, iter(sorted(adj[start])))]
-        color[start] = GREY
-        stack_path.append(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    i = stack_path.index(nxt)
-                    return stack_path[i:] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack_path.append(nxt)
-                    stack.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                stack_path.pop()
-                color[node] = BLACK
-        return None
-
-    for n in sorted(graph.nodes):
-        if color[n] == WHITE:
-            found = dfs(n)
-            if found is not None:
-                return found
-    return None
-
-
-def topological_order(graph: CausalGraph) -> list[str]:
-    """Nodes ordered so every edge goes forward, layer by layer.
-
-    Each layer holds the nodes whose remaining dependencies are exhausted and
-    is emitted in lexicographic order, so sources come before everything they
-    feed and the output is deterministic.
-    """
-    indeg = {n: 0 for n in graph.nodes}
-    adj = _adjacency(graph)
-    for e in graph.edges:
-        if e.src not in indeg or e.dst not in indeg:
-            raise UnknownNode(f"edge {e.id!r} joins an unknown node")
-        indeg[e.dst] += 1
+            indeg[e.dst] += 1
     layer = sorted(n for n in graph.nodes if indeg[n] == 0)
     order = []
     while layer:
@@ -168,6 +130,21 @@ def topological_order(graph: CausalGraph) -> list[str]:
                 if indeg[c] == 0:
                     nxt.append(c)
         layer = sorted(nxt)
+    return order, indeg
+
+
+def topological_order(graph: CausalGraph) -> list[str]:
+    """Nodes ordered so every edge goes forward, layer by layer.
+
+    Each layer holds the nodes whose remaining dependencies are exhausted and
+    is emitted in lexicographic order, so sources come before everything they
+    feed and the output is deterministic.
+    """
+    node_set = set(graph.nodes)
+    for e in graph.edges:
+        if e.src not in node_set or e.dst not in node_set:
+            raise UnknownNode(f"edge {e.id!r} joins an unknown node")
+    order, _ = _kahn(graph)
     if len(order) != len(graph.nodes):
         raise CycleError("graph contains a directed cycle")
     return order
@@ -289,38 +266,25 @@ def maximal_disjoint_past_pairs(
     return [(frozenset(su), frozenset(sw)) for su, sw in keyed]
 
 
+def _precedes(graph: CausalGraph) -> set[tuple[str, str]]:
+    """The strict causal order: the pairs ``(u, w)`` of distinct nodes with a
+    directed path from ``u`` to ``w``."""
+    masks = _past_masks(graph)
+    return {(u, w) for w, m in zip(graph.nodes, masks) for i, u in enumerate(graph.nodes) if m >> i & 1 and u != w}
+
+
 def transitive_closure(graph: CausalGraph) -> CausalGraph:
     """Graph with an added edge ``u->w#tc`` for every indirect-only causal link."""
     have = {(e.src, e.dst) for e in graph.edges}
-    index = {v: i for i, v in enumerate(graph.nodes)}
-    masks = _past_masks(graph)
-    new_edges = list(graph.edges)
-    for u in sorted(graph.nodes):
-        for w in sorted(graph.nodes):
-            if u == w or (u, w) in have:
-                continue
-            if masks[index[w]] >> index[u] & 1:
-                new_edges.append(Edge(f"{u}->{w}#tc", u, w))
-    return CausalGraph(nodes=graph.nodes, edges=tuple(new_edges), outcomes=dict(graph.outcomes))
+    added = tuple(Edge(f"{u}->{w}#tc", u, w) for u, w in sorted(_precedes(graph) - have))
+    return CausalGraph(nodes=graph.nodes, edges=(*graph.edges, *added), outcomes=dict(graph.outcomes))
 
 
 def poset_equal(g1: CausalGraph, g2: CausalGraph) -> bool:
     """True iff the two graphs induce identical reachability relations."""
     if set(g1.nodes) != set(g2.nodes):
         raise NodeMismatch("graphs are over different node sets")
-
-    def relation(g: CausalGraph) -> set[tuple[str, str]]:
-        idx = {v: i for i, v in enumerate(g.nodes)}
-        masks = _past_masks(g)
-        rel = set()
-        for w in g.nodes:
-            m = masks[idx[w]]
-            for i, u in enumerate(g.nodes):
-                if m >> i & 1 and u != w:
-                    rel.add((u, w))
-        return rel
-
-    return relation(g1) == relation(g2)
+    return _precedes(g1) == _precedes(g2)
 
 
 def graph_to_dict(graph: CausalGraph) -> dict:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from causalcorr.errors import (
     SolverError,
 )
 from causalcorr._simplex import solve_phase1
+from causalcorr.cli import run
 
 from conftest import bell_joint, deterministic_mixture, pr_box_dist, record_bell_lps
 
@@ -357,6 +359,49 @@ class TestLocalMembership:
         strategy = ((0, 0), (0, 0))
         assert bm.local_membership(chsh_222(), strategy_dist(strategy), exact=True).is_local
 
+    @staticmethod
+    def full_mixture(settings, outcomes):
+        """Joint of a seed-0 Dirichlet mixture of every deterministic strategy, uniform settings."""
+        strategies = bm.enumerate_strategies(bm.BellScenario(settings, outcomes))
+        cond = np.zeros(tuple(settings) + tuple(outcomes))
+        for strategy, w in zip(strategies, np.random.default_rng(0).dirichlet(np.ones(len(strategies)))):
+            for xs in itertools.product(*(range(k) for k in settings)):
+                cond[xs + tuple(strategy[i][x] for i, x in enumerate(xs))] += w
+        return bell_joint(settings, outcomes, [cond])
+
+    @pytest.mark.parametrize(
+        "settings, outcomes", [((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((3, 3), (2, 2)), ((2, 2), (3, 3))]
+    )
+    def test_exact_mode_judges_float_mixtures_local(self, settings, outcomes):
+        # the float conditionals of these mixtures signal at round-off level, so
+        # no mixture reproduces them exactly; their Collins–Gisin rows are inside the polytope
+        scenario = bm.BellScenario(settings, outcomes)
+        verdict = bm.local_membership(scenario, self.full_mixture(settings, outcomes), exact=True)
+        assert verdict.is_local and verdict.solver == "exact"
+        assert sum(verdict.weights[0].values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_mode_cli_exits_0_on_a_float_mixture(self, tmp_path, capsys):
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps(dm.dist_to_dict(self.full_mixture((2, 2), (2, 2)))))
+        assert run(["bell-local", "--dist", str(path), "--exact"]) == 0
+        assert json.loads(capsys.readouterr().out)["is_local"] is True
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.75, 0.7, 0.5])
+    def test_exact_inequality_bounds_every_strategy(self, visibility):
+        # noisy PR boxes are local exactly when the visibility is at most 1/2
+        d = pr_box_dist()
+        d = dm.JointDistribution(d.variables, visibility * d.table + (1 - visibility) / 16)
+        verdict = bm.local_membership(chsh_222(), d, exact=True)
+        assert verdict.is_local is (visibility <= 0.5)
+        if verdict.is_local:
+            return
+        [terms] = verdict.inequality.values()
+        assert verdict.max_residual > 0
+        assert sum(c * 4 * d.table[(0,) + x + a] for (x, a), c in terms.items()) == pytest.approx(
+            verdict.max_residual, abs=1e-12)
+        for strategy in bm.enumerate_strategies(chsh_222()):
+            assert sum(c for (x, a), c in terms.items() if a == (strategy[0][x[0]], strategy[1][x[1]])) <= 1e-12
+
     def test_signalling_input_rejected(self):
         scenario = bm.BellScenario(settings=(2, 1), outcomes=(1, 2))
         table = np.zeros((1, 2, 1, 1, 2))
@@ -597,8 +642,8 @@ class TestCertificates:
 
     def test_exact_mode_reports_its_solver(self):
         verdict = bm.local_membership(chsh_222(), pr_box_dist(), exact=True)
-        assert not verdict.is_local and verdict.solver == "exact" and verdict.lp_shape == (17, 16)
-        assert verdict.inequality == {} and verdict.iterations > 0
+        assert not verdict.is_local and verdict.solver == "exact" and verdict.lp_shape == (9, 16)
+        assert verdict.inequality[0] and verdict.max_residual > 0 and verdict.iterations > 0
 
 
 class TestClassicalBellModel:

@@ -73,6 +73,45 @@ class TestValidate:
         violations = gm.validate(g)
         assert any("duplicate node" in v for v in violations)
 
+    @staticmethod
+    def cycle_witness(g):
+        [cycle] = [v for v in gm.validate(g) if v.startswith("cycle: ")]
+        return cycle[len("cycle: "):].split("->")
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            ([("a", "b"), ("b", "a")], ["a", "b", "a"]),
+            # c hangs off the cycle: it has no unprocessed successor, but one unprocessed predecessor
+            ([("a", "b"), ("b", "a"), ("b", "c")], ["a", "b", "a"]),
+            ([("b", "c"), ("c", "d"), ("d", "b"), ("d", "e"), ("e", "f")], ["b", "c", "d", "b"]),
+            ([("a", "b"), ("b", "a"), ("b", "zz"), ("zz", "a")], ["a", "b", "a"]),
+        ],
+    )
+    def test_cycle_witness_is_a_closed_path_of_edges(self, edges, expected):
+        names = sorted({v for e in edges for v in e} - {"zz"})
+        g = CausalGraph.build([(n, 2) for n in names], [(f"{u}->{v}", u, v) for u, v in edges])
+        witness = self.cycle_witness(g)
+        assert witness == expected
+        assert witness[0] == witness[-1] and len(set(witness)) == len(witness) - 1
+        assert all((u, v) in edges for u, v in zip(witness, witness[1:]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cycle_reported_exactly_when_ordering_fails(self, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"n{i}" for i in range(6)]
+        for _ in range(40):
+            pairs = {(str(u), str(v)) for u, v in rng.choice(names, size=(int(rng.integers(3, 9)), 2)) if u != v}
+            g = CausalGraph.build([(n, 2) for n in names], [(f"{u}->{v}", u, v) for u, v in sorted(pairs)])
+            try:
+                gm.topological_order(g)
+            except CycleError:
+                witness = self.cycle_witness(g)
+                assert all((u, v) in pairs for u, v in zip(witness, witness[1:]))
+                assert witness[0] == witness[-1] and len(set(witness)) == len(witness) - 1
+            else:
+                assert gm.validate(g) == []
+
 
 class TestTopologicalOrder:
     def test_chain_forced(self):

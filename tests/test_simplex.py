@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -212,6 +213,20 @@ class TestBackends:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
 
+    def test_highs_falls_back_to_the_ordinary_import(self, monkeypatch):
+        # without scipy's file layout to hand, the module is imported by name
+        _simplex.highs_core()
+        monkeypatch.delitem(sys.modules, _simplex.HIGHS_MODULE)
+        find_spec, import_module, imported = importlib.util.find_spec, importlib.import_module, []
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+        monkeypatch.setattr(importlib, "import_module", lambda name, *args: imported.append(name)
+                            or import_module(name, *args))
+        core = _simplex.highs_core()
+        assert imported[0] == _simplex.HIGHS_MODULE and core.__name__ == _simplex.HIGHS_MODULE
+        assert solve_phase1(np.ones((1, 2)), np.ones(1)).feasible
+        assert not solve_phase1(np.ones((1, 2)), -np.ones(1)).feasible
+
 
 class TestExact:
     def test_exact_feasible_with_rational_solution(self):
@@ -254,6 +269,21 @@ class TestExact:
             seen["feasible" if feasible else "infeasible"] += 1
             seen["negative rhs"] += min(b) < 0
         assert min(seen.values()) >= 20, seen
+
+    def test_exact_farkas_vector_holds_exactly_on_random_integer_systems(self):
+        # y.a_j <= 0 for every column and y.b equals the residual, in Fractions:
+        # a Farkas certificate whenever the system is infeasible
+        rng = np.random.default_rng(7)
+        infeasible = 0
+        for _ in range(150):
+            a, b = random_integer_system(rng)
+            res = solve_phase1_exact(a, b)
+            assert all(type(v) is Fraction for v in res.y) and len(res.y) == len(b)
+            assert max(res.y @ np.array(a, dtype=object)) <= 0
+            assert res.y @ np.array(b, dtype=object) == res.infeasibility
+            infeasible += not res.feasible
+            assert res.feasible or res.infeasibility > 0
+        assert infeasible >= 20
 
     def test_exact_float_input_taken_at_binary_value(self):
         res = solve_phase1_exact(np.array([[1.0, 2.0]]), np.array([0.1]))
