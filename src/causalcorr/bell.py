@@ -268,10 +268,11 @@ def local_membership(
     SolverError.  ``exact=True`` poses the same Collins–Gisin LP, its rows
     ``C p`` summed in ``Fraction`` arithmetic from the inputs' binary float
     values, and solves it with the rational simplex for small strategy
-    counts; both certificates are then checked with no slack.  Exact mode
-    thus decides the Collins–Gisin projection of the input exactly, while
-    the input's signalling is still checked within ``tol``.  Raises
-    SolverError when a solve stops early.
+    counts; its weights must also reproduce the Collins–Gisin rows, and its
+    Farkas vector must separate them, with no slack.  Exact mode thus
+    decides the Collins–Gisin projection of the input exactly, while the
+    input's signalling, and so the full conditional, is still checked within
+    ``tol``.  Raises SolverError when a solve stops early.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -318,10 +319,10 @@ def local_membership(
             }
             return verdict
         w = np.where(res.x > 1e-12, res.x, 0).astype(float)
-        if exact:  # the weights reproduce the Collins–Gisin rows exactly
-            check_weights(a_mat @ res.x, b_vec, res.x, slack)
-        else:  # the weights reproduce the full conditional within tol
-            check_weights(_respond(onehots, w)[defined[:, s]].ravel(), probs[defined[:, s], s].ravel(), w, slack)
+        # in both modes the weights reproduce the full conditional within tol
+        check_weights(_respond(onehots, w)[defined[:, s]].ravel(), probs[defined[:, s], s].ravel(), w, tol + ROUND_OFF)
+        if exact:  # and the Collins–Gisin rows exactly
+            check_weights(a_mat @ res.x, b_vec, res.x, 0)
         verdict.weights[s] = {strategies[j]: float(w[j]) for j in np.flatnonzero(w)}
     return verdict
 

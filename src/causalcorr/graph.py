@@ -93,7 +93,8 @@ def validate(graph: CausalGraph) -> list[str]:
             violations.append(f"node {n!r}: missing outcome alphabet")
         elif size < 1:
             violations.append(f"node {n!r}: outcome alphabet size {size} < 1")
-    _, indeg = _kahn(graph)
+    # each node once: a duplicate id seeded twice would count its edges twice
+    _, indeg = _kahn(CausalGraph(tuple(dict.fromkeys(graph.nodes)), graph.edges, graph.outcomes))
     if any(indeg.values()):
         # every node Kahn's pass leaves has a left-over predecessor: walk back
         # from the smallest until a node repeats; that loop, forwards, is a cycle
@@ -112,7 +113,8 @@ def validate(graph: CausalGraph) -> list[str]:
 def _kahn(graph: CausalGraph) -> tuple[list[str], dict[str, int]]:
     """Kahn's pass over the edges between known nodes: the nodes in layered
     order (each layer sorted), and each node's in-degree from the nodes the
-    pass never reached, positive exactly on and after the cycles."""
+    pass never reached, positive exactly on and after the cycles when every
+    node is listed once."""
     indeg = {n: 0 for n in graph.nodes}
     adj: dict[str, list[str]] = {n: [] for n in graph.nodes}
     for e in graph.edges:

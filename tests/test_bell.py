@@ -386,6 +386,15 @@ class TestLocalMembership:
         assert run(["bell-local", "--dist", str(path), "--exact"]) == 0
         assert json.loads(capsys.readouterr().out)["is_local"] is True
 
+    def test_exact_weights_must_reproduce_the_full_conditional(self):
+        # signalling by 0.9 tol passes the no-signalling check, but weights that
+        # reproduce the Collins–Gisin rows exactly put p(1,1|1,1) 1.8 tol off the input
+        cond = np.full((2, 2, 2, 2), 0.25)
+        cond[1, 1, 0, 0] += 0.9e-7
+        cond[1, 1, 1, 1] -= 0.9e-7
+        with pytest.raises(SolverError, match="miss the input by 1.8e-07"):
+            bm.local_membership(chsh_222(), bell_joint((2, 2), (2, 2), [cond]), tol=1e-7, exact=True)
+
     @pytest.mark.parametrize("visibility", [1.0, 0.75, 0.7, 0.5])
     def test_exact_inequality_bounds_every_strategy(self, visibility):
         # noisy PR boxes are local exactly when the visibility is at most 1/2

@@ -426,6 +426,17 @@ class TestExitCodes:
         assert code == 1
         assert payload["ok"] is False
 
+    def test_graph_validate_duplicate_node_with_an_edge(self, tmp_path, capsys):
+        data = {
+            "nodes": [{"id": "a", "outcomes": 2}, {"id": "a", "outcomes": 2}, {"id": "b", "outcomes": 2}],
+            "edges": [{"id": "e1", "src": "a", "dst": "b"}],
+        }
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(data))
+        code, payload = run_json(["graph-validate", "--graph", path], capsys)
+        assert code == 1
+        assert payload == {"ok": False, "violations": ["duplicate node id 'a'"]}
+
 
 class TestPipelines:
     def test_eval_classical_round_trip(self, tmp_path, capsys):

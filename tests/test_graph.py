@@ -73,6 +73,16 @@ class TestValidate:
         violations = gm.validate(g)
         assert any("duplicate node" in v for v in violations)
 
+    def test_duplicate_node_with_an_edge_is_only_a_duplicate(self):
+        g = CausalGraph(nodes=("a", "a", "b"), edges=(gm.Edge("e", "a", "b"),), outcomes={"a": 2, "b": 2})
+        assert gm.validate(g) == ["duplicate node id 'a'"]
+
+    def test_duplicate_node_does_not_hide_a_cycle(self):
+        # d listed twice must not count d->x twice and so release the cycle x->y->x
+        edges = (gm.Edge("e1", "d", "x"), gm.Edge("e2", "x", "y"), gm.Edge("e3", "y", "x"))
+        g = CausalGraph(nodes=("d", "d", "x", "y"), edges=edges, outcomes={"d": 2, "x": 2, "y": 2})
+        assert gm.validate(g) == ["duplicate node id 'd'", "cycle: x->y->x"]
+
     @staticmethod
     def cycle_witness(g):
         [cycle] = [v for v in gm.validate(g) if v.startswith("cycle: ")]
