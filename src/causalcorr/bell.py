@@ -352,7 +352,11 @@ def classical_bell_model(
     if source_dist.shape != (scenario.source_outcomes,):
         raise ShapeMismatch("source distribution has the wrong length")
     setting_dists = [np.asarray(p, dtype=float).ravel() for p in setting_dists]
+    if [p.shape for p in setting_dists] != [(k,) for k in scenario.settings]:
+        raise ShapeMismatch("setting distributions must give one probability per setting of each party")
     responses = [np.asarray(r, dtype=float) for r in responses]
+    if len(responses) != n:
+        raise ShapeMismatch(f"{len(responses)} responses for {n} parties")
     for i, r in enumerate(responses):
         if r.shape != (scenario.settings[i], n_hidden, scenario.outcomes[i]):
             raise ShapeMismatch(
@@ -360,33 +364,19 @@ def classical_bell_model(
                 f"{(scenario.settings[i], n_hidden, scenario.outcomes[i])}"
             )
 
-    graph = make_bell_graph(scenario)
+    t = np.zeros((scenario.source_outcomes,) + (n_hidden,) * n)
+    t[(slice(None),) + (np.arange(n_hidden),) * n] = source_dist[:, None] * hidden_given_source
+    gates = {"s": Gate((), tuple(sorted(f"s->a{i + 1}" for i in range(n))), t)}
     alphabet = {}
     for i in range(n):
         alphabet[f"s->a{i + 1}"] = n_hidden
         alphabet[f"x{i + 1}->a{i + 1}"] = scenario.settings[i]
-
-    gates = {}
-    src_out = tuple(sorted(f"s->a{i + 1}" for i in range(n)))
-    t = np.zeros((scenario.source_outcomes,) + (n_hidden,) * n)
-    for s in range(scenario.source_outcomes):
-        for lam in range(n_hidden):
-            t[(s,) + (lam,) * n] = source_dist[s] * hidden_given_source[s, lam]
-    gates["s"] = Gate((), src_out, t)
-
-    for i in range(n):
-        k = scenario.settings[i]
-        t = np.zeros((k, k))
-        for x in range(k):
-            t[x, x] = setting_dists[i][x]
-        gates[f"x{i + 1}"] = Gate((), (f"x{i + 1}->a{i + 1}",), t)
-
+        gates[f"x{i + 1}"] = Gate((), (f"x{i + 1}->a{i + 1}",), np.diag(setting_dists[i]))
     for i in range(n):
         ins = tuple(sorted((f"s->a{i + 1}", f"x{i + 1}->a{i + 1}")))
-        t = np.transpose(responses[i], (1, 0, 2))  # (hidden, setting, outcome)
-        gates[f"a{i + 1}"] = Gate(ins, (), t)
-
-    return ClassicalModel(graph, alphabet, gates)
+        # axes (hidden, setting, outcome): the order of the sorted in-edge ids
+        gates[f"a{i + 1}"] = Gate(ins, (), np.transpose(responses[i], (1, 0, 2)))
+    return ClassicalModel(make_bell_graph(scenario), alphabet, gates)
 
 
 def quantum_bell_model(

@@ -120,15 +120,6 @@ def validate_model(model: ClassicalModel) -> list[str]:
     return violations
 
 
-def _state_space(model: ClassicalModel) -> int:
-    total = 1
-    for v in model.graph.nodes:
-        total *= model.graph.outcomes[v]
-    for e in model.graph.edges:
-        total *= model.edge_alphabet[e.id]
-    return total
-
-
 def _contract_gates(model: ClassicalModel, nodes, max_states) -> JointDistribution:
     """Joint of ``nodes`` (an ancestral set, in graph order): einsum over their
     gates with the outcomes open.  Hidden values on edges leaving the set are
@@ -152,46 +143,10 @@ def evaluate(model: ClassicalModel, max_states: int | None = None) -> JointDistr
     Contraction is delegated to einsum (variable elimination) and refused
     when an operand, an intermediate or the table exceeds the state-space
     guard; trivial one-letter edges are squeezed out first, so adding such an
-    edge leaves the result bit-identical.  Must agree with
-    :func:`evaluate_naive` within 1e-12.
+    edge leaves the result bit-identical.
     """
     require_valid(validate_model(model))
     return _contract_gates(model, model.graph.nodes, max_states)
-
-
-def evaluate_naive(model: ClassicalModel, max_states: int | None = None) -> JointDistribution:
-    """Full-enumeration evaluator: explicit loops over outcome and hidden tuples.
-
-    Independent of the einsum path; intended as a cross-check for small models.
-    """
-    require_valid(validate_model(model))
-    if _state_space(model) > max_state_space(max_states):
-        raise SizeLimitExceeded(f"state space {_state_space(model)} exceeds the guard")
-    graph = model.graph
-    edge_ids = [e.id for e in graph.edges]
-    edge_pos = {e: i for i, e in enumerate(edge_ids)}
-    edge_sizes = tuple(model.edge_alphabet[e] for e in edge_ids)
-    node_pos = {v: i for i, v in enumerate(graph.nodes)}
-    outcome_sizes = tuple(graph.outcomes[v] for v in graph.nodes)
-    gates = [model.gates[v] for v in graph.nodes]
-    table = np.zeros(outcome_sizes)
-    for outcome in np.ndindex(*outcome_sizes):
-        total = 0.0
-        for hidden in np.ndindex(*edge_sizes) if edge_sizes else [()]:
-            p = 1.0
-            for v, gate in zip(graph.nodes, gates):
-                idx = (
-                    tuple(hidden[edge_pos[e]] for e in gate.in_edges)
-                    + (outcome[node_pos[v]],)
-                    + tuple(hidden[edge_pos[e]] for e in gate.out_edges)
-                )
-                p *= float(gate.tensor[idx])
-                if p == 0.0:
-                    break
-            total += p
-        table[outcome] = total
-    variables = tuple((v, graph.outcomes[v]) for v in graph.nodes)
-    return JointDistribution(variables, table, norm_tol=1e-9)
 
 
 def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribution:
@@ -208,12 +163,6 @@ def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribut
     if cg.causal_past(model.graph, subset) != subset:
         raise NotAncestral(f"{sorted(subset)} is not equal to its causal past")
     return _contract_gates(model, [v for v in model.graph.nodes if v in subset], None)
-
-
-def _flat_rows(gate: Gate) -> np.ndarray:
-    """Gate tensor as (incoming tuples, outcome-and-outgoing cells), both row-major."""
-    n_in = int(np.prod(gate.tensor.shape[: len(gate.in_edges)], dtype=np.int64))
-    return gate.tensor.reshape(n_in, -1)
 
 
 def push_back_determinism(
@@ -263,7 +212,7 @@ def push_back_determinism(
                 f"pushed-back gate at parent {u!r} exceeds the state-space guard"
             )
 
-        rows = _flat_rows(gate)
+        rows = gate.tensor.reshape(n_in, cell)  # (incoming tuples, outcome-and-outgoing cells)
         # joint weight of a whole function table: product of one row entry per
         # incoming tuple, with the first tuple as the most significant digit
         f_probs = rows[0]

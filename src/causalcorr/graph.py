@@ -55,9 +55,6 @@ class CausalGraph:
     def parents(self, v: str) -> set[str]:
         return {e.src for e in self.edges if e.dst == v}
 
-    def children(self, v: str) -> set[str]:
-        return {e.dst for e in self.edges if e.src == v}
-
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
             if e.id == edge_id:
@@ -156,24 +153,16 @@ def causal_past(graph: CausalGraph, seed: Iterable[str]) -> frozenset[str]:
     """Union of the seed nodes and everything with a directed path into them.
 
     Every node is a member of its own causal past; the result is ancestral,
-    so the operation is idempotent and monotone in the seed.
+    so the operation is idempotent and monotone in the seed.  The graph must
+    be acyclic (CycleError otherwise) and its edges must join known nodes.
     """
-    node_set = set(graph.nodes)
-    todo = list(seed)
-    for n in todo:
-        if n not in node_set:
+    masks = dict(zip(graph.nodes, _past_masks(graph)))
+    mask = 0
+    for n in seed:
+        if n not in masks:
             raise UnknownNode(f"unknown node {n!r}")
-    preds: dict[str, set[str]] = {n: set() for n in graph.nodes}
-    for e in graph.edges:
-        preds[e.dst].add(e.src)
-    result: set[str] = set()
-    while todo:
-        n = todo.pop()
-        if n in result:
-            continue
-        result.add(n)
-        todo.extend(preds[n])
-    return frozenset(result)
+        mask |= masks[n]
+    return frozenset(n for i, n in enumerate(graph.nodes) if mask >> i & 1)
 
 
 def _past_masks(graph: CausalGraph) -> list[int]:

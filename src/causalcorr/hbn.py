@@ -11,6 +11,7 @@ a copy of that node's hidden state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,57 +99,35 @@ def from_classical(model: ClassicalModel, max_states: int | None = None) -> Hidd
     The hidden state of a node is its (outcome, outgoing hidden values) tuple,
     outcome index major; transitions replay the node's gate with the incoming
     values read off the parents' states, and readouts project onto the
-    outcome.  Evaluations agree within 1e-12.
+    outcome.  Evaluations agree within 1e-12.  SizeLimitExceeded is raised
+    when a transition table exceeds the state-space guard.
     """
     require_valid(validate_classical(model))
     graph = model.graph
     guard = max_state_space(max_states)
-    sizes = {}
-    for v in graph.nodes:
-        s = graph.outcomes[v]
-        for e in sorted_out_ids(graph, v):
-            s *= model.edge_alphabet[e]
-        if s > guard:
-            raise SizeLimitExceeded(f"hidden alphabet {s} at node {v!r} exceeds the guard")
-        sizes[v] = s
-
-    # position of each edge's value inside the source node's packed state
-    out_pos = {}
-    out_sizes = {}
-    for v in graph.nodes:
-        ids = sorted_out_ids(graph, v)
-        out_pos.update({e: i for i, e in enumerate(ids)})
-        out_sizes[v] = tuple(model.edge_alphabet[e] for e in ids)
-
+    # a node's hidden state packs its outcome and its out-edges' values, in that order
+    out_ids = {v: sorted_out_ids(graph, v) for v in graph.nodes}
+    packed = {v: (graph.outcomes[v], *(model.edge_alphabet[e] for e in out_ids[v])) for v in graph.nodes}
+    sizes = {v: math.prod(shape) for v, shape in packed.items()}
     transitions = {}
     readouts = {}
     for v in graph.nodes:
         gate = model.gates[v]
         pa = sorted_parents(graph, v)
-        pa_shapes = tuple(sizes[u] for u in pa)
-        trans = np.zeros(pa_shapes + (sizes[v],))
-        in_ids = gate.in_edges
-        in_sizes = tuple(model.edge_alphabet[e] for e in in_ids)
-        flat_gate = gate.tensor.reshape(in_sizes + (sizes[v],)) if in_ids else gate.tensor.reshape(
-            (sizes[v],)
-        )
-        for assign in np.ndindex(*pa_shapes) if pa_shapes else [()]:
-            decoded = {}
-            for u, mu in zip(pa, assign):
-                shape_u = (graph.outcomes[u],) + out_sizes[u]
-                decoded[u] = np.unravel_index(mu, shape_u)
-            lam_in = tuple(
-                decoded[graph.edge(e).src][1 + out_pos[e]] for e in in_ids
-            )
-            trans[assign] = flat_gate[lam_in] if in_ids else flat_gate
-        transitions[v] = trans
-
+        entries = math.prod(sizes[u] for u in pa) * sizes[v]  # bounds the hidden alphabets too
+        if entries > guard:
+            raise SizeLimitExceeded(f"transition table of {entries} entries at node {v!r} exceeds the guard")
+        # index[i][mu_pa...]: the value of in-edge i in the packed state of its source
+        index = []
+        for e in gate.in_edges:
+            u = graph.edge(e).src
+            digit = np.unravel_index(np.arange(sizes[u]), packed[u])[1 + out_ids[u].index(e)]
+            index.append(digit.reshape([-1 if w == u else 1 for w in pa]))
+        in_sizes = tuple(model.edge_alphabet[e] for e in gate.in_edges)
+        # astype copies: a root's empty index would hand back a view of its gate
+        transitions[v] = gate.tensor.reshape(in_sizes + (sizes[v],))[tuple(index)].astype(float)
         n_o = graph.outcomes[v]
-        read = np.zeros((sizes[v], n_o))
-        block = sizes[v] // n_o
-        for o in range(n_o):
-            read[o * block : (o + 1) * block, o] = 1.0
-        readouts[v] = read
+        readouts[v] = np.repeat(np.eye(n_o), sizes[v] // n_o, axis=0)
     return HiddenBayesNet(graph, sizes, transitions, readouts)
 
 
@@ -170,29 +149,25 @@ def to_classical(hbn: HiddenBayesNet, max_states: int | None = None) -> Classica
     for v in graph.nodes:
         in_ids = sorted_in_ids(graph, v)
         out_ids = sorted_out_ids(graph, v)
-        n_out = len(out_ids)
         yv = hbn.node_alphabet[v]
         n_o = graph.outcomes[v]
         in_sizes = tuple(alphabet[e] for e in in_ids)
-        shape = in_sizes + (n_o,) + (yv,) * n_out
+        shape = in_sizes + (n_o,) + (yv,) * len(out_ids)
         if int(np.prod(shape, dtype=np.int64)) > guard:
             raise SizeLimitExceeded(f"gate tensor at node {v!r} exceeds the guard")
-        pa = sorted_parents(graph, v)
-        canonical = {u: min(e.id for e in graph.in_edges(v) if e.src == u) for u in pa}
-        canonical_pos = {u: in_ids.index(canonical[u]) for u in pa}
-        trans = hbn.transitions[v]
-        read = hbn.readouts[v]
-        # weight[mu_pa..., mu, o] = transition * readout
-        weight = trans[..., :, None] * read
+        # weight[lam_in..., mu, o] = transition * readout, each parent's value read
+        # off its canonical in-edge and broadcast over that parent's other in-edges
+        index = []
+        for u in sorted_parents(graph, v):
+            canonical = min(e.id for e in graph.in_edges(v) if e.src == u)
+            axes = [-1 if e == canonical else 1 for e in in_ids]
+            index.append(np.arange(hbn.node_alphabet[u]).reshape(axes))
+        weight = (hbn.transitions[v][..., :, None] * hbn.readouts[v])[tuple(index)]
         tensor = np.zeros(shape)
-        for tup in np.ndindex(*in_sizes) if in_sizes else [()]:
-            mu_pa = tuple(tup[canonical_pos[u]] for u in pa)
-            w = weight[mu_pa]  # (yv, n_o)
-            if n_out == 0:
-                tensor[tup] = w.sum(axis=0)
-            else:
-                for mu in range(yv):
-                    tensor[tup + (slice(None),) + (mu,) * n_out] = w[mu]
+        if out_ids:  # one value on the diagonal of the out-edge axes
+            tensor[(..., slice(None)) + (np.arange(yv),) * len(out_ids)] = np.swapaxes(weight, -1, -2)
+        else:
+            tensor[...] = weight.sum(axis=-2)
         gates[v] = Gate(in_ids, out_ids, tensor)
     return ClassicalModel(graph, alphabet, gates)
 

@@ -91,18 +91,9 @@ def validate_model(model: QuantumModel) -> list[str]:
         if not dims_known:
             continue
         din, dout = _io_dims(model.graph, model.edge_dim, v)
-        bad_shape = False
-        for ops in inst.components:
-            for k in ops:
-                if k.shape != (dout, din):
-                    violations.append(
-                        f"node {v!r}: Kraus operator shape {k.shape}, expected {(dout, din)}"
-                    )
-                    bad_shape = True
-                    break
-            if bad_shape:
-                break
-        if bad_shape:
+        bad_shape = next((k.shape for ops in inst.components for k in ops if k.shape != (dout, din)), None)
+        if bad_shape is not None:
+            violations.append(f"node {v!r}: Kraus operator shape {bad_shape}, expected {(dout, din)}")
             continue
         dev = completeness_deviation(model, v)
         if dev > COMPLETENESS_TOL:
@@ -190,24 +181,15 @@ def decohere_embed(cmodel: ClassicalModel) -> QuantumModel:
     dims = {e: int(s) for e, s in cmodel.edge_alphabet.items()}
     instruments = {}
     for v in graph.nodes:
-        gate = cmodel.gates[v]
-        n_in = len(gate.in_edges)
-        din = int(np.prod(gate.tensor.shape[:n_in], dtype=np.int64))
+        din, dout = _io_dims(graph, dims, v)
         n_o = graph.outcomes[v]
-        dout = int(np.prod(gate.tensor.shape[n_in + 1 :], dtype=np.int64))
-        rows = gate.tensor.reshape(din, n_o, dout)
-        components = []
-        for o in range(n_o):
-            ops = []
-            for lam_in in range(din):
-                for lam_out in range(dout):
-                    g = rows[lam_in, o, lam_out]
-                    if g > 0.0:
-                        k = np.zeros((dout, din), dtype=complex)
-                        k[lam_out, lam_in] = np.sqrt(g)
-                        ops.append(k)
-            components.append(tuple(ops))
-        instruments[v] = Instrument(tuple(components))
+        rows = cmodel.gates[v].tensor.reshape(din, n_o, dout)
+        # one operator per positive entry, outcome major, then lam_in, then lam_out
+        o, lam_in, lam_out = np.nonzero(rows.transpose(1, 0, 2) > 0.0)
+        kraus = np.zeros((len(o), dout, din), dtype=complex)
+        kraus[np.arange(len(o)), lam_out, lam_in] = np.sqrt(rows[lam_in, o, lam_out])
+        parts = np.split(kraus, np.searchsorted(o, np.arange(1, n_o)))
+        instruments[v] = Instrument(tuple(tuple(part) for part in parts))
     return QuantumModel(graph, dims, instruments)
 
 

@@ -1,14 +1,16 @@
 """Shared fixtures: the standard scenario graphs and a few canonical inputs."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from causalcorr import bell as bell_mod
+from causalcorr import classical as cm
 from causalcorr import dist as dm
-from causalcorr import graph as gm
-from causalcorr.errors import CycleError
+from causalcorr._config import max_state_space
+from causalcorr.errors import CycleError, SizeLimitExceeded, UnknownNode, require_valid
 from causalcorr.graph import CausalGraph
 
 
@@ -117,6 +119,29 @@ def sequential_graph(outcomes: int = 2) -> CausalGraph:
     )
 
 
+def parallel_edge_graph(outcomes: int = 2) -> CausalGraph:
+    """Parallel edges u->v and v->z, declared out of id order, around a relay w and a direct u->z."""
+    return CausalGraph.build(
+        [("u", outcomes), ("w", outcomes), ("v", outcomes), ("z", 2)],
+        [
+            ("e2", "u", "v"),
+            ("e1", "u", "v"),
+            ("f", "w", "v"),
+            ("e0", "u", "w"),
+            ("g1", "v", "z"),
+            ("g0", "v", "z"),
+            ("h", "u", "z"),
+        ],
+    )
+
+
+def assert_identical(a, b):
+    """Same dtype, shape and bytes: equal to the last bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 def all_test_graphs(outcomes: int = 2) -> dict[str, CausalGraph]:
     return {
         "bell": bell_graph(outcomes),
@@ -127,11 +152,67 @@ def all_test_graphs(outcomes: int = 2) -> dict[str, CausalGraph]:
     }
 
 
+def causal_past_bfs(graph: CausalGraph, seed) -> frozenset[str]:
+    """The seed and every node with a directed path into it, by a search back along the edges."""
+    todo = list(seed)
+    for n in todo:
+        if n not in graph.nodes:
+            raise UnknownNode(f"unknown node {n!r}")
+    preds: dict[str, set[str]] = {n: set() for n in graph.nodes}
+    for e in graph.edges:
+        preds[e.dst].add(e.src)
+    result: set[str] = set()
+    while todo:
+        n = todo.pop()
+        if n in result:
+            continue
+        result.add(n)
+        todo.extend(preds[n])
+    return frozenset(result)
+
+
 def ancestral_sets(graph: CausalGraph) -> list[frozenset[str]]:
     """All node sets equal to their own causal past (including the empty set), by subset scan."""
     nodes = graph.nodes
     subsets = (frozenset(v for i, v in enumerate(nodes) if sub >> i & 1) for sub in range(1 << len(nodes)))
-    return [s for s in subsets if gm.causal_past(graph, s) == s]
+    return [s for s in subsets if causal_past_bfs(graph, s) == s]
+
+
+def evaluate_naive(model: cm.ClassicalModel, max_states: int | None = None) -> dm.JointDistribution:
+    """Full-enumeration evaluator: explicit loops over outcome and hidden tuples.
+
+    Independent of the einsum path; a cross-check of ``classical.evaluate`` on small models.
+    """
+    require_valid(cm.validate_model(model))
+    graph = model.graph
+    state_space = math.prod(graph.outcomes[v] for v in graph.nodes)
+    state_space *= math.prod(model.edge_alphabet[e.id] for e in graph.edges)
+    if state_space > max_state_space(max_states):
+        raise SizeLimitExceeded(f"state space {state_space} exceeds the guard")
+    edge_ids = [e.id for e in graph.edges]
+    edge_pos = {e: i for i, e in enumerate(edge_ids)}
+    edge_sizes = tuple(model.edge_alphabet[e] for e in edge_ids)
+    node_pos = {v: i for i, v in enumerate(graph.nodes)}
+    outcome_sizes = tuple(graph.outcomes[v] for v in graph.nodes)
+    gates = [model.gates[v] for v in graph.nodes]
+    table = np.zeros(outcome_sizes)
+    for outcome in np.ndindex(*outcome_sizes):
+        total = 0.0
+        for hidden in np.ndindex(*edge_sizes) if edge_sizes else [()]:
+            p = 1.0
+            for v, gate in zip(graph.nodes, gates):
+                idx = (
+                    tuple(hidden[edge_pos[e]] for e in gate.in_edges)
+                    + (outcome[node_pos[v]],)
+                    + tuple(hidden[edge_pos[e]] for e in gate.out_edges)
+                )
+                p *= float(gate.tensor[idx])
+                if p == 0.0:
+                    break
+            total += p
+        table[outcome] = total
+    variables = tuple((v, graph.outcomes[v]) for v in graph.nodes)
+    return dm.JointDistribution(variables, table, norm_tol=1e-9)
 
 
 def all_topological_orders(graph: CausalGraph, limit: int = 100) -> list[list[str]]:

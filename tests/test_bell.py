@@ -19,7 +19,7 @@ from causalcorr.errors import (
 from causalcorr._simplex import solve_phase1
 from causalcorr.cli import run
 
-from conftest import bell_joint, deterministic_mixture, pr_box_dist, record_bell_lps
+from conftest import assert_identical, bell_joint, deterministic_mixture, pr_box_dist, record_bell_lps
 
 
 def pauli_axis(theta):
@@ -655,7 +655,49 @@ class TestCertificates:
         assert verdict.inequality[0] and verdict.max_residual > 0 and verdict.iterations > 0
 
 
+def bell_root_gates_loop(scenario, hidden_given_source, setting_dists, source_dist):
+    """Source and setting gate tensors of ``classical_bell_model``, filled one entry at a time."""
+    n, n_hidden = scenario.n, len(hidden_given_source[0])
+    t = np.zeros((scenario.source_outcomes,) + (n_hidden,) * n)
+    for s in range(scenario.source_outcomes):
+        for lam in range(n_hidden):
+            t[(s,) + (lam,) * n] = source_dist[s] * hidden_given_source[s][lam]
+    tensors = {"s": t}
+    for i in range(n):
+        k = scenario.settings[i]
+        t = np.zeros((k, k))
+        for x in range(k):
+            t[x, x] = setting_dists[i][x]
+        tensors[f"x{i + 1}"] = t
+    return tensors
+
+
 class TestClassicalBellModel:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scenario", [chsh_222(), bm.BellScenario((2, 3, 2), (3, 2, 2), source_outcomes=2)])
+    def test_gates_match_loop(self, scenario, seed):
+        rng = np.random.default_rng(seed)
+        n_hidden = 4
+        hidden = rng.dirichlet(np.ones(n_hidden), size=scenario.source_outcomes)
+        responses = [
+            rng.dirichlet(np.ones(m), size=(k, n_hidden)) for k, m in zip(scenario.settings, scenario.outcomes)
+        ]
+        settings = [rng.dirichlet(np.ones(k)) for k in scenario.settings]
+        source = rng.dirichlet(np.ones(scenario.source_outcomes))
+        model = bm.classical_bell_model(scenario, hidden, responses, settings, source)
+        assert cm.validate_model(model) == []
+        for v, tensor in bell_root_gates_loop(scenario, hidden, settings, source).items():
+            assert_identical(model.gates[v].tensor, tensor)
+
+    @pytest.mark.parametrize(
+        "n_responses, settings, match",
+        [(2, [[0.5, 0.5], [1.0]], "setting"), (2, [[0.5, 0.5]], "setting"), (1, [[0.5, 0.5]] * 2, "responses")],
+    )
+    def test_missing_or_short_party_inputs_refused(self, n_responses, settings, match):
+        response = np.full((2, 2, 2), 0.5)
+        with pytest.raises(ShapeMismatch, match=match):
+            bm.classical_bell_model(chsh_222(), [[0.5, 0.5]], [response] * n_responses, settings, [1.0])
+
     def test_shared_coin_strategy(self):
         # one uniform shared bit, both parties output it, settings ignored
         scenario = chsh_222()

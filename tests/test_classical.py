@@ -16,7 +16,7 @@ from causalcorr.errors import (
 )
 from causalcorr.graph import CausalGraph
 
-from conftest import ancestral_sets, bell_graph, popescu_graph, triangle_graph
+from conftest import ancestral_sets, bell_graph, evaluate_naive, popescu_graph, triangle_graph
 
 
 def uniform_gate(graph, sizes, v):
@@ -130,7 +130,7 @@ class TestEvaluate:
         g = graphs[seed % 3]
         m = cm.random_model(g, 2, seed)
         a = cm.evaluate(m)
-        b = cm.evaluate_naive(m)
+        b = evaluate_naive(m)
         assert np.abs(a.table - b.table).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -152,7 +152,7 @@ class TestEvaluate:
         tensor[(0,) * tensor.ndim] = bad
         m.gates["a"] = cm.Gate(m.gates["a"].in_edges, m.gates["a"].out_edges, tensor)
         assert any("non-finite" in v for v in cm.validate_model(m))
-        for evaluate in (cm.evaluate, cm.evaluate_naive):
+        for evaluate in (cm.evaluate, evaluate_naive):
             with pytest.raises(InvalidModel, match="non-finite"):
                 evaluate(m)
 

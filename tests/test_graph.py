@@ -10,6 +10,8 @@ from causalcorr.correlation import is_correlation
 from causalcorr.errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode
 from causalcorr.graph import CausalGraph
 
+from conftest import causal_past_bfs
+
 
 def chain(*names, outcomes=2):
     nodes = [(n, outcomes) for n in names]
@@ -179,6 +181,23 @@ class TestCausalPast:
         assert p_small <= p_large
         assert gm.causal_past(g, p_small) == p_small
 
+    def test_edge_to_unknown_node_refused(self):
+        g = CausalGraph.build([("a", 2)], [("e", "a", "zz")])
+        with pytest.raises(UnknownNode):
+            gm.causal_past(g, ["a"])
+
+    def test_cyclic_graph_refused(self):
+        g = CausalGraph.build([("a", 2), ("b", 2), ("c", 2)], [("e1", "a", "b"), ("e2", "b", "a")])
+        with pytest.raises(CycleError):
+            gm.causal_past(g, ["c"])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_search_on_every_subset(self, seed):
+        g = random_dag(np.random.default_rng(seed), 7)
+        for sub in range(1 << len(g.nodes)):
+            seed_set = [v for i, v in enumerate(g.nodes) if sub >> i & 1]
+            assert gm.causal_past(g, seed_set) == causal_past_bfs(g, seed_set)
+
 
 def brute_force_pairs(graph):
     """Exhaustive maximal disjoint-past pairs, straight from the definition."""
@@ -189,7 +208,7 @@ def brute_force_pairs(graph):
         for c in itertools.combinations(nodes, r)
     ]
     def past(s):
-        return gm.causal_past(graph, s)
+        return causal_past_bfs(graph, s)
 
     found = set()
     for u in subsets:
@@ -212,7 +231,7 @@ def subset_scan_pairs(graph):
     """Maximal pairs by the earlier enumeration: every ancestral subset and its largest partner."""
     n = len(graph.nodes)
     masks = [
-        sum(1 << i for i, u in enumerate(graph.nodes) if u in gm.causal_past(graph, [v]))
+        sum(1 << i for i, u in enumerate(graph.nodes) if u in causal_past_bfs(graph, [v]))
         for v in graph.nodes
     ]
     full = (1 << n) - 1

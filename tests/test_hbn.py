@@ -6,10 +6,17 @@ import pytest
 from causalcorr import classical as cm
 from causalcorr import hbn as hm
 from causalcorr.correlation import is_correlation
-from causalcorr.errors import InvalidModel, SchemaError
+from causalcorr.errors import InvalidModel, SchemaError, SizeLimitExceeded
 from causalcorr.graph import CausalGraph
 
-from conftest import bell_graph, popescu_graph, triangle_graph
+from conftest import (
+    all_test_graphs,
+    assert_identical,
+    bell_graph,
+    parallel_edge_graph,
+    popescu_graph,
+    triangle_graph,
+)
 from test_classical import shared_coin_model
 
 
@@ -45,6 +52,104 @@ def forward_probability(obs, prior, trans, emit):
     for o in obs[1:]:
         alpha = (alpha @ trans) * emit[:, o]
     return float(alpha.sum())
+
+
+def from_classical_loop(model):
+    """Node alphabets, transitions and readouts built one parent assignment at a time."""
+    graph = model.graph
+    sizes = {}
+    for v in graph.nodes:
+        s = graph.outcomes[v]
+        for e in cm.sorted_out_ids(graph, v):
+            s *= model.edge_alphabet[e]
+        sizes[v] = s
+    out_pos = {}
+    out_sizes = {}
+    for v in graph.nodes:
+        ids = cm.sorted_out_ids(graph, v)
+        out_pos.update({e: i for i, e in enumerate(ids)})
+        out_sizes[v] = tuple(model.edge_alphabet[e] for e in ids)
+    transitions = {}
+    readouts = {}
+    for v in graph.nodes:
+        gate = model.gates[v]
+        pa = hm.sorted_parents(graph, v)
+        pa_shapes = tuple(sizes[u] for u in pa)
+        trans = np.zeros(pa_shapes + (sizes[v],))
+        in_ids = gate.in_edges
+        in_sizes = tuple(model.edge_alphabet[e] for e in in_ids)
+        flat_gate = gate.tensor.reshape(in_sizes + (sizes[v],))
+        for assign in np.ndindex(*pa_shapes):
+            decoded = {}
+            for u, mu in zip(pa, assign):
+                decoded[u] = np.unravel_index(mu, (graph.outcomes[u],) + out_sizes[u])
+            lam_in = tuple(decoded[graph.edge(e).src][1 + out_pos[e]] for e in in_ids)
+            trans[assign] = flat_gate[lam_in]
+        transitions[v] = trans
+        n_o = graph.outcomes[v]
+        read = np.zeros((sizes[v], n_o))
+        block = sizes[v] // n_o
+        for o in range(n_o):
+            read[o * block : (o + 1) * block, o] = 1.0
+        readouts[v] = read
+    return sizes, transitions, readouts
+
+
+def to_classical_gates_loop(net):
+    """Gate tensors built one incoming assignment and one hidden value at a time."""
+    graph = net.graph
+    alphabet = {e.id: net.node_alphabet[e.src] for e in graph.edges}
+    tensors = {}
+    for v in graph.nodes:
+        in_ids = cm.sorted_in_ids(graph, v)
+        n_out = len(cm.sorted_out_ids(graph, v))
+        yv = net.node_alphabet[v]
+        in_sizes = tuple(alphabet[e] for e in in_ids)
+        pa = hm.sorted_parents(graph, v)
+        canonical_pos = {u: in_ids.index(min(e.id for e in graph.in_edges(v) if e.src == u)) for u in pa}
+        weight = net.transitions[v][..., :, None] * net.readouts[v]
+        tensor = np.zeros(in_sizes + (graph.outcomes[v],) + (yv,) * n_out)
+        for tup in np.ndindex(*in_sizes):
+            w = weight[tuple(tup[canonical_pos[u]] for u in pa)]  # (yv, n_o)
+            if n_out == 0:
+                tensor[tup] = w.sum(axis=0)
+            else:
+                for mu in range(yv):
+                    tensor[tup + (slice(None),) + (mu,) * n_out] = w[mu]
+        tensors[v] = tensor
+    return tensors
+
+
+def conversion_graphs(outcomes):
+    return [*all_test_graphs(outcomes).values(), parallel_edge_graph(outcomes)]
+
+
+class TestConversionsMatchLoops:
+    """The index gathers give, bit for bit, what the per-assignment loops gave."""
+
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    @pytest.mark.parametrize("at", range(6))
+    def test_from_classical(self, outcomes, at):
+        g = conversion_graphs(outcomes)[at]
+        for alphabet, seed in itertools.product((1, 2, 3), range(4)):
+            m = cm.random_model(g, alphabet, seed)
+            net = hm.from_classical(m)
+            sizes, transitions, readouts = from_classical_loop(m)
+            assert net.node_alphabet == sizes
+            for v in g.nodes:
+                assert_identical(net.transitions[v], transitions[v])
+                assert_identical(net.readouts[v], readouts[v])
+
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    @pytest.mark.parametrize("at", range(6))
+    def test_to_classical(self, outcomes, at):
+        g = conversion_graphs(outcomes)[at]
+        for alphabet, seed in itertools.product((1, 2, 3), range(4)):
+            net = hm.random_hbn(g, alphabet, seed)
+            m = hm.to_classical(net)
+            tensors = to_classical_gates_loop(net)
+            for v in g.nodes:
+                assert_identical(m.gates[v].tensor, tensors[v])
 
 
 class TestValidate:
@@ -130,6 +235,12 @@ class TestFromClassical:
         net = hm.from_classical(m)
         dev = np.abs(hm.evaluate(net).table - cm.evaluate(m).table).max()
         assert dev < 1e-12
+
+    def test_transition_table_above_guard_refused(self, triangle):
+        m = cm.random_model(triangle, 3, seed=0)  # hidden alphabets 18 and 2: tables of 18 * 18 * 2
+        with pytest.raises(SizeLimitExceeded, match="transition table of 648 entries at node 'a'"):
+            hm.from_classical(m, max_states=100)
+        assert hm.from_classical(m, max_states=648).transitions["a"].size == 648
 
     def test_readout_is_deterministic_projection(self, bell):
         net = hm.from_classical(cm.random_model(bell, 2, seed=1))

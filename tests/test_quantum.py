@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from causalcorr.graph import CausalGraph
 from conftest import (
     all_test_graphs,
     all_topological_orders,
+    assert_identical,
     bell_graph,
     bilocality_graph,
+    parallel_edge_graph,
     popescu_graph,
     triangle_graph,
 )
@@ -75,6 +79,16 @@ class TestValidateModel:
         violations = qm.validate_model(model)
         assert any("completeness" in v for v in violations)
         assert qm.completeness_deviation(model, "meas") == pytest.approx(0.1, abs=1e-12)
+
+    def test_first_misshapen_kraus_operator_reported_once(self, bell):
+        model = qm.random_model(bell, 2, seed=0)
+        components = [list(ops) for ops in model.instruments["a"].components]
+        components[1][0] = np.zeros((1, 3))
+        components[1].append(np.zeros((2, 2)))
+        model.instruments["a"] = qm.Instrument(tuple(tuple(ops) for ops in components))
+        assert qm.validate_model(model) == ["node 'a': Kraus operator shape (1, 3), expected (1, 4)"]
+        with pytest.raises(InvalidModel, match="Kraus operator shape"):
+            qm.evaluate(model)
 
     @pytest.mark.parametrize("dim", [None, 0])
     def test_bad_edge_dimension_is_invalid_model(self, bell, dim):
@@ -385,7 +399,47 @@ class TestTransferMatrixOracle:
             assert joint.table[outcome] == pytest.approx(expected.real, abs=1e-10)
 
 
+def decohere_components_loop(cmodel):
+    """Per node, the Kraus lists of each outcome, one operator per positive gate entry in a loop."""
+    components = {}
+    for v in cmodel.graph.nodes:
+        gate = cmodel.gates[v]
+        n_in = len(gate.in_edges)
+        din = int(np.prod(gate.tensor.shape[:n_in], dtype=np.int64))
+        n_o = cmodel.graph.outcomes[v]
+        dout = int(np.prod(gate.tensor.shape[n_in + 1 :], dtype=np.int64))
+        rows = gate.tensor.reshape(din, n_o, dout)
+        by_outcome = []
+        for o in range(n_o):
+            ops = []
+            for lam_in in range(din):
+                for lam_out in range(dout):
+                    g = rows[lam_in, o, lam_out]
+                    if g > 0.0:
+                        k = np.zeros((dout, din), dtype=complex)
+                        k[lam_out, lam_in] = np.sqrt(g)
+                        ops.append(k)
+            by_outcome.append(ops)
+        components[v] = by_outcome
+    return components
+
+
 class TestDecohereEmbed:
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    @pytest.mark.parametrize("at", range(6))
+    def test_kraus_lists_match_loop(self, outcomes, at):
+        g = [*all_test_graphs(outcomes).values(), parallel_edge_graph(outcomes)][at]
+        for alphabet, seed in itertools.product((1, 2, 3), range(4)):
+            # dense gates, and the sparse diagonal gates of an unpacked hidden Bayesian network
+            for m in (cm.random_model(g, alphabet, seed), hm.to_classical(hm.random_hbn(g, alphabet, seed))):
+                q = qm.decohere_embed(m)
+                for v, by_outcome in decohere_components_loop(m).items():
+                    components = q.instruments[v].components
+                    assert [len(ops) for ops in components] == [len(ops) for ops in by_outcome]
+                    for ops, expected in zip(components, by_outcome):
+                        for k, k_expected in zip(ops, expected):
+                            assert_identical(k, k_expected)
+
     def test_deterministic_copy_gate_partial_isometries(self):
         g = CausalGraph.build([("u", 2), ("v", 2)], [("uv", "u", "v")])
         t = np.zeros((2, 2))  # o[u] = lambda, uniform
