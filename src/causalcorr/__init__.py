@@ -4,89 +4,46 @@ Define a DAG of events with finite outcome alphabets, evaluate classical
 gate models, quantum instrument models, and hidden Bayesian networks on it,
 and test observed joint distributions for correlation, no-signalling, and
 local-polytope membership.
+
+The package-level names, and the submodules, load on first use: importing
+``causalcorr`` imports none of its modules, and ``causalcorr.local_membership``
+imports ``bell`` (and what ``bell`` imports) when it is first looked up.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .graph import (
-    CausalGraph,
-    Edge,
-    causal_past,
-    maximal_disjoint_past_pairs,
-    poset_equal,
-    topological_order,
-    transitive_closure,
-)
-from .dist import (
-    CoarseGraining,
-    JointDistribution,
-    conditional,
-    factor_coarse_graining,
-    marginal,
-    product,
-    tv_distance,
-)
-from .correlation import CorrelationVerdict, is_correlation
-from .classical import (
-    ClassicalModel,
-    Gate,
-    evaluate as evaluate_classical,
-    lift_trivial_edge,
-    push_back_determinism,
-    reroute_transitive_edge,
-)
-from .quantum import Instrument, QuantumModel, decohere_embed
-from .quantum import evaluate as evaluate_quantum
-from .hbn import HiddenBayesNet, from_classical, to_classical
-from .hbn import evaluate as evaluate_hbn
-from .bell import (
-    BellScenario,
-    LocalityVerdict,
-    check_free_will_no_signalling,
-    chsh_value,
-    classical_bell_model,
-    local_membership,
-    make_bell_graph,
-    quantum_bell_model,
-)
+_NAMES = {
+    "graph": "CausalGraph Edge causal_past maximal_disjoint_past_pairs poset_equal topological_order "
+             "transitive_closure",
+    "dist": "CoarseGraining JointDistribution conditional factor_coarse_graining marginal product tv_distance",
+    "correlation": "CorrelationVerdict is_correlation",
+    "classical": "ClassicalModel Gate lift_trivial_edge push_back_determinism reroute_transitive_edge",
+    "quantum": "Instrument QuantumModel decohere_embed",
+    "hbn": "HiddenBayesNet from_classical to_classical",
+    "bell": "BellScenario LocalityVerdict check_free_will_no_signalling chsh_value classical_bell_model "
+            "local_membership make_bell_graph quantum_bell_model",
+}
+# public name -> (defining module, attribute there); the three evaluate_*
+# names alias each family's ``evaluate``
+_EXPORTS = {name: (module, name) for module, names in _NAMES.items() for name in names.split()}
+_EXPORTS.update({f"evaluate_{family}": (family, "evaluate") for family in ("classical", "quantum", "hbn")})
+_SUBMODULES = {*_NAMES, "_config", "_schema", "_simplex", "errors"}
 
-__all__ = [
-    "BellScenario",
-    "CausalGraph",
-    "ClassicalModel",
-    "CoarseGraining",
-    "CorrelationVerdict",
-    "Edge",
-    "Gate",
-    "HiddenBayesNet",
-    "Instrument",
-    "JointDistribution",
-    "LocalityVerdict",
-    "QuantumModel",
-    "causal_past",
-    "check_free_will_no_signalling",
-    "chsh_value",
-    "classical_bell_model",
-    "conditional",
-    "decohere_embed",
-    "evaluate_classical",
-    "evaluate_hbn",
-    "evaluate_quantum",
-    "factor_coarse_graining",
-    "from_classical",
-    "is_correlation",
-    "lift_trivial_edge",
-    "local_membership",
-    "make_bell_graph",
-    "marginal",
-    "maximal_disjoint_past_pairs",
-    "poset_equal",
-    "product",
-    "push_back_determinism",
-    "quantum_bell_model",
-    "reroute_transitive_edge",
-    "to_classical",
-    "topological_order",
-    "transitive_closure",
-    "tv_distance",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # not cached in globals(): each lookup reads the defining module, so a
+    # patch of that module's attribute is seen here too
+    if name in _EXPORTS:
+        module, attr = _EXPORTS[name]
+        return getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

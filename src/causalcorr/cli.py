@@ -13,18 +13,12 @@ stderr.  CC_MAX_STATE_SPACE overrides the state-space guards.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 
 from . import __version__
-from . import bell as bell_mod
-from . import classical as classical_mod
-from . import correlation as correlation_mod
-from . import dist as dist_mod
-from . import graph as graph_mod
-from . import hbn as hbn_mod
-from . import quantum as quantum_mod
 from .errors import CausalCorrError, SchemaError
 
 
@@ -40,11 +34,11 @@ def _read(path: str, parse):
     return parse(data)
 
 
-def _scenario_from_dist(d: dist_mod.JointDistribution) -> bell_mod.BellScenario:
+def _scenario_from_dist(d, scenario_class):
     """Recover the scenario from canonical Bell variable names (s, x{i}, a{i});
     the Bell checks refuse a distribution with any other variable."""
     n = sum(1 for v in d.var_ids if v.startswith("x") and v[1:].isdigit())
-    return bell_mod.BellScenario(
+    return scenario_class(
         settings=tuple(d.size_of(f"x{i + 1}") for i in range(n)),
         outcomes=tuple(d.size_of(f"a{i + 1}") for i in range(n)),
         source_outcomes=d.size_of("s"),
@@ -67,41 +61,46 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _graph_validate(args):
-    violations = graph_mod.validate(_read(args.graph, graph_mod.graph_from_dict))
+# Each handler takes the parsed arguments, then the library calls that its
+# COMMANDS entry names, in that order.
+
+
+def _graph_validate(args, parse, validate):
+    violations = validate(_read(args.graph, parse))
     return {"ok": not violations, "violations": violations}, not violations
 
 
-def _check_correlation(args):
-    graph = _read(args.graph, graph_mod.graph_from_dict)
-    verdict = correlation_mod.is_correlation(graph, _read(args.dist, dist_mod.dist_from_dict), tol=args.tol)
+def _check_correlation(args, parse_graph, parse_dist, is_correlation):
+    graph = _read(args.graph, parse_graph)
+    verdict = is_correlation(graph, _read(args.dist, parse_dist), tol=args.tol)
     return verdict.to_dict(), verdict.is_correlation
 
 
-def _bell_gen(args):
+def _bell_gen(args, scenario_class, make_bell_graph, graph_to_dict):
     settings, outcomes = (s * args.parties if len(s) == 1 else s for s in (args.settings, args.outcomes))
     if len(settings) != args.parties or len(outcomes) != args.parties:
         raise SchemaError("--settings and --outcomes must list one size or one per party")
-    scenario = bell_mod.BellScenario(settings, outcomes, args.source_outcomes)
-    return graph_mod.graph_to_dict(bell_mod.make_bell_graph(scenario)), True
+    return graph_to_dict(make_bell_graph(scenario_class(settings, outcomes, args.source_outcomes))), True
 
 
-def _bell_check_ns(args):
-    d = _read(args.dist, dist_mod.dist_from_dict)
-    verdict = bell_mod.check_free_will_no_signalling(_scenario_from_dist(d), d, tol=args.tol)
+def _bell_check_ns(args, parse, scenario_class, check_free_will_no_signalling):
+    d = _read(args.dist, parse)
+    verdict = check_free_will_no_signalling(_scenario_from_dist(d, scenario_class), d, tol=args.tol)
     return verdict.to_dict(), verdict.passes
 
 
-def _bell_local(args):
-    d = _read(args.dist, dist_mod.dist_from_dict)
-    verdict = bell_mod.local_membership(_scenario_from_dist(d), d, tol=args.tol, exact=args.exact)
+def _bell_local(args, parse, scenario_class, local_membership):
+    d = _read(args.dist, parse)
+    verdict = local_membership(_scenario_from_dist(d, scenario_class), d, tol=args.tol, exact=args.exact)
     return verdict.to_dict(), verdict.is_local
 
 
-def _compress_cg(args):
-    d = _read(args.dist, dist_mod.dist_from_dict)
-    cgr = _read(args.cg, dist_mod.coarse_graining_from_dict)
-    result = dist_mod.factor_coarse_graining(d, cgr, eps=args.eps)
+def _chsh(args, parse, chsh_value):
+    return {"chsh": chsh_value(_read(args.dist, parse))}, True
+
+
+def _compress_cg(args, parse_dist, parse_cg, factor_coarse_graining):
+    result = factor_coarse_graining(_read(args.dist, parse_dist), _read(args.cg, parse_cg), eps=args.eps)
     return {
         "factor_maps": [[int(x) for x in fm] for fm in result.factor_maps],
         "composed": [int(x) for x in result.composed.ravel()],
@@ -110,21 +109,18 @@ def _compress_cg(args):
     }, True
 
 
-def _lift_edge(args):
-    model = _read(args.model, classical_mod.model_from_dict)
-    lifted = classical_mod.lift_trivial_edge(model, args.src, args.dst, edge_id=args.edge_id)
-    return classical_mod.model_to_dict(lifted), True
+def _lift_edge(args, parse, lift_trivial_edge, model_to_dict):
+    return model_to_dict(lift_trivial_edge(_read(args.model, parse), args.src, args.dst, edge_id=args.edge_id)), True
 
 
-def _reroute_edge(args):
-    model = _read(args.model, classical_mod.model_from_dict)
-    return classical_mod.model_to_dict(classical_mod.reroute_transitive_edge(model, args.edge, args.via)), True
+def _reroute_edge(args, parse, reroute_transitive_edge, model_to_dict):
+    return model_to_dict(reroute_transitive_edge(_read(args.model, parse), args.edge, args.via)), True
 
 
-def _pipe(flag, parse, *steps):
-    """Handler that parses the JSON at ``--flag`` and passes it through
-    ``steps`` in turn (compute, serialise); it checks no property."""
-    def handler(args):
+def _pipe(flag):
+    """Handler that parses the JSON at ``--flag`` and passes it through the
+    remaining calls in turn (compute, serialise); it checks no property."""
+    def handler(args, parse, *steps):
         value = _read(getattr(args, flag), parse)
         for step in steps:
             value = step(value)
@@ -149,42 +145,54 @@ FLAGS = {
     "source-outcomes": {"type": int, "default": 1},
 }
 
-# every command: its flags, and the handler that returns its payload and
-# whether the checked property holds
+# every command: its flags, the handler that returns its payload and whether
+# the checked property holds, and the library calls ("module.attribute") the
+# handler makes, imported only when the command runs
 COMMANDS = {
-    "graph-validate": (("graph",), _graph_validate),
-    "check-correlation": (("graph", "dist", "tol"), _check_correlation),
-    "eval-classical": (("model", "out"), _pipe("model", classical_mod.model_from_dict, classical_mod.evaluate,
-                                               dist_mod.dist_to_dict)),
-    "eval-quantum": (("model", "out"), _pipe("model", quantum_mod.model_from_dict, quantum_mod.evaluate,
-                                             dist_mod.dist_to_dict)),
-    "eval-hbn": (("hbn", "out"), _pipe("hbn", hbn_mod.hbn_from_dict, hbn_mod.evaluate, dist_mod.dist_to_dict)),
-    "to-hbn": (("model", "out"), _pipe("model", classical_mod.model_from_dict, hbn_mod.from_classical,
-                                       hbn_mod.hbn_to_dict)),
-    "from-hbn": (("hbn", "out"), _pipe("hbn", hbn_mod.hbn_from_dict, hbn_mod.to_classical,
-                                       classical_mod.model_to_dict)),
-    "push-determinism": (("model", "out"), _pipe("model", classical_mod.model_from_dict,
-                                                 classical_mod.push_back_determinism, classical_mod.model_to_dict)),
-    "embed-quantum": (("model", "out"), _pipe("model", classical_mod.model_from_dict, quantum_mod.decohere_embed,
-                                              quantum_mod.model_to_dict)),
-    "lift-edge": (("model", "src", "dst", "edge-id", "out"), _lift_edge),
-    "reroute-edge": (("model", "edge", "via", "out"), _reroute_edge),
-    "bell-gen": (("parties", "settings", "outcomes", "source-outcomes", "out"), _bell_gen),
-    "bell-check-ns": (("dist", "tol"), _bell_check_ns),
-    "bell-local": (("dist", "tol", "exact"), _bell_local),
-    "bell-quantum": (("model", "out"), _pipe("model", bell_mod.setup_from_dict, quantum_mod.model_to_dict)),
-    "chsh": (("dist",), _pipe("dist", dist_mod.dist_from_dict, bell_mod.chsh_value, lambda v: {"chsh": v})),
-    "poset-closure": (("graph", "out"), _pipe("graph", graph_mod.graph_from_dict, graph_mod.transitive_closure,
-                                              graph_mod.graph_to_dict)),
-    "compress-cg": (("dist", "cg", "eps", "out"), _compress_cg),
+    "graph-validate": (("graph",), _graph_validate, "graph.graph_from_dict graph.validate"),
+    "check-correlation": (("graph", "dist", "tol"), _check_correlation,
+                          "graph.graph_from_dict dist.dist_from_dict correlation.is_correlation"),
+    "eval-classical": (("model", "out"), _pipe("model"),
+                       "classical.model_from_dict classical.evaluate dist.dist_to_dict"),
+    "eval-quantum": (("model", "out"), _pipe("model"), "quantum.model_from_dict quantum.evaluate dist.dist_to_dict"),
+    "eval-hbn": (("hbn", "out"), _pipe("hbn"), "hbn.hbn_from_dict hbn.evaluate dist.dist_to_dict"),
+    "to-hbn": (("model", "out"), _pipe("model"), "classical.model_from_dict hbn.from_classical hbn.hbn_to_dict"),
+    "from-hbn": (("hbn", "out"), _pipe("hbn"), "hbn.hbn_from_dict hbn.to_classical classical.model_to_dict"),
+    "push-determinism": (("model", "out"), _pipe("model"),
+                         "classical.model_from_dict classical.push_back_determinism classical.model_to_dict"),
+    "embed-quantum": (("model", "out"), _pipe("model"),
+                      "classical.model_from_dict quantum.decohere_embed quantum.model_to_dict"),
+    "lift-edge": (("model", "src", "dst", "edge-id", "out"), _lift_edge,
+                  "classical.model_from_dict classical.lift_trivial_edge classical.model_to_dict"),
+    "reroute-edge": (("model", "edge", "via", "out"), _reroute_edge,
+                     "classical.model_from_dict classical.reroute_transitive_edge classical.model_to_dict"),
+    "bell-gen": (("parties", "settings", "outcomes", "source-outcomes", "out"), _bell_gen,
+                 "bell.BellScenario bell.make_bell_graph graph.graph_to_dict"),
+    "bell-check-ns": (("dist", "tol"), _bell_check_ns,
+                      "dist.dist_from_dict bell.BellScenario bell.check_free_will_no_signalling"),
+    "bell-local": (("dist", "tol", "exact"), _bell_local,
+                   "dist.dist_from_dict bell.BellScenario bell.local_membership"),
+    "bell-quantum": (("model", "out"), _pipe("model"), "bell.setup_from_dict quantum.model_to_dict"),
+    "chsh": (("dist",), _chsh, "dist.dist_from_dict bell.chsh_value"),
+    "poset-closure": (("graph", "out"), _pipe("graph"),
+                      "graph.graph_from_dict graph.transitive_closure graph.graph_to_dict"),
+    "compress-cg": (("dist", "cg", "eps", "out"), _compress_cg,
+                    "dist.dist_from_dict dist.coarse_graining_from_dict dist.factor_coarse_graining"),
 }
+
+
+def _library(call: str):
+    """The package attribute that ``call`` ("module.attribute") names,
+    importing its module on first use."""
+    module, attr = call.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="causalcorr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"causalcorr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, _) in COMMANDS.items():
+    for name, (flags, _, _) in COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag], **({"default": DEFAULT_TOL[name]} if flag == "tol" else {}))
@@ -195,7 +203,8 @@ def _dispatch(args) -> int:
     """Run the command's handler and write its payload (to --out where the
     command has that flag and it is given); the exit code says whether the
     checked property holds."""
-    payload, holds = COMMANDS[args.command][1](args)
+    _, handler, calls = COMMANDS[args.command]
+    payload, holds = handler(args, *map(_library, calls.split()))
     text = json.dumps(payload, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:

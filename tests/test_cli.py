@@ -13,7 +13,7 @@ from causalcorr import dist as dm
 from causalcorr import graph as gm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
-from causalcorr.cli import run
+from causalcorr.cli import COMMANDS, _library, run
 
 from conftest import bell_graph, pr_box_dist
 
@@ -654,3 +654,59 @@ class TestEntryPoint:
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert "causalcorr" in capsys.readouterr().out
+
+
+def modules_after(code: str) -> set:
+    """Names in ``sys.modules`` of a fresh interpreter after it runs ``code``."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=CHILD_PYTHONPATH))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def modules_after_run(argv, expect: int) -> set:
+    """``modules_after`` a ``cli.run(argv)`` that must return ``expect``."""
+    return modules_after(f"from causalcorr.cli import run\nassert run({[str(a) for a in argv]!r}) == {expect}")
+
+
+MODEL_MODULES = {f"causalcorr.{name}" for name in
+                 ("graph", "dist", "correlation", "classical", "quantum", "hbn", "bell", "_simplex")}
+
+
+class TestImportSet:
+    """A command loads only the modules it runs; the import checks each start a fresh interpreter."""
+
+    def test_importing_the_cli_loads_no_numpy_and_no_model_module(self):
+        loaded = modules_after("import causalcorr.cli")
+        assert "numpy" not in loaded
+        assert not loaded & MODEL_MODULES
+
+    @pytest.mark.parametrize("argv, expect", [(["--version"], 0), (["--help"], 0),
+                                              (["bell-gen", "--parties", "two"], 2)])
+    def test_help_version_and_usage_errors_load_no_numpy(self, argv, expect):
+        loaded = modules_after_run(argv, expect)
+        assert "numpy" not in loaded
+        assert not loaded & MODEL_MODULES
+
+    def test_graph_validate_loads_only_graph(self, bell_files):
+        graph_path, _ = bell_files
+        loaded = modules_after_run(["graph-validate", "--graph", graph_path], 0)
+        assert "causalcorr.graph" in loaded
+        assert not loaded & {f"causalcorr.{name}" for name in ("bell", "_simplex", "quantum", "hbn", "classical")}
+
+    def test_eval_hbn_loads_neither_bell_nor_quantum(self, tmp_path):
+        path = tmp_path / "hbn.json"
+        path.write_text(json.dumps(hm.hbn_to_dict(hm.random_hbn(bell_graph(), 2, seed=0))))
+        loaded = modules_after_run(["eval-hbn", "--hbn", path], 0)
+        assert "causalcorr.hbn" in loaded
+        assert not loaded & {"causalcorr.bell", "causalcorr.quantum"}
+
+    def test_every_named_library_call_resolves(self):
+        for name, (_, _, calls) in COMMANDS.items():
+            assert all(callable(_library(call)) for call in calls.split()), name
+
+    def test_bell_local_loads_bell_and_simplex(self, bell_files):
+        _, dist_path = bell_files
+        loaded = modules_after_run(["bell-local", "--dist", dist_path], 1)
+        assert {"causalcorr.bell", "causalcorr._simplex"} <= loaded
