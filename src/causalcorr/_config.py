@@ -6,11 +6,10 @@ import os
 
 import numpy as np
 
-from .errors import SizeLimitExceeded
+from .errors import CausalCorrError, SizeLimitExceeded
 
 DEFAULT_MAX_STATE_SPACE = 1 << 24
 DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
-DEFAULT_MAX_STRATEGIES = 10**6
 # Disjoint-past pairs listed before graph.maximal_disjoint_past_pairs refuses:
 # the most that any graph of 14 or fewer nodes has (the 14-node antichain)
 DEFAULT_MAX_PAIRS = 2**13 - 1
@@ -21,9 +20,12 @@ def max_state_space(override=None):
     if override is not None:
         return int(override)
     env = os.environ.get("CC_MAX_STATE_SPACE")
-    if env is not None:
+    if env is None:
+        return DEFAULT_MAX_STATE_SPACE
+    try:
         return int(env)
-    return DEFAULT_MAX_STATE_SPACE
+    except ValueError:
+        raise CausalCorrError(f"CC_MAX_STATE_SPACE={env!r} is not an integer") from None
 
 
 def _entries(mask, size):

@@ -31,7 +31,7 @@ from .errors import (
     SolverError,
 )
 from .quantum import Instrument, QuantumModel
-from ._config import DEFAULT_MAX_STRATEGIES
+from ._config import max_state_space
 from ._simplex import solve_phase1, solve_phase1_exact
 
 EXACT_MODE_MAX_STRATEGIES = 4096
@@ -121,26 +121,14 @@ def check_free_will_no_signalling(
     return NoSignallingVerdict(passes, freewill_dev, nosig_devs, tol)
 
 
-def enumerate_strategies(scenario: BellScenario) -> list[tuple[tuple[int, ...], ...]]:
-    """All deterministic strategies: per party, a tuple mapping setting to outcome."""
-    total = 1
-    for k, m in zip(scenario.settings, scenario.outcomes):
-        total *= m**k
-    if total > DEFAULT_MAX_STRATEGIES:
-        raise SizeLimitExceeded(f"{total} deterministic strategies exceeds the guard")
-    per_party = [
-        list(itertools.product(range(m), repeat=k))
-        for k, m in zip(scenario.settings, scenario.outcomes)
-    ]
-    return list(itertools.product(*per_party))
-
-
 @dataclass
 class LocalityVerdict:
     """Membership in the convex hull of deterministic strategies, with its certificate.
 
     When local, ``weights[s]`` maps strategies to their convex weights for
-    each source outcome ``s``; they reproduce the conditional within ``tol``
+    each source outcome ``s``; a strategy is, per party, the tuple of its
+    outcomes at each setting, 0 at a setting no defined setting tuple reads,
+    and the weights reproduce the conditional within ``tol``
     (its Collins–Gisin rows exactly, in exact mode).  When not,
     ``inequality[s]`` maps (setting tuple, outcome tuple) pairs to the
     coefficients ``c`` of a Bell inequality ``sum c p(a|x) <= 0`` that every
@@ -182,22 +170,21 @@ class LocalityVerdict:
 ROUND_OFF = 1e-12
 
 
-def _collins_gisin(scenario: BellScenario, onehots, defined):
+def _collins_gisin(scenario: BellScenario, used, onehots, defined):
     """The Collins–Gisin row map ``C`` and strategy matrix ``A`` of one LP.
 
-    A party's rows are the sum over outcomes at its first setting of
-    positive probability, then one row per (such setting, outcome < m - 1);
-    the LP's rows are the Kronecker product of the parties' rows, which
-    under no-signalling determine the behaviour.  Each row reads one setting
-    tuple; the rows that read a tuple ``defined`` leaves out are dropped.
-    ``C`` acts on (setting tuple, joint outcome) indices, and ``A`` is the
-    Kronecker product of the per-party rows applied to the one-hot tensors.
+    A party's rows are the sum over outcomes at its first used setting
+    (``used[i]`` lists the settings that some defined setting tuple reads),
+    then one row per (used setting, outcome < m - 1); the LP's rows are the
+    Kronecker product of the parties' rows, which under no-signalling
+    determine the behaviour.  Each row reads one setting tuple; the rows
+    that read a tuple ``defined`` leaves out are dropped.  ``C`` acts on
+    (setting tuple, joint outcome) indices, and ``A`` is the Kronecker
+    product of the per-party rows applied to the one-hot tensors.
     """
     n = scenario.n
-    grid = defined.reshape(scenario.settings)
     rows = []
-    for i, (k, m) in enumerate(zip(scenario.settings, scenario.outcomes)):
-        xs = np.flatnonzero(grid.any(axis=tuple(j for j in range(n) if j != i)))
+    for xs, k, m in zip(used, scenario.settings, scenario.outcomes):
         r = np.zeros((1 + len(xs) * (m - 1), k, m))
         r[0, xs[0]] = 1.0
         r[np.arange(1, len(r)), np.repeat(xs, m - 1), np.tile(np.arange(m - 1), len(xs))] = 1.0
@@ -219,9 +206,9 @@ def _respond(onehots, w):
     (setting tuples, joint outcomes) table per trailing column of ``w``.
 
     ``R`` is the Kronecker product of the per-party one-hot tensors
-    ``onehot[x, a, j] = [digit x of j == a]`` (digits in itertools.product
-    order), so ``w`` is folded through each party's tensor in turn and ``R``
-    itself is never formed.
+    ``onehot[x, a, j] = [strategy j answers setting x with a]``, so ``w`` is
+    folded through each party's tensor in turn and ``R`` itself is never
+    formed.
     """
     n = len(onehots)
     t = w.reshape([o.shape[2] for o in onehots] + list(w.shape[1:]))
@@ -258,17 +245,24 @@ def local_membership(
     """LP feasibility of the conditional inside the local polytope, per source outcome.
 
     Requires a no-signalling input (checked first).  For each source outcome
-    with positive probability, an LP decides whether the conditional outcome
-    distribution is a convex mixture of deterministic strategies.  The float
-    path poses it on Collins–Gisin rows, solves the L1 phase-1 LP with HiGHS
-    and checks the answer here: "local" weights must reproduce the full
-    conditional within ``tol``, and a "not local" Farkas vector must be a
-    Bell inequality that every strategy satisfies within ``tol`` and the
-    input violates by more; an answer that fails its check raises
-    SolverError.  ``exact=True`` poses the same Collins–Gisin LP, its rows
-    ``C p`` summed in ``Fraction`` arithmetic from the inputs' binary float
-    values, and solves it with the rational simplex for small strategy
-    counts; its weights must also reproduce the Collins–Gisin rows, and its
+    that some setting tuple has positive probability with, an LP decides
+    whether the conditional outcome distribution is a convex mixture of
+    deterministic strategies.  Its columns are the strategies over the used
+    settings, those that some such setting tuple reads: one column per
+    response there, so a setting of probability 0 adds no duplicate columns,
+    and the weight keys give outcome 0 at the other settings.  Before any LP
+    array is built, SizeLimitExceeded is raised when the rows times the
+    larger of the strategies and the (setting tuple, joint outcome) entries
+    exceed ``max_state_space()``.  The float path poses the LP on
+    Collins–Gisin rows, solves the L1 phase-1 LP with HiGHS and checks the
+    answer here: "local" weights must reproduce the full conditional within
+    ``tol``, and a "not local" Farkas vector must be a Bell inequality that
+    every strategy satisfies within ``tol`` and the input violates by more;
+    an answer that fails its check raises SolverError.  ``exact=True`` poses
+    the same Collins–Gisin LP, its rows ``C p`` summed in ``Fraction``
+    arithmetic from the inputs' binary float values, and solves it with the
+    rational simplex for at most ``EXACT_MODE_MAX_STRATEGIES`` strategies
+    posed; its weights must also reproduce the Collins–Gisin rows, and its
     Farkas vector must separate them, with no slack.  Exact mode thus
     decides the Collins–Gisin projection of the input exactly, while the
     input's signalling, and so the full conditional, is still checked within
@@ -280,26 +274,37 @@ def local_membership(
             f"input violates free-will/no-signalling by "
             f"{max([ns.freewill_deviation] + ns.nosig_deviations)}"
         )
-    strategies = enumerate_strategies(scenario)
-    if exact and len(strategies) > EXACT_MODE_MAX_STRATEGIES:
-        raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies")
     cond = conditional(dist, targets=scenario.outcome_ids(), givens=scenario.setting_ids() + ["s"])
-
-    onehots = []
-    for k, m in zip(scenario.settings, scenario.outcomes):
-        digits = np.arange(m**k) // m ** np.arange(k - 1, -1, -1)[:, None] % m
-        onehots.append((digits[:, None, :] == np.arange(m)[:, None]).astype(float))
-    n_x, n_a = math.prod(scenario.settings), math.prod(scenario.outcomes)
+    n, n_x, n_a = scenario.n, math.prod(scenario.settings), math.prod(scenario.outcomes)
     probs = cond.probs.reshape(n_x, scenario.source_outcomes, n_a)
     defined = cond.defined.reshape(n_x, scenario.source_outcomes)
 
     verdict = LocalityVerdict(True, tol=tol, solver="exact" if exact else "highs")
     slack = 0 if exact else tol + ROUND_OFF
-    p_s = marginal(dist, {"s"}).table
+    guard = max_state_space()
     for s in range(scenario.source_outcomes):
-        if p_s[s] <= cond.zero_tol:
+        if not defined[:, s].any():  # no setting tuple has positive probability with s
             continue
-        c_map, a_mat = _collins_gisin(scenario, onehots, defined[:, s])
+        grid = defined[:, s].reshape(scenario.settings)
+        used = [np.flatnonzero(grid.any(axis=tuple(j for j in range(n) if j != i))) for i in range(n)]
+        counts = [m ** len(xs) for xs, m in zip(used, scenario.outcomes)]
+        n_strat = math.prod(counts)
+        n_rows = math.prod(1 + len(xs) * (m - 1) for xs, m in zip(used, scenario.outcomes))
+        if n_rows * max(n_strat, n_x * n_a) > guard:
+            raise SizeLimitExceeded(f"an LP of {n_rows} rows over {n_strat} strategies and "
+                                    f"{n_x * n_a} (setting, outcome) tuples exceeds the guard {guard}")
+        if exact and n_strat > EXACT_MODE_MAX_STRATEGIES:
+            raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies, "
+                                    f"not {n_strat}")
+        # answers[i][x, j]: party i's outcome at setting x under strategy j, whose
+        # digits at the used settings count in itertools.product order; 0 elsewhere
+        answers, onehots = [], []
+        for xs, k, m, count in zip(used, scenario.settings, scenario.outcomes, counts):
+            answer = np.zeros((k, count), dtype=np.int64)
+            answer[xs] = np.arange(count) // m ** np.arange(len(xs) - 1, -1, -1)[:, None] % m
+            answers.append(answer)
+            onehots.append((answer[:, None, :] == np.arange(m)[:, None]).astype(float))
+        c_map, a_mat = _collins_gisin(scenario, used, onehots, defined[:, s])
         p_col = probs[:, s].ravel()
         if exact:  # C and A are 0/1, so C p and every check below are exact in Fractions
             c_map, a_mat = c_map.astype(int).astype(object), a_mat.astype(int).astype(object)
@@ -323,7 +328,9 @@ def local_membership(
         check_weights(_respond(onehots, w)[defined[:, s]].ravel(), probs[defined[:, s], s].ravel(), w, tol + ROUND_OFF)
         if exact:  # and the Collins–Gisin rows exactly
             check_weights(a_mat @ res.x, b_vec, res.x, 0)
-        verdict.weights[s] = {strategies[j]: float(w[j]) for j in np.flatnonzero(w)}
+        cols = np.flatnonzero(w)
+        keys = zip(*(map(tuple, a[:, j].T.tolist()) for a, j in zip(answers, np.unravel_index(cols, counts))))
+        verdict.weights[s] = dict(zip(keys, w[cols].tolist()))
     return verdict
 
 
@@ -398,26 +405,23 @@ def quantum_bell_model(
     n = scenario.n
     if len(povms) != n:
         raise ShapeMismatch(f"{len(povms)} POVM families for {n} parties")
-    dims = []
+    dims, effects = [], []
     for i, fam in enumerate(povms):
         if len(fam) != scenario.settings[i]:
             raise ShapeMismatch(f"party {i + 1}: {len(fam)} settings, expected {scenario.settings[i]}")
-        for x, effects in enumerate(fam):
-            if len(effects) != scenario.outcomes[i]:
-                raise ShapeMismatch(
-                    f"party {i + 1}, setting {x}: {len(effects)} effects, expected {scenario.outcomes[i]}"
-                )
-        d = np.asarray(fam[0][0]).shape[0]
-        dims.append(d)
-        for x, effects in enumerate(fam):
-            acc = np.zeros((d, d), dtype=complex)
-            for e in effects:
-                e = np.asarray(e, dtype=complex)
-                if e.shape != (d, d):
-                    raise ShapeMismatch(f"party {i + 1}: effect shape {e.shape}, expected {(d, d)}")
-                acc += e
-            if not np.abs(acc - np.eye(d)).max(initial=0.0) <= 1e-10:
-                raise IncompletePOVM(f"party {i + 1}, setting {x}: effects sum off identity")
+        square = np.shape(fam[0][0])[:1] * 2  # (d, d) from the first effect; () when it is a scalar
+        for x, fx in enumerate(fam):
+            if len(fx) != scenario.outcomes[i]:
+                raise ShapeMismatch(f"party {i + 1}, setting {x}: {len(fx)} effects, expected {scenario.outcomes[i]}")
+            for e in fx:
+                if not square or np.shape(e) != square:
+                    raise ShapeMismatch(f"party {i + 1}: effect shape {np.shape(e)}, expected {square or 'a matrix'}")
+        e = np.asarray(fam, dtype=complex)  # (setting, outcome, d, d)
+        off = np.flatnonzero(~(np.abs(e.sum(axis=1) - np.eye(square[0])).max(axis=(1, 2), initial=0.0) <= 1e-10))
+        if off.size:
+            raise IncompletePOVM(f"party {i + 1}, setting {off[0]}: effects sum off identity")
+        dims.append(square[0])
+        effects.append(e)
 
     states = [np.asarray(psi, dtype=complex).ravel() for psi in states]
     if len(states) != scenario.source_outcomes:
@@ -468,23 +472,11 @@ def quantum_bell_model(
             comps.append((e,))
         instruments[f"x{i + 1}"] = Instrument(tuple(comps))
 
-    for i in range(n):
-        kx = scenario.settings[i]
-        d = dims[i]
-        comps = []
-        for a in range(scenario.outcomes[i]):
-            m = np.zeros((d * kx, d * kx), dtype=complex)
-            for x in range(kx):
-                proj = np.zeros((kx, kx), dtype=complex)
-                proj[x, x] = 1.0
-                m += np.kron(np.asarray(povms[i][x][a], dtype=complex), proj)
-            w, u = np.linalg.eigh(m)
-            ops = []
-            for j in range(len(w)):
-                if w[j] > 1e-14:
-                    ops.append(np.sqrt(w[j]) * u[:, j].conj().reshape(1, -1))
-            comps.append(tuple(ops))
-        instruments[f"a{i + 1}"] = Instrument(tuple(comps))
+    for i, (e, kx, d) in enumerate(zip(effects, scenario.settings, dims)):
+        # one eigendecomposition per outcome a of m[a] = sum_x E[x, a] ⊗ |x><x|
+        w, u = np.linalg.eigh(np.einsum("xarc,xy->arxcy", e, np.eye(kx)).reshape(-1, d * kx, d * kx))
+        kraus = np.sqrt(np.where(w > 1e-14, w, 0))[:, :, None] * u.conj().transpose(0, 2, 1)
+        instruments[f"a{i + 1}"] = Instrument(tuple(tuple(k[keep, None]) for k, keep in zip(kraus, w > 1e-14)))
 
     return QuantumModel(graph, edge_dim, instruments)
 

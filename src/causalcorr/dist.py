@@ -7,6 +7,7 @@ Desk-scale only: total table size is capped (override with CC_MAX_STATE_SPACE).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -312,51 +313,25 @@ def factor_coarse_graining(
         raise BadEpsilon(f"eps={eps} outside [0, 1]")
     if dist.sizes != cg.domain:
         raise ShapeMismatch(f"distribution sizes {dist.sizes} != coarse-graining domain {cg.domain}")
-    n = len(cg.domain)
-    # groups[k] is a list of sorted lists of original values; group order is by
-    # smallest member, which keeps the relabelling deterministic.
-    groups: list[list[list[int]]] = [[[x] for x in range(size)] for size in cg.domain]
-
-    def labels_of(gs):
-        labs = []
-        for k in range(n):
-            lab = np.empty(cg.domain[k], dtype=np.int64)
-            for gi, members in enumerate(gs[k]):
-                for x in members:
-                    lab[x] = gi
-            labs.append(lab)
-        return labs
-
-    def error_of(gs):
-        labs = labels_of(gs)
-        sizes = tuple(len(g) for g in gs)
-        err, _ = _partition_error_and_g(dist.table, cg.map, labs, sizes)
-        return err
-
-    for k in range(n):
+    # labels[k][x] is the group of factor value x; groups are numbered by their
+    # smallest member, so merging group j into i < j relabels j to i and shifts
+    # the groups above j down by one
+    labels = [np.arange(size, dtype=np.int64) for size in cg.domain]
+    sizes = cg.domain
+    for k in range(len(sizes)):
         merged = True
         while merged:
             merged = False
-            m = len(groups[k])
-            for i in range(m):
-                for j in range(i + 1, m):
-                    trial = [list(map(list, g)) for g in groups]
-                    combined = sorted(trial[k][i] + trial[k][j])
-                    del trial[k][j]
-                    trial[k][i] = combined
-                    trial[k].sort(key=lambda g: g[0])
-                    if error_of(trial) <= eps:
-                        groups = trial
-                        merged = True
-                        break
-                if merged:
+            for i, j in itertools.combinations(range(sizes[k]), 2):
+                trial = [*labels[:k], np.where(labels[k] == j, i, labels[k] - (labels[k] > j)), *labels[k + 1 :]]
+                trial_sizes = (*sizes[:k], sizes[k] - 1, *sizes[k + 1 :])
+                if _partition_error_and_g(dist.table, cg.map, trial, trial_sizes)[0] <= eps:
+                    labels, sizes, merged = trial, trial_sizes, True
                     break
 
-    labs = labels_of(groups)
-    sizes = tuple(len(g) for g in groups)
-    err, g_map = _partition_error_and_g(dist.table, cg.map, labs, sizes)
+    err, g_map = _partition_error_and_g(dist.table, cg.map, labels, sizes)
     return Factorization(
-        factor_maps=tuple(labs),
+        factor_maps=tuple(labels),
         composed=g_map,
         achieved_error=err,
         sizes=sizes,

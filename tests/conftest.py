@@ -215,6 +215,13 @@ def evaluate_naive(model: cm.ClassicalModel, max_states: int | None = None) -> d
     return dm.JointDistribution(variables, table, norm_tol=1e-9)
 
 
+def enumerate_strategies(scenario) -> list[tuple[tuple[int, ...], ...]]:
+    """Oracle: every deterministic strategy of a Bell scenario, per party the tuple of its
+    outcomes at each setting, in ``itertools.product`` order."""
+    per_party = [list(itertools.product(range(m), repeat=k)) for k, m in zip(scenario.settings, scenario.outcomes)]
+    return list(itertools.product(*per_party))
+
+
 def all_topological_orders(graph: CausalGraph, limit: int = 100) -> list[list[str]]:
     """Up to ``limit`` distinct topological orders, in lexicographic order."""
     adj = {n: [e.dst for e in graph.out_edges(n)] for n in graph.nodes}

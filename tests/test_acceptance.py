@@ -23,6 +23,7 @@ from conftest import (
     all_topological_orders,
     ancestral_sets,
     bell_graph,
+    enumerate_strategies,
     evaluate_naive,
     pr_box_dist,
     popescu_graph,
@@ -41,7 +42,7 @@ def report(num, text):
 def test_criterion_01_local_bound_and_polytope():
     start = time.perf_counter()
     scenario = chsh_222()
-    strategies = bm.enumerate_strategies(scenario)
+    strategies = enumerate_strategies(scenario)
     assert len(strategies) == 16
     values = [bm.chsh_value(strategy_dist(s)) for s in strategies]
     assert max(values) == 2.0

@@ -14,12 +14,20 @@ from causalcorr.errors import (
     IncompletePOVM,
     NotNoSignalling,
     ShapeMismatch,
+    SizeLimitExceeded,
     SolverError,
 )
 from causalcorr._simplex import solve_phase1
 from causalcorr.cli import run
 
-from conftest import assert_identical, bell_joint, deterministic_mixture, pr_box_dist, record_bell_lps
+from conftest import (
+    assert_identical,
+    bell_joint,
+    deterministic_mixture,
+    enumerate_strategies,
+    pr_box_dist,
+    record_bell_lps,
+)
 
 
 def pauli_axis(theta):
@@ -62,7 +70,7 @@ def response_loop_lps(scenario, dist):
     Returns the strategies and ``{source outcome: (A, b, defined setting
     tuples)}`` for the source outcomes with positive probability.
     """
-    strategies = bm.enumerate_strategies(scenario)
+    strategies = enumerate_strategies(scenario)
     n_strat = len(strategies)
     xs = scenario.setting_ids()
     cond = dm.conditional(dist, targets=scenario.outcome_ids(), givens=xs + ["s"])
@@ -135,7 +143,7 @@ def assert_certificate_holds(scenario, joint, verdict):
         return
     assert not verdict.weights and verdict.max_residual > verdict.tol
     [(s, terms)] = verdict.inequality.items()
-    for strategy in bm.enumerate_strategies(scenario):
+    for strategy in enumerate_strategies(scenario):
         value = sum(c for (xt, at), c in terms.items() if at == tuple(strategy[i][x] for i, x in enumerate(xt)))
         assert value <= verdict.tol
     violation = sum(c * cond.probs[xt + (s,) + at] for (xt, at), c in terms.items())
@@ -362,7 +370,7 @@ class TestLocalMembership:
     @staticmethod
     def full_mixture(settings, outcomes):
         """Joint of a seed-0 Dirichlet mixture of every deterministic strategy, uniform settings."""
-        strategies = bm.enumerate_strategies(bm.BellScenario(settings, outcomes))
+        strategies = enumerate_strategies(bm.BellScenario(settings, outcomes))
         cond = np.zeros(tuple(settings) + tuple(outcomes))
         for strategy, w in zip(strategies, np.random.default_rng(0).dirichlet(np.ones(len(strategies)))):
             for xs in itertools.product(*(range(k) for k in settings)):
@@ -408,7 +416,7 @@ class TestLocalMembership:
         assert verdict.max_residual > 0
         assert sum(c * 4 * d.table[(0,) + x + a] for (x, a), c in terms.items()) == pytest.approx(
             verdict.max_residual, abs=1e-12)
-        for strategy in bm.enumerate_strategies(chsh_222()):
+        for strategy in enumerate_strategies(chsh_222()):
             assert sum(c for (x, a), c in terms.items() if a == (strategy[0][x[0]], strategy[1][x[1]])) <= 1e-12
 
     def test_signalling_input_rejected(self):
@@ -461,6 +469,78 @@ class TestLocalMembership:
         assert bm.local_membership(chsh_222(), noisy(0.5)).is_local
         assert bm.local_membership(chsh_222(), noisy(0.25)).is_local
 
+    def test_lp_guard_refuses_before_any_lp_array(self, monkeypatch):
+        # 2 parties with 9 binary settings: 10 x 10 rows over 2^9 x 2^9 strategies
+        def fail(*args, **kwargs):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(bm, "_collins_gisin", fail)
+        monkeypatch.setattr(bm, "solve_phase1", fail)
+        settings, outcomes = (9, 9), (2, 2)
+        joint = bell_joint(settings, outcomes, [np.full(settings + outcomes, 0.25)])
+        with pytest.raises(SizeLimitExceeded, match="100 rows over 262144 strategies"):
+            bm.local_membership(bm.BellScenario(settings, outcomes), joint)
+
+    def test_lp_guard_follows_the_state_space_variable(self, monkeypatch):
+        # CHSH: 9 rows times max(16 strategies, 4 setting tuples x 4 joint outcomes)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "143")
+        with pytest.raises(SizeLimitExceeded, match="exceeds the guard 143"):
+            bm.local_membership(chsh_222(), pr_box_dist())
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "144")
+        assert not bm.local_membership(chsh_222(), pr_box_dist()).is_local
+
+    def test_settings_of_probability_0_leave_the_lp(self):
+        # party 1 uses only settings 1 and 9 of its 9: 3 x 10 rows over 2^2 x 2^9 strategies
+        settings, outcomes = (9, 9), (2, 2)
+        scenario = bm.BellScenario(settings, outcomes)
+        p1 = np.zeros(9)
+        p1[[0, 8]] = 0.5
+        cond = deterministic_mixture(np.random.default_rng(3), settings, outcomes, 4)
+        joint = bell_joint(settings, outcomes, [cond], [p1, np.full(9, 1 / 9)])
+        verdict = bm.local_membership(scenario, joint)
+        assert verdict.is_local and verdict.lp_shape == (30, 2048)
+        assert all(strategy[0][1:8] == (0,) * 7 for strategy in verdict.weights[0])
+        assert_certificate_holds(scenario, joint, verdict)
+
+    def test_exact_mode_refuses_more_strategies_than_its_limit(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an exact LP was solved")
+
+        monkeypatch.setattr(bm, "solve_phase1_exact", fail)
+        settings, outcomes = (7, 6), (2, 2)
+        joint = bell_joint(settings, outcomes, [np.full(settings + outcomes, 0.25)])
+        with pytest.raises(SizeLimitExceeded, match="at most 4096 strategies, not 8192"):
+            bm.local_membership(bm.BellScenario(settings, outcomes), joint, exact=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weight_keys_answer_0_at_a_setting_of_probability_0(self, seed):
+        # party 2's setting 1 has probability 0; the keys replay as a model of the joint
+        settings, outcomes = (2, 3), (2, 2)
+        scenario = bm.BellScenario(settings, outcomes)
+        setting_probs = [np.array([0.5, 0.5]), np.array([0.6, 0.0, 0.4])]
+        cond = deterministic_mixture(np.random.default_rng(seed), settings, outcomes, 4)
+        joint = bell_joint(settings, outcomes, [cond], setting_probs)
+        verdict = bm.local_membership(scenario, joint)
+        assert verdict.is_local and verdict.lp_shape == (9, 16)
+        strategies, weights = zip(*verdict.weights[0].items())
+        assert all(strategy[1][1] == 0 for strategy in strategies)
+        responses = [np.zeros((k, len(strategies), m)) for k, m in zip(settings, outcomes)]
+        for j, strategy in enumerate(strategies):
+            for r, answers in zip(responses, strategy):
+                r[np.arange(len(answers)), j, answers] = 1.0
+        weights = np.array(weights) / sum(weights)
+        model = bm.classical_bell_model(scenario, [weights], responses, setting_probs, [1.0])
+        assert np.abs(cm.evaluate(model).table - joint.table).max() < 1e-7
+
+    def test_source_outcome_without_a_defined_setting_tuple_is_skipped(self):
+        # p(s = 1) = 2e-12 is above the conditional's zero tolerance, but each of
+        # its four setting tuples has 5e-13, below it, so no row of s = 1 is defined
+        settings, outcomes = (2, 2), (2, 2)
+        conds = [np.full(settings + outcomes, 0.25)] * 2
+        joint = bell_joint(settings, outcomes, conds, source_probs=(1 - 2e-12, 2e-12))
+        verdict = bm.local_membership(bm.BellScenario(settings, outcomes, source_outcomes=2), joint)
+        assert verdict.is_local and list(verdict.weights) == [0]
+
     def test_nonuniform_source_decomposes_per_outcome(self):
         # source outcome selects one of two different deterministic behaviours
         table = np.zeros((2, 2, 2, 2, 2))
@@ -491,8 +571,11 @@ class TestLocalMembership:
         oracle_local, solved = True, 0
         for (a, b), (s, (a_ref, b_ref, tuples)) in zip(built, lps.items()):
             c = collins_gisin_oracle(scenario, tuples)
-            assert a.shape == (len(c), len(strategies)) and len(a) < len(a_ref)
-            np.testing.assert_array_equal(a, c @ a_ref[:-1])
+            # the LP's columns are the strategies that answer 0 at every setting no defined tuple reads
+            unused = [set(range(k)) - {xt[i] for xt in tuples} for i, k in enumerate(scenario.settings)]
+            cols = [j for j, st in enumerate(strategies) if not any(st[i][x] for i, u in enumerate(unused) for x in u)]
+            assert a.shape == (len(c), len(cols)) and len(a) < len(a_ref)
+            np.testing.assert_array_equal(a, c @ a_ref[:-1, cols])
             np.testing.assert_allclose(b, c @ b_ref[:-1], rtol=0, atol=1e-15)
             solved += 1
             if not solve_phase1(a_ref, b_ref, tol=verdict.tol).feasible:
@@ -504,8 +587,9 @@ class TestLocalMembership:
         assert verdict.lp_shape == max(a.shape for a, _ in built)
         assert_certificate_holds(scenario, joint, verdict)
         if name == "two-sources-zero-setting":
-            # party 2's setting 1 is dropped: 3 x 3 rows where the full rows are 2 * 2 * 4 + 1
-            assert sorted(lps) == [0, 1] and [a.shape for a, _ in built] == [(9, 32)] * 2
+            # party 2's setting 1 is dropped: 3 x 3 rows where the full rows are 2 * 2 * 4 + 1,
+            # over the 4 x 4 strategies at the used settings
+            assert sorted(lps) == [0, 1] and [a.shape for a, _ in built] == [(9, 16)] * 2
         if name == "tiny-setting-pair":
             # the one row reading the pair (1, 1) is dropped
             assert len(lps[0][2]) == 3 and [a.shape for a, _ in built] == [(8, 16)]
@@ -619,7 +703,7 @@ class TestCertificates:
     @pytest.mark.parametrize("settings, outcomes", [((2, 3), (3, 2)), ((2, 1, 2), (2, 3, 2))])
     def test_response_fold_matches_strategy_loop(self, settings, outcomes):
         scenario = bm.BellScenario(settings, outcomes)
-        strategies = bm.enumerate_strategies(scenario)
+        strategies = enumerate_strategies(scenario)
         onehots = [
             np.array([[[s[x] == a for s in itertools.product(range(m), repeat=k)] for a in range(m)]
                       for x in range(k)], dtype=float)
@@ -726,7 +810,7 @@ class TestClassicalBellModel:
         joint = cm.evaluate(cm.random_model(graph, 2, seed))
         verdict = bm.local_membership(scenario, joint)
         assert verdict.is_local
-        strategies = bm.enumerate_strategies(scenario)
+        strategies = enumerate_strategies(scenario)
         weights = np.array([verdict.weights[0].get(s, 0.0) for s in strategies])
         weights /= weights.sum()
         responses = []
@@ -745,6 +829,36 @@ class TestClassicalBellModel:
         )
         dev = np.abs(cm.evaluate(rebuilt).table - joint.table).max()
         assert dev < 1e-7
+
+
+def random_effects(rng, d, m, projective):
+    """``m`` effects on dimension ``d`` summing to the identity: projectors onto groups of
+    a random basis (degenerate, and 0 for an empty group), or a random POVM."""
+    if projective:
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        group = rng.integers(m, size=d)
+        return [u[:, group == a] @ u[:, group == a].conj().T for a in range(m)]
+    g = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(m)]
+    w, v = np.linalg.eigh(sum(x.conj().T @ x for x in g))
+    root = v @ np.diag(w**-0.5) @ v.conj().T
+    return [root @ x.conj().T @ x @ root for x in g]
+
+
+def measurement_kraus_loop(family):
+    """Oracle: a party's measurement Kraus operators, one ``eigh`` per outcome ``a`` of
+    ``sum_x kron(E[x][a], |x><x|)`` summed one setting at a time, and one operator per
+    eigenvalue above 1e-14."""
+    kx, d = len(family), len(family[0][0])
+    comps = []
+    for a in range(len(family[0])):
+        m = np.zeros((d * kx, d * kx), dtype=complex)
+        for x in range(kx):
+            proj = np.zeros((kx, kx), dtype=complex)
+            proj[x, x] = 1.0
+            m += np.kron(np.asarray(family[x][a], dtype=complex), proj)
+        w, u = np.linalg.eigh(m)
+        comps.append(tuple(np.sqrt(w[j]) * u[:, j].conj().reshape(1, -1) for j in range(len(w)) if w[j] > 1e-14))
+    return comps
 
 
 class TestQuantumBellModel:
@@ -816,6 +930,30 @@ class TestQuantumBellModel:
                 chsh_222(), [SINGLET], [bad, bad], [[0.5, 0.5], [0.5, 0.5]], [1.0]
             )
 
+    @pytest.mark.parametrize("effect", [1.0, [1.0], [[1.0, 0.0]]], ids=["0-d", "1-d", "1x2"])
+    def test_effect_that_is_no_square_matrix_rejected(self, effect):
+        with pytest.raises(ShapeMismatch, match="effect shape"):
+            bm.quantum_bell_model(bm.BellScenario((1, 1), (1, 1)), [np.array([1.0])], [[[effect]], [[[1.0]]]],
+                                  [[1.0], [1.0]], [1.0])
+
+    def test_kraus_operators_match_per_outcome_loop(self):
+        # projective measurements with degenerate projectors and random POVMs, per party
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            settings, outcomes = tuple(rng.integers(1, 4, size=2)), tuple(rng.integers(1, 4, size=2))
+            dims = [int(d) for d in rng.integers(1, 4, size=2)]
+            povms = [[random_effects(rng, d, m, projective=(seed + x) % 2 == 0) for x in range(k)]
+                     for d, k, m in zip(dims, settings, outcomes)]
+            psi = rng.normal(size=dims[0] * dims[1]) + 0j
+            model = bm.quantum_bell_model(bm.BellScenario(settings, outcomes), [psi / np.linalg.norm(psi)], povms,
+                                          [np.full(k, 1 / k) for k in settings], [1.0])
+            for i, family in enumerate(povms):
+                got = model.instruments[f"a{i + 1}"].components
+                expected = measurement_kraus_loop(family)
+                assert [len(c) for c in got] == [len(c) for c in expected]
+                for k_got, k_ref in zip(itertools.chain(*got), itertools.chain(*expected)):
+                    assert_identical(k_got, k_ref)
+
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ShapeMismatch):
             bm.quantum_bell_model(
@@ -833,7 +971,7 @@ class TestChshValue:
 
     def test_local_bound_from_enumeration(self):
         values = [
-            bm.chsh_value(strategy_dist(s)) for s in bm.enumerate_strategies(chsh_222())
+            bm.chsh_value(strategy_dist(s)) for s in enumerate_strategies(chsh_222())
         ]
         assert len(values) == 16
         assert max(values) == pytest.approx(2.0, abs=1e-12)

@@ -380,6 +380,12 @@ class TestExitCodes:
         assert "exceeds the guard" in capsys.readouterr().err
         assert peak < 1 << 20
 
+    def test_malformed_state_space_variable_is_usage_error(self, bell_files, capsys, monkeypatch):
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "lots")
+        graph_path, dist_path = bell_files
+        assert run(["check-correlation", "--graph", str(graph_path), "--dist", str(dist_path)]) == 2
+        assert "CC_MAX_STATE_SPACE='lots' is not an integer" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, bell_files, capsys):
         graph_path, _ = bell_files
         assert run(["graph-validate", "--graph", str(graph_path), "--bogus"]) == 2

@@ -12,7 +12,7 @@ from causalcorr import classical as cm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
 from causalcorr._config import _contract, _greedy_path, max_state_space
-from causalcorr.errors import SizeLimitExceeded
+from causalcorr.errors import CausalCorrError, SizeLimitExceeded
 from causalcorr.graph import CausalGraph
 
 from conftest import all_test_graphs
@@ -202,3 +202,15 @@ class TestContract:
         assert _contract([], []) == 1.0
         joint = family.evaluate(build(CausalGraph.build([], [])))
         assert joint.variables == () and joint.table.shape == () and joint.table == 1.0
+
+
+class TestMaxStateSpace:
+    def test_variable_overrides_the_default_and_an_argument_overrides_both(self, monkeypatch):
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "4096")
+        assert max_state_space() == 4096 and max_state_space(64) == 64
+
+    @pytest.mark.parametrize("value", ["lots", "1e6", ""])
+    def test_malformed_variable_names_itself(self, monkeypatch, value):
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", value)
+        with pytest.raises(CausalCorrError, match=f"CC_MAX_STATE_SPACE={value!r} is not an integer"):
+            max_state_space()

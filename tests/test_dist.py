@@ -15,7 +15,7 @@ from causalcorr.errors import (
     VariableMismatch,
 )
 
-from conftest import pr_box_dist
+from conftest import assert_identical, pr_box_dist
 
 
 def uniform(*vars_and_sizes):
@@ -254,6 +254,33 @@ def exhaustive_min_sizes(p_table, f_map, domain, codomain, eps):
     return best
 
 
+def greedy_member_lists(dist, cg, eps):
+    """Oracle: the greedy merge on explicit member lists, copied for each trial merge
+    and turned into labels for each error evaluation.  Returns the labels and sizes."""
+    groups = [[[x] for x in range(size)] for size in cg.domain]
+
+    def labels_of(gs):
+        labs = [np.empty(size, dtype=np.int64) for size in cg.domain]
+        for lab, g in zip(labs, gs):
+            for gi, members in enumerate(g):
+                lab[members] = gi
+        return labs
+
+    for k in range(len(groups)):
+        merged = True
+        while merged:
+            merged = False
+            for i, j in itertools.combinations(range(len(groups[k])), 2):
+                trial = [list(map(list, g)) for g in groups]
+                trial[k][i] = sorted(trial[k][i] + trial[k].pop(j))
+                trial[k].sort(key=lambda g: g[0])
+                sizes = tuple(map(len, trial))
+                if dm._partition_error_and_g(dist.table, cg.map, labels_of(trial), sizes)[0] <= eps:
+                    groups, merged = trial, True
+                    break
+    return labels_of(groups), tuple(map(len, groups))
+
+
 class TestFactorCoarseGraining:
     def test_single_factor_dependence(self):
         f = np.array([[i % 2] * 4 for i in range(3)])
@@ -307,6 +334,27 @@ class TestFactorCoarseGraining:
             if res.composed[reduced] != f[idx]:
                 err += p.table[idx]
         assert abs(err - res.achieved_error) < 1e-12
+
+    def test_matches_member_list_oracle(self):
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            domain = tuple(int(k) for k in rng.integers(1, 5, size=rng.integers(1, 4)))
+            table = rng.dirichlet(np.full(int(np.prod(domain)), rng.choice([0.2, 1.0, 5.0])))
+            if seed % 3 == 0:  # zero-mass cells
+                table = np.where(rng.random(table.size) < 0.3, 0.0, table)
+                table = table / table.sum() if table.sum() > 0 else np.full(table.size, 1 / table.size)
+            p = dm.JointDistribution(tuple((f"v{i}", k) for i, k in enumerate(domain)), table.reshape(domain))
+            codomain = int(rng.integers(1, 5))
+            cg = dm.CoarseGraining(domain, codomain, rng.integers(codomain, size=table.size))
+            eps = float(rng.choice([0.0, 0.01, 0.1, 0.3, 1.0]))
+            res = dm.factor_coarse_graining(p, cg, eps)
+            labels, sizes = greedy_member_lists(p, cg, eps)
+            assert res.sizes == sizes
+            for got, expected in zip(res.factor_maps, labels, strict=True):
+                assert_identical(got, expected)
+            err, composed = dm._partition_error_and_g(p.table, cg.map, labels, sizes)
+            assert_identical(res.composed, composed)
+            assert res.achieved_error == err
 
     def test_bad_epsilon(self):
         f = np.zeros((2, 2), dtype=np.int64)
