@@ -397,7 +397,8 @@ def quantum_bell_model(
 
     ``states``: one unit vector on the tensor product of the party spaces per
     source outcome.  ``povms[i][x][a]``: party ``i``'s effect for outcome
-    ``a`` under setting ``x``; each setting's effects must sum to the identity
+    ``a`` under setting ``x``; effects must be Hermitian and positive
+    semidefinite, and each setting's effects must sum to the identity, all
     within 1e-10.  The source edge to party ``i`` carries that party's space,
     the setting edge carries a classical register of the setting value, and
     the measurement node applies the setting-controlled POVM.
@@ -420,6 +421,9 @@ def quantum_bell_model(
         off = np.flatnonzero(~(np.abs(e.sum(axis=1) - np.eye(square[0])).max(axis=(1, 2), initial=0.0) <= 1e-10))
         if off.size:
             raise IncompletePOVM(f"party {i + 1}, setting {off[0]}: effects sum off identity")
+        skew = np.flatnonzero(np.abs(e - e.conj().swapaxes(2, 3)).max(axis=(1, 2, 3), initial=0.0) > 1e-10)
+        if skew.size:
+            raise IncompletePOVM(f"party {i + 1}, setting {skew[0]}: an effect is not Hermitian")
         dims.append(square[0])
         effects.append(e)
 
@@ -475,6 +479,8 @@ def quantum_bell_model(
     for i, (e, kx, d) in enumerate(zip(effects, scenario.settings, dims)):
         # one eigendecomposition per outcome a of m[a] = sum_x E[x, a] ⊗ |x><x|
         w, u = np.linalg.eigh(np.einsum("xarc,xy->arxcy", e, np.eye(kx)).reshape(-1, d * kx, d * kx))
+        if w.min() < -1e-10:
+            raise IncompletePOVM(f"party {i + 1}: an effect has the negative eigenvalue {w.min()}")
         kraus = np.sqrt(np.where(w > 1e-14, w, 0))[:, :, None] * u.conj().transpose(0, 2, 1)
         instruments[f"a{i + 1}"] = Instrument(tuple(tuple(k[keep, None]) for k, keep in zip(kraus, w > 1e-14)))
 

@@ -15,8 +15,9 @@ edge through an intermediate relay node.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +69,27 @@ def sorted_in_ids(graph: cg.CausalGraph, v: str) -> tuple[str, ...]:
 
 def sorted_out_ids(graph: cg.CausalGraph, v: str) -> tuple[str, ...]:
     return tuple(sorted(e.id for e in graph.out_edges(v)))
+
+
+# axis labels that are not edge ids: the outcome, a pushed-back function
+# table and the relayed input and output; objects, so no edge id equals one
+_OUTCOME, _TABLE, _RELAY_IN, _RELAY_OUT = object(), object(), object(), object()
+
+
+def _labels(gate: Gate) -> tuple:
+    return (*gate.in_edges, _OUTCOME, *gate.out_edges)
+
+
+def _rewire(tensor: np.ndarray, labels, in_edges, out_edges, merged) -> Gate:
+    """Gate wired to ``in_edges``/``out_edges`` from ``tensor``, whose axes carry ``labels``.
+
+    The axis of each new edge ``e`` is the group ``merged.get(e, (e,))`` of
+    old axes, the first most significant; ``()`` gives a one-letter axis.
+    """
+    at = {x: i for i, x in enumerate(labels)}
+    groups = [merged.get(e, (e,)) for e in (*in_edges, _OUTCOME, *out_edges)]
+    shape = [math.prod(tensor.shape[at[x]] for x in g) for g in groups]
+    return Gate(in_edges, out_edges, tensor.transpose([at[x] for g in groups for x in g]).reshape(shape))
 
 
 def validate_model(model: ClassicalModel) -> list[str]:
@@ -193,56 +215,31 @@ def push_back_determinism(
             continue
         u = min(e.src for e in graph.in_edges(w))
         desig = min(e.id for e in graph.in_edges(w) if e.src == u)
-        in_sizes = tuple(edge_sizes[e] for e in gate.in_edges)
-        n_in = int(np.prod(in_sizes, dtype=np.int64))
-        out_sizes = gate.tensor.shape[len(gate.in_edges) + 1 :]
-        cell = int(graph.outcomes[w] * np.prod(out_sizes, dtype=np.int64))
+        n_in = math.prod(gate.tensor.shape[: len(gate.in_edges)])  # incoming tuples
+        cell = gate.tensor.size // n_in  # (outcome, outgoing values) cells
         n_f = cell**n_in
         new_size = n_f * edge_sizes[desig]
         if new_size > max_alphabet:
             raise SizeLimitExceeded(
                 f"pushed-back alphabet {new_size} on edge {desig!r} exceeds {max_alphabet}"
             )
-        if n_f * n_in * cell > guard or math.prod(
-            (new_size if e == desig else edge_sizes[e]) for e in gate.in_edges
-        ) * cell > guard:
+        if n_f * n_in * cell > guard:  # the entries of w's new gate, and of its lookup table
             raise SizeLimitExceeded("pushed-back gate tensor exceeds the state-space guard")
         if n_f * gates[u].tensor.size > guard:
             raise SizeLimitExceeded(
                 f"pushed-back gate at parent {u!r} exceeds the state-space guard"
             )
 
-        rows = gate.tensor.reshape(n_in, cell)  # (incoming tuples, outcome-and-outgoing cells)
-        # joint weight of a whole function table: product of one row entry per
-        # incoming tuple, with the first tuple as the most significant digit
-        f_probs = rows[0]
-        for t in range(1, n_in):
-            f_probs = np.multiply.outer(f_probs, rows[t])
-        f_probs = f_probs.ravel()
-
-        # deterministic replacement gate at w: look up the cell selected by f
-        tau = np.arange(n_in)
-        f_all = np.arange(n_f)
-        chosen = (f_all[:, None] // cell ** (n_in - 1 - tau[None, :])) % cell
-        applied = np.zeros((n_f, n_in, cell))
-        applied[np.repeat(f_all, n_in), np.tile(tau, n_f), chosen.ravel()] = 1.0
-        applied = applied.reshape((n_f,) + in_sizes + (cell,))
-        p = gate.in_edges.index(desig)
-        applied = np.moveaxis(applied, 0, p)
-        new_in_sizes = tuple(
-            new_size if e == desig else edge_sizes[e] for e in gate.in_edges
-        )
-        applied = applied.reshape(new_in_sizes + (graph.outcomes[w],) + out_sizes)
-        gates[w] = Gate(gate.in_edges, gate.out_edges, applied)
-
+        # a function table f picks one cell per incoming tuple, the first tuple
+        # most significant; its weight is the product of the picked entries
+        f_probs = functools.reduce(np.multiply.outer, gate.tensor.reshape(n_in, cell)).ravel()
+        digits = np.transpose(np.unravel_index(np.arange(n_f), (cell,) * n_in))
+        applied = np.eye(cell)[digits].reshape((n_f,) + gate.tensor.shape)  # w looks up the cell f picks
+        gates[w] = _rewire(applied, (_TABLE, *_labels(gate)), gate.in_edges, gate.out_edges,
+                           {desig: (_TABLE, desig)})
         ugate = gates[u]
-        q = ugate.out_edges.index(desig)
-        axis = len(ugate.in_edges) + 1 + q
-        lifted = np.multiply.outer(f_probs, ugate.tensor)
-        lifted = np.moveaxis(lifted, 0, axis)
-        shape = list(ugate.tensor.shape)
-        shape[axis] = new_size
-        gates[u] = Gate(ugate.in_edges, ugate.out_edges, lifted.reshape(shape))
+        gates[u] = _rewire(np.multiply.outer(f_probs, ugate.tensor), (_TABLE, *_labels(ugate)),
+                           ugate.in_edges, ugate.out_edges, {desig: (_TABLE, desig)})
         edge_sizes[desig] = new_size
     return ClassicalModel(graph, edge_sizes, gates)
 
@@ -267,24 +264,15 @@ def lift_trivial_edge(
         edge_id = f"{src}->{dst}#lift"
     if any(e.id == edge_id for e in graph.edges):
         raise SchemaError(f"edge id {edge_id!r} already in use")
-    new_graph = cg.CausalGraph(
-        nodes=graph.nodes,
-        edges=graph.edges + (cg.Edge(edge_id, src, dst),),
-        outcomes=dict(graph.outcomes),
-    )
+    new_graph = replace(graph, edges=graph.edges + (cg.Edge(edge_id, src, dst),),
+                        outcomes=dict(graph.outcomes))
     sizes = dict(model.edge_alphabet)
     sizes[edge_id] = 1
     gates = dict(model.gates)
-    src_gate = gates[src]
-    out_ids = tuple(sorted(src_gate.out_edges + (edge_id,)))
-    axis = len(src_gate.in_edges) + 1 + out_ids.index(edge_id)
-    gates[src] = Gate(
-        src_gate.in_edges, out_ids, np.expand_dims(src_gate.tensor, axis=axis)
-    )
-    dst_gate = gates[dst]
-    in_ids = tuple(sorted(dst_gate.in_edges + (edge_id,)))
-    axis = in_ids.index(edge_id)
-    gates[dst] = Gate(in_ids, dst_gate.out_edges, np.expand_dims(dst_gate.tensor, axis=axis))
+    for v, ins, outs in ((src, (), (edge_id,)), (dst, (edge_id,), ())):
+        g = gates[v]
+        gates[v] = _rewire(g.tensor, _labels(g), tuple(sorted(g.in_edges + ins)),
+                           tuple(sorted(g.out_edges + outs)), {edge_id: ()})
     return ClassicalModel(new_graph, sizes, gates)
 
 
@@ -309,53 +297,21 @@ def reroute_transitive_edge(model: ClassicalModel, edge_id: str, via: str) -> Cl
     uv, vw = uv_candidates[0], vw_candidates[0]
     k = model.edge_alphabet[edge_id]
 
-    new_graph = cg.CausalGraph(
-        nodes=graph.nodes,
-        edges=tuple(e for e in graph.edges if e.id != edge_id),
-        outcomes=dict(graph.outcomes),
-    )
+    new_graph = replace(graph, edges=tuple(e for e in graph.edges if e.id != edge_id),
+                        outcomes=dict(graph.outcomes))
     sizes = {e: s for e, s in model.edge_alphabet.items() if e != edge_id}
     sizes[uv] = model.edge_alphabet[uv] * k
     sizes[vw] = model.edge_alphabet[vw] * k
     gates = dict(model.gates)
-
-    def merge_axes(tensor: np.ndarray, keep_axis: int, merged_axis: int) -> np.ndarray:
-        # make (keep, merged) adjacent with keep first, then combine them
-        if merged_axis > keep_axis:
-            moved = np.moveaxis(tensor, merged_axis, keep_axis + 1)
-            keep = keep_axis
-        else:
-            moved = np.moveaxis(tensor, merged_axis, keep_axis)
-            keep = keep_axis - 1
-        shape = list(moved.shape)
-        shape[keep] = shape[keep] * shape[keep + 1]
-        del shape[keep + 1]
-        return np.ascontiguousarray(moved).reshape(shape)
-
-    ugate = gates[u]
-    uv_axis = len(ugate.in_edges) + 1 + ugate.out_edges.index(uv)
-    uw_axis = len(ugate.in_edges) + 1 + ugate.out_edges.index(edge_id)
-    new_out = tuple(e for e in ugate.out_edges if e != edge_id)
-    gates[u] = Gate(ugate.in_edges, new_out, merge_axes(ugate.tensor, uv_axis, uw_axis))
-
-    wgate = gates[w]
-    vw_axis = wgate.in_edges.index(vw)
-    uw_axis = wgate.in_edges.index(edge_id)
-    new_in = tuple(e for e in wgate.in_edges if e != edge_id)
-    gates[w] = Gate(new_in, wgate.out_edges, merge_axes(wgate.tensor, vw_axis, uw_axis))
-
-    vgate = gates[via]
-    arr = np.multiply.outer(vgate.tensor, np.eye(k))
-    in_axis = vgate.in_edges.index(uv)
-    out_axis = len(vgate.in_edges) + 1 + vgate.out_edges.index(vw)
-    ndim = vgate.tensor.ndim
-    arr = np.moveaxis(arr, ndim, in_axis + 1)  # identity input component after uv axis
-    arr = np.moveaxis(arr, ndim + 1, out_axis + 2)  # identity output after vw axis (shifted by 1)
-    shape = list(vgate.tensor.shape)
-    shape[in_axis] *= k
-    shape[out_axis] *= k
-    gates[via] = Gate(vgate.in_edges, vgate.out_edges, arr.reshape(shape))
-
+    g = gates[u]
+    gates[u] = _rewire(g.tensor, _labels(g), g.in_edges, tuple(e for e in g.out_edges if e != edge_id),
+                       {uv: (uv, edge_id)})
+    g = gates[w]
+    gates[w] = _rewire(g.tensor, _labels(g), tuple(e for e in g.in_edges if e != edge_id), g.out_edges,
+                       {vw: (vw, edge_id)})
+    g = gates[via]
+    gates[via] = _rewire(np.multiply.outer(g.tensor, np.eye(k)), (*_labels(g), _RELAY_IN, _RELAY_OUT),
+                         g.in_edges, g.out_edges, {uv: (uv, _RELAY_IN), vw: (vw, _RELAY_OUT)})
     return ClassicalModel(new_graph, sizes, gates)
 
 

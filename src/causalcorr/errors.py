@@ -72,7 +72,7 @@ class NotNoSignalling(CausalCorrError):
 
 
 class IncompletePOVM(CausalCorrError):
-    """POVM effects do not sum to the identity."""
+    """POVM effects are not Hermitian, not positive semidefinite, or do not sum to the identity."""
 
 
 class NegativeProbability(CausalCorrError):

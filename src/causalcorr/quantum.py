@@ -174,10 +174,13 @@ def decohere_embed(cmodel: ClassicalModel) -> QuantumModel:
     Each edge alphabet becomes a Hilbert dimension and each positive gate
     entry one Kraus operator: the square-rooted entry times the matrix unit
     sending the incoming basis vector to the outgoing one.  Evaluation agrees
-    with the classical evaluation within 1e-10.
+    with the classical evaluation within 1e-10.  SizeLimitExceeded is raised,
+    before it is allocated, when a node's stack of Kraus operators has more
+    entries than the state-space guard.
     """
     require_valid(validate_classical(cmodel))
     graph = cmodel.graph
+    guard = max_state_space()
     dims = {e: int(s) for e, s in cmodel.edge_alphabet.items()}
     instruments = {}
     for v in graph.nodes:
@@ -186,6 +189,8 @@ def decohere_embed(cmodel: ClassicalModel) -> QuantumModel:
         rows = cmodel.gates[v].tensor.reshape(din, n_o, dout)
         # one operator per positive entry, outcome major, then lam_in, then lam_out
         o, lam_in, lam_out = np.nonzero(rows.transpose(1, 0, 2) > 0.0)
+        if len(o) * dout * din > guard:
+            raise SizeLimitExceeded(f"Kraus operators of node {v!r} exceed the guard {guard}")
         kraus = np.zeros((len(o), dout, din), dtype=complex)
         kraus[np.arange(len(o)), lam_out, lam_in] = np.sqrt(rows[lam_in, o, lam_out])
         parts = np.split(kraus, np.searchsorted(o, np.arange(1, n_o)))

@@ -930,6 +930,20 @@ class TestQuantumBellModel:
                 chsh_222(), [SINGLET], [bad, bad], [[0.5, 0.5], [0.5, 0.5]], [1.0]
             )
 
+    @pytest.mark.parametrize(
+        "e0, message",
+        [
+            (np.diag([1.5, -0.5]), "party 1: an effect has the negative eigenvalue -0.5"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "party 1, setting 0: an effect is not Hermitian"),
+        ],
+        ids=["negative", "non-hermitian"],
+    )
+    def test_effects_summing_to_identity_but_no_povm_rejected(self, e0, message):
+        # E1 = I - E0 completes each setting, so only the effects themselves are at fault
+        fam = [[e0, np.eye(2) - e0], CHSH_ALICE[1]]
+        with pytest.raises(IncompletePOVM, match=message):
+            bm.quantum_bell_model(chsh_222(), [SINGLET], [fam, CHSH_BOB], [[0.5, 0.5], [0.5, 0.5]], [1.0])
+
     @pytest.mark.parametrize("effect", [1.0, [1.0], [[1.0, 0.0]]], ids=["0-d", "1-d", "1x2"])
     def test_effect_that_is_no_square_matrix_rejected(self, effect):
         with pytest.raises(ShapeMismatch, match="effect shape"):

@@ -1,22 +1,36 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from causalcorr import classical as cm
 from causalcorr import dist as dm
+from causalcorr._config import DEFAULT_MAX_PUSHBACK_ALPHABET, max_state_space
 from causalcorr.correlation import is_correlation
 from causalcorr.errors import (
+    CausalCorrError,
     InvalidModel,
     MissingRelayPath,
     NotAncestral,
     SchemaError,
     SizeLimitExceeded,
+    UnknownNode,
     WouldCreateCycle,
+    require_valid,
 )
-from causalcorr.graph import CausalGraph
+from causalcorr.graph import CausalGraph, Edge, causal_past, topological_order
 
-from conftest import ancestral_sets, bell_graph, evaluate_naive, popescu_graph, triangle_graph
+from conftest import (
+    all_test_graphs,
+    ancestral_sets,
+    assert_identical,
+    bell_graph,
+    evaluate_naive,
+    parallel_edge_graph,
+    popescu_graph,
+    triangle_graph,
+)
 
 
 def uniform_gate(graph, sizes, v):
@@ -64,6 +78,168 @@ def triangle_xor_model(graph):
             t[l1, l2, l1 ^ l2] = 1.0
         gates[tip] = cm.Gate(ins, (), t)
     return cm.ClassicalModel(graph, sizes, gates)
+
+
+def push_back_oracle(model, max_alphabet=DEFAULT_MAX_PUSHBACK_ALPHABET, max_states=None):
+    """Push-back built with a scatter for the applied gate and moveaxis offsets."""
+    require_valid(cm.validate_model(model))
+    graph = model.graph
+    edge_sizes = dict(model.edge_alphabet)
+    gates = dict(model.gates)
+    guard = max_state_space(max_states)
+    for w in reversed(topological_order(graph)):
+        gate = gates[w]
+        if not gate.in_edges:
+            continue
+        if gate.deterministic:
+            continue
+        u = min(e.src for e in graph.in_edges(w))
+        desig = min(e.id for e in graph.in_edges(w) if e.src == u)
+        in_sizes = tuple(edge_sizes[e] for e in gate.in_edges)
+        n_in = int(np.prod(in_sizes, dtype=np.int64))
+        out_sizes = gate.tensor.shape[len(gate.in_edges) + 1 :]
+        cell = int(graph.outcomes[w] * np.prod(out_sizes, dtype=np.int64))
+        n_f = cell**n_in
+        new_size = n_f * edge_sizes[desig]
+        if new_size > max_alphabet:
+            raise SizeLimitExceeded(
+                f"pushed-back alphabet {new_size} on edge {desig!r} exceeds {max_alphabet}"
+            )
+        if n_f * n_in * cell > guard or math.prod(
+            (new_size if e == desig else edge_sizes[e]) for e in gate.in_edges
+        ) * cell > guard:
+            raise SizeLimitExceeded("pushed-back gate tensor exceeds the state-space guard")
+        if n_f * gates[u].tensor.size > guard:
+            raise SizeLimitExceeded(
+                f"pushed-back gate at parent {u!r} exceeds the state-space guard"
+            )
+
+        rows = gate.tensor.reshape(n_in, cell)
+        f_probs = rows[0]
+        for t in range(1, n_in):
+            f_probs = np.multiply.outer(f_probs, rows[t])
+        f_probs = f_probs.ravel()
+
+        tau = np.arange(n_in)
+        f_all = np.arange(n_f)
+        chosen = (f_all[:, None] // cell ** (n_in - 1 - tau[None, :])) % cell
+        applied = np.zeros((n_f, n_in, cell))
+        applied[np.repeat(f_all, n_in), np.tile(tau, n_f), chosen.ravel()] = 1.0
+        applied = applied.reshape((n_f,) + in_sizes + (cell,))
+        p = gate.in_edges.index(desig)
+        applied = np.moveaxis(applied, 0, p)
+        new_in_sizes = tuple(
+            new_size if e == desig else edge_sizes[e] for e in gate.in_edges
+        )
+        applied = applied.reshape(new_in_sizes + (graph.outcomes[w],) + out_sizes)
+        gates[w] = cm.Gate(gate.in_edges, gate.out_edges, applied)
+
+        ugate = gates[u]
+        q = ugate.out_edges.index(desig)
+        axis = len(ugate.in_edges) + 1 + q
+        lifted = np.multiply.outer(f_probs, ugate.tensor)
+        lifted = np.moveaxis(lifted, 0, axis)
+        shape = list(ugate.tensor.shape)
+        shape[axis] = new_size
+        gates[u] = cm.Gate(ugate.in_edges, ugate.out_edges, lifted.reshape(shape))
+        edge_sizes[desig] = new_size
+    return cm.ClassicalModel(graph, edge_sizes, gates)
+
+
+def lift_oracle(model, src, dst, edge_id=None):
+    """Trivial lift built with expand_dims at computed positions."""
+    require_valid(cm.validate_model(model))
+    graph = model.graph
+    nodes = set(graph.nodes)
+    if src not in nodes or dst not in nodes:
+        raise UnknownNode(f"unknown endpoint in {src!r}->{dst!r}")
+    if src == dst or dst in causal_past(graph, [src]):
+        raise WouldCreateCycle(f"{src}->{dst} would close a cycle")
+    if edge_id is None:
+        edge_id = f"{src}->{dst}#lift"
+    if any(e.id == edge_id for e in graph.edges):
+        raise SchemaError(f"edge id {edge_id!r} already in use")
+    new_graph = CausalGraph(
+        nodes=graph.nodes,
+        edges=graph.edges + (Edge(edge_id, src, dst),),
+        outcomes=dict(graph.outcomes),
+    )
+    sizes = dict(model.edge_alphabet)
+    sizes[edge_id] = 1
+    gates = dict(model.gates)
+    src_gate = gates[src]
+    out_ids = tuple(sorted(src_gate.out_edges + (edge_id,)))
+    axis = len(src_gate.in_edges) + 1 + out_ids.index(edge_id)
+    gates[src] = cm.Gate(
+        src_gate.in_edges, out_ids, np.expand_dims(src_gate.tensor, axis=axis)
+    )
+    dst_gate = gates[dst]
+    in_ids = tuple(sorted(dst_gate.in_edges + (edge_id,)))
+    axis = in_ids.index(edge_id)
+    gates[dst] = cm.Gate(in_ids, dst_gate.out_edges, np.expand_dims(dst_gate.tensor, axis=axis))
+    return cm.ClassicalModel(new_graph, sizes, gates)
+
+
+def reroute_oracle(model, edge_id, via):
+    """Reroute built with a two-case merge of moved axes and "shifted by 1" offsets."""
+    require_valid(cm.validate_model(model))
+    graph = model.graph
+    edge = graph.edge(edge_id)
+    u, w = edge.src, edge.dst
+    uv_candidates = sorted(e.id for e in graph.edges if e.src == u and e.dst == via)
+    vw_candidates = sorted(e.id for e in graph.edges if e.src == via and e.dst == w)
+    if not uv_candidates or not vw_candidates:
+        raise MissingRelayPath(f"no {u}->{via}->{w} relay path for edge {edge_id!r}")
+    uv, vw = uv_candidates[0], vw_candidates[0]
+    k = model.edge_alphabet[edge_id]
+
+    new_graph = CausalGraph(
+        nodes=graph.nodes,
+        edges=tuple(e for e in graph.edges if e.id != edge_id),
+        outcomes=dict(graph.outcomes),
+    )
+    sizes = {e: s for e, s in model.edge_alphabet.items() if e != edge_id}
+    sizes[uv] = model.edge_alphabet[uv] * k
+    sizes[vw] = model.edge_alphabet[vw] * k
+    gates = dict(model.gates)
+
+    def merge_axes(tensor, keep_axis, merged_axis):
+        if merged_axis > keep_axis:
+            moved = np.moveaxis(tensor, merged_axis, keep_axis + 1)
+            keep = keep_axis
+        else:
+            moved = np.moveaxis(tensor, merged_axis, keep_axis)
+            keep = keep_axis - 1
+        shape = list(moved.shape)
+        shape[keep] = shape[keep] * shape[keep + 1]
+        del shape[keep + 1]
+        return np.ascontiguousarray(moved).reshape(shape)
+
+    ugate = gates[u]
+    uv_axis = len(ugate.in_edges) + 1 + ugate.out_edges.index(uv)
+    uw_axis = len(ugate.in_edges) + 1 + ugate.out_edges.index(edge_id)
+    new_out = tuple(e for e in ugate.out_edges if e != edge_id)
+    gates[u] = cm.Gate(ugate.in_edges, new_out, merge_axes(ugate.tensor, uv_axis, uw_axis))
+
+    wgate = gates[w]
+    vw_axis = wgate.in_edges.index(vw)
+    uw_axis = wgate.in_edges.index(edge_id)
+    new_in = tuple(e for e in wgate.in_edges if e != edge_id)
+    gates[w] = cm.Gate(new_in, wgate.out_edges, merge_axes(wgate.tensor, vw_axis, uw_axis))
+
+    vgate = gates[via]
+    arr = np.multiply.outer(vgate.tensor, np.eye(k))
+    in_axis = vgate.in_edges.index(uv)
+    out_axis = len(vgate.in_edges) + 1 + vgate.out_edges.index(vw)
+    ndim = vgate.tensor.ndim
+    arr = np.moveaxis(arr, ndim, in_axis + 1)
+    arr = np.moveaxis(arr, ndim + 1, out_axis + 2)
+    shape = list(vgate.tensor.shape)
+    shape[in_axis] *= k
+    shape[out_axis] *= k
+    gates[via] = cm.Gate(vgate.in_edges, vgate.out_edges, arr.reshape(shape))
+
+    return cm.ClassicalModel(new_graph, sizes, gates)
 
 
 class TestValidateModel:
@@ -335,6 +511,89 @@ class TestLiftAndReroute:
         m = cm.random_model(g, 2, seed=0)
         with pytest.raises(MissingRelayPath):
             cm.reroute_transitive_edge(m, "uw", "v")
+
+
+def rewrite_graphs(outcomes):
+    """The figure graphs, the parallel-edge graph, and a graph whose edge ids
+    spell the names a gate's outcome, function-table and relay axes might get."""
+    spelled = CausalGraph.build(
+        [("u", outcomes), ("v", outcomes), ("w", outcomes)],
+        [("outcome", "u", "v"), ("out", "u", "v"), ("in", "v", "w"), ("f", "u", "w")],
+    )
+    return [*all_test_graphs(outcomes).values(), parallel_edge_graph(outcomes), spelled]
+
+
+def assert_same_model(got, want):
+    """Same graph, alphabet (in order), gate wiring, and gate tensors to the last bit."""
+    for a, b in ((got.graph, want.graph), (got, want)):
+        assert type(a) is type(b)
+    assert (got.graph.nodes, got.graph.edges) == (want.graph.nodes, want.graph.edges)
+    assert list(got.graph.outcomes.items()) == list(want.graph.outcomes.items())
+    assert list(got.edge_alphabet.items()) == list(want.edge_alphabet.items())
+    assert list(got.gates) == list(want.gates)
+    for v, gate in got.gates.items():
+        assert (gate.in_edges, gate.out_edges) == (want.gates[v].in_edges, want.gates[v].out_edges)
+        assert_identical(gate.tensor, want.gates[v].tensor)
+
+
+def same_as_oracle(rewrite, oracle, *args):
+    """Both calls give identical models, or raise the same type with the same
+    message; returns the model, or None on a refusal."""
+    try:
+        want = oracle(*args)
+    except CausalCorrError as exc:
+        with pytest.raises(CausalCorrError) as got:
+            rewrite(*args)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return None
+    got = rewrite(*args)
+    assert_same_model(got, want)
+    return got
+
+
+def relay_paths(graph):
+    """Every (u, v, w) with an edge u->v and an edge v->w, once each."""
+    return sorted({(a.src, a.dst, b.dst) for a in graph.edges for b in graph.edges if a.dst == b.src})
+
+
+class TestRewritesMatchOracles:
+    """The labelled-axis rewrites give, byte for byte, what the index arithmetic gave."""
+
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    @pytest.mark.parametrize("at", range(7))
+    def test_push_back(self, outcomes, at):
+        g = rewrite_graphs(outcomes)[at]
+        for alphabet, seed in itertools.product((1, 2, 3), range(3)):
+            m = cm.random_model(g, alphabet, seed)
+            for limits in ((1 << 20, None), (64, None), (1 << 20, 1 << 12)):
+                same_as_oracle(cm.push_back_determinism, push_back_oracle, m, *limits)
+
+    @pytest.mark.parametrize("at", range(7))
+    def test_lift_then_reroute(self, at):
+        g = rewrite_graphs(2)[at]
+        for alphabet, seed in itertools.product((1, 2, 3), range(3)):
+            m = cm.random_model(g, {e.id: 1 + (alphabet + i) % 3 for i, e in enumerate(g.edges)}, seed)
+            for u, v, w in relay_paths(g):
+                lifted = same_as_oracle(cm.lift_trivial_edge, lift_oracle, m, u, w)
+                if lifted is not None:
+                    same_as_oracle(cm.reroute_transitive_edge, reroute_oracle, lifted, f"{u}->{w}#lift", v)
+            for e in g.edges:  # edges with a relay are rerouted; the rest are refused
+                for via in g.nodes:
+                    same_as_oracle(cm.reroute_transitive_edge, reroute_oracle, m, e.id, via)
+
+    @pytest.mark.parametrize("at", range(7))
+    def test_lift_refusals_and_named_ids(self, at):
+        g = rewrite_graphs(2)[at]
+        m = cm.random_model(g, 2, seed=at)
+        for src, dst in itertools.product((*g.nodes, "nowhere"), repeat=2):
+            same_as_oracle(cm.lift_trivial_edge, lift_oracle, m, src, dst)
+        first = g.edges[0]
+        for edge_id in (first.id, "outcome", "f", "in", "out"):
+            same_as_oracle(cm.lift_trivial_edge, lift_oracle, m, first.src, first.dst, edge_id)
+
+    def test_reroute_of_an_unknown_edge_refused_alike(self):
+        m = cm.random_model(parallel_edge_graph(), 2, seed=0)
+        same_as_oracle(cm.reroute_transitive_edge, reroute_oracle, m, "nowhere", "v")
 
 
 class TestRandomModel:

@@ -304,6 +304,23 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "effect, message",
+        [([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"), ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian")],
+        ids=["negative", "non-hermitian"],
+    )
+    def test_bell_quantum_effect_that_is_no_povm_element_is_usage_error(self, tmp_path, capsys, effect, message):
+        setup = bell_quantum_setup()
+        e0 = np.array(effect, dtype=complex)
+        setup["povms"][0][0] = [[[[float(z.real), float(z.imag)] for z in row] for row in e]
+                                for e in (e0, np.eye(2) - e0)]
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(setup))
+        out_path = tmp_path / "qmodel.json"
+        assert run(["bell-quantum", "--model", str(path), "--out", str(out_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
         "cg",
         [
             {"domain": 5, "codomain": 2, "map": [0]},
@@ -527,6 +544,16 @@ class TestPipelines:
         assert run(["embed-quantum", "--model", str(model_path), "--out", str(q_path)]) == 0
         q = qm.model_from_dict(json.loads(q_path.read_text()))
         assert np.abs(qm.evaluate(q).table - cm.evaluate(model).table).max() < 1e-10
+
+    def test_embed_quantum_past_the_guard_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        g = gm.CausalGraph.build([("u", 2), ("v", 2), ("w", 2)], [("uv", "u", "v"), ("vw", "v", "w")])
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(cm.model_to_dict(cm.random_model(g, 16, seed=0))))
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "10000")
+        q_path = tmp_path / "q.json"
+        assert run(["embed-quantum", "--model", str(model_path), "--out", str(q_path)]) == 2
+        assert "Kraus operators of node 'v' exceed the guard 10000" in capsys.readouterr().err
+        assert not q_path.exists()
 
     def test_eval_quantum_command(self, tmp_path, capsys):
         g = bell_graph()

@@ -479,6 +479,18 @@ class TestDecohereEmbed:
         dev = np.abs(qm.evaluate(q).table - cm.evaluate(m).table).max()
         assert dev < 1e-10
 
+    def test_kraus_stack_past_the_guard_refused(self, monkeypatch):
+        # the middle gate of a 16-letter chain has 512 entries, all positive,
+        # and so 512 Kraus operators of 16 x 16 entries: 131,072 in all
+        g = CausalGraph.build([("u", 2), ("v", 2), ("w", 2)], [("uv", "u", "v"), ("vw", "v", "w")])
+        m = cm.random_model(g, 16, seed=0)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "131072")
+        assert qm.validate_model(qm.decohere_embed(m)) == []
+        for guard in ("131071", "10000"):
+            monkeypatch.setenv("CC_MAX_STATE_SPACE", guard)
+            with pytest.raises(SizeLimitExceeded, match=f"Kraus operators of node 'v' exceed the guard {guard}"):
+                qm.decohere_embed(m)
+
 
 class TestQuantumJson:
     def test_round_trip(self, bell):
