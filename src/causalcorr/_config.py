@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -13,6 +14,10 @@ DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
 # Disjoint-past pairs listed before graph.maximal_disjoint_past_pairs refuses:
 # the most that any graph of 14 or fewer nodes has (the 14-node antichain)
 DEFAULT_MAX_PAIRS = 2**13 - 1
+# Disjoint-past pairs kept, over all graphs held, by the pair and
+# factorisation caches of graph.maximal_disjoint_past_pairs and
+# correlation.is_correlation; a graph with more pairs is not kept
+MAX_CACHED_PAIRS = 2**11
 
 
 def max_state_space(override=None):
@@ -118,6 +123,49 @@ def _greedy_path(masks, out_mask, sizes, guard):
     return path, largest, widest
 
 
+class BoundedCache:
+    """Memo of weighted entries whose weights sum to at most ``limit``.
+
+    Adding an entry drops the oldest ones until it fits; a value heavier
+    than ``limit`` is not kept.  Threads may share one.
+    """
+
+    def __init__(self, limit):
+        self.limit, self.load, self.entries = limit, 0, {}
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        hit = self.entries.get(key)
+        return None if hit is None else hit[0]
+
+    def put(self, key, value, weight=1):
+        with self.lock:
+            self.load -= self.entries.pop(key, (None, 0))[1]
+            if weight <= self.limit:
+                while self.load + weight > self.limit:
+                    self.load -= self.entries.pop(next(iter(self.entries)))[1]
+                self.entries[key] = value, weight
+                self.load += weight
+        return value
+
+
+# Contraction plans kept by _contract, one per network: repeated evaluation
+# of the five standard graphs meets 65 distinct networks.  A plan is kept
+# from a network's second sighting among the last MAX_CACHED_PLANS networks
+# contracted without one (their hashes are in _SEEN): keeping the plan of
+# every network met once made such networks cost more than planning alone.
+MAX_CACHED_PLANS = 128
+_PLANS = BoundedCache(MAX_CACHED_PLANS)
+_SEEN = BoundedCache(MAX_CACHED_PLANS)
+
+
+def _refuse(largest, widest, guard):
+    if widest > 52:
+        raise SizeLimitExceeded(f"a contraction step over {widest} indices exceeds einsum's 52")
+    if largest > guard:
+        raise SizeLimitExceeded(f"contraction array of {largest} entries exceeds the guard {guard}")
+
+
 def _contract(operands, output, max_states=None):
     """Sum the product of ``(array, subscripts)`` operands onto ``output`` by einsum.
 
@@ -132,14 +180,47 @@ def _contract(operands, output, max_states=None):
     step spans more indices than einsum's 52; the network as a whole may
     have any number.  The steps then run one einsum call each, over indices
     numbered within the step.
+
+    The plan depends only on each operand's labels and shape, the output
+    labels and the guard.  A network that comes back within the last
+    ``MAX_CACHED_PLANS`` networks contracted without a plan has its plan
+    recorded during that run and kept under them (at most
+    ``MAX_CACHED_PLANS`` networks, the oldest dropped first): its steps'
+    sublists and einsum flags, the final transpose, the largest array and
+    the widest step.  A kept network skips the labelling and the planning,
+    and both refusals are checked from the kept numbers on every call,
+    before any arithmetic.
     """
     if not operands:  # the empty product
         return np.ones(())
     guard = max_state_space(max_states)
+    key = (tuple([(tuple(subs), array.shape) for array, subs in operands]), tuple(output), guard)
+    arrays = [array for array, _ in operands]
+    plan = _PLANS.get(key)
+    if plan is None:
+        seen = hash(key)
+        record = _SEEN.get(seen) is not None
+        if not record:
+            _SEEN.put(seen, True)
+        return _plan_and_contract(arrays, key, record)
+    steps, order, largest, widest = plan
+    _refuse(largest, widest, guard)
+    for popped, subs, kept, optimize in steps:
+        args = []
+        for i, sub in zip(popped, subs):
+            args += (arrays.pop(i), sub)
+        args.append(kept)
+        arrays.append(np.einsum(*args, optimize=optimize))
+    return arrays[0].transpose(order)
+
+
+def _plan_and_contract(arrays, key, record):
+    """Plan a network, then run each step; with ``record``, keep the plan."""
+    operands, output, guard = key
     label, size, masks, ops, largest = {}, {}, [], [], 0
-    for array, subs in operands:
+    for array, (subs, shape) in zip(arrays, operands):
         bits, mask = [], 0
-        for i, n in zip(subs, array.shape):
+        for i, n in zip(subs, shape):
             b = label.setdefault(i, len(label))
             size[b] = n
             bits.append(b)
@@ -152,20 +233,27 @@ def _contract(operands, output, max_states=None):
     for b in out:
         out_mask |= 1 << b
     path, planned, widest = _greedy_path(masks, out_mask, size, guard)
-    if widest > 52:
-        raise SizeLimitExceeded(f"a contraction step over {widest} indices exceeds einsum's 52")
     largest = max(largest, planned)
-    if largest > guard:
-        raise SizeLimitExceeded(f"contraction array of {largest} entries exceeds the guard {guard}")
+    if widest > 52 or largest > guard:
+        if record:
+            _PLANS.put(key, (None, None, largest, widest))
+        _refuse(largest, widest, guard)
+    steps = []
     for step, kept in path:
-        local, args = {}, []
-        for array, bits in [ops.pop(i) for i in sorted(step, reverse=True)]:
-            args += (array, [local.setdefault(b, len(local)) for b in bits])
+        popped = sorted(step, reverse=True)
+        local, args, subs = {}, [], []
+        for array, bits in [ops.pop(i) for i in popped]:
+            subs.append([local.setdefault(b, len(local)) for b in bits])
+            args += (array, subs[-1])
         bits = [b for b in range(kept.bit_length()) if kept >> b & 1]
         args.append([local[b] for b in bits])
         # numpy's optimized pairwise contraction (BLAS) pays off above about
         # 2^14 terms; below that its set-up costs more than the plain loop
-        work = math.prod(size[b] for b in local)
-        ops.append((np.einsum(*args, optimize=work > 1 << 14), bits))
+        optimize = math.prod(size[b] for b in local) > 1 << 14
+        ops.append((np.einsum(*args, optimize=optimize), bits))
+        steps.append((popped, subs, args[-1], optimize))
     (array, bits), = ops
-    return array.transpose([bits.index(b) for b in out])
+    order = [bits.index(b) for b in out]
+    if record:
+        _PLANS.put(key, (steps, order, largest, widest))
+    return array.transpose(order)

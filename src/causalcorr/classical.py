@@ -284,7 +284,9 @@ def reroute_transitive_edge(model: ClassicalModel, edge_id: str, via: str) -> Cl
     enlarged by the removed edge's alphabet (original value major), the relay
     node's gate is tensored with an identity channel on the relayed component,
     and the endpoint gates are rewired.  The evaluated joint is preserved
-    within 1e-12.
+    within 1e-12.  SizeLimitExceeded is raised, before anything is built,
+    when the relay gate (its entries times k² for a removed edge of alphabet
+    k) exceeds the state-space guard.
     """
     require_valid(validate_model(model))
     graph = model.graph
@@ -296,6 +298,9 @@ def reroute_transitive_edge(model: ClassicalModel, edge_id: str, via: str) -> Cl
         raise MissingRelayPath(f"no {u}->{via}->{w} relay path for edge {edge_id!r}")
     uv, vw = uv_candidates[0], vw_candidates[0]
     k = model.edge_alphabet[edge_id]
+    relay, guard = model.gates[via].tensor.size * k * k, max_state_space()
+    if relay > guard:
+        raise SizeLimitExceeded(f"relay gate of {relay} entries at {via!r} exceeds the guard {guard}")
 
     new_graph = replace(graph, edges=tuple(e for e in graph.edges if e.id != edge_id),
                         outcomes=dict(graph.outcomes))

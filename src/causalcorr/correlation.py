@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph as cg
-from .dist import JointDistribution, independence_deviation
+from ._config import MAX_CACHED_PAIRS, BoundedCache
+from .dist import JointDistribution, _deviation_kernel, _factor_axes
 from .errors import ShapeMismatch
 
 
@@ -44,16 +45,24 @@ class CorrelationVerdict:
         }
 
 
+# per (nodes, edges, variable order): each checked pair with its axes
+_AXES = BoundedCache(MAX_CACHED_PAIRS)
+
+
 def is_correlation(
     graph: cg.CausalGraph, dist: JointDistribution, tol: float = 1e-9
 ) -> CorrelationVerdict:
     """Check the disjoint-past factorization condition for every maximal pair.
 
     The distribution's variables must be exactly the graph's nodes with
-    matching alphabet sizes (any order).  Each pair ``(U, W)`` costs one
-    ``dist.independence_deviation`` reduction of the table, with no
-    intermediate distribution.  Graphs with no disjoint-past pairs accept every
-    distribution vacuously.
+    matching alphabet sizes (any order); that is checked on every call.
+    Each pair ``(U, W)`` costs one ``dist._deviation_kernel`` reduction of
+    the table, with no intermediate distribution.  The pairs and their axes
+    (``dist._factor_axes``) depend only on the graph's nodes and edges and
+    the variable order, and are kept under them (at most
+    ``MAX_CACHED_PAIRS`` pairs in all, the oldest dropped first), so a
+    structure met again runs the kernels only.  Graphs with no
+    disjoint-past pairs accept every distribution vacuously.
     """
     if set(dist.var_ids) != set(graph.nodes):
         raise ShapeMismatch(
@@ -63,14 +72,15 @@ def is_correlation(
         if graph.outcomes[v] != k:
             raise ShapeMismatch(f"variable {v!r} has size {k}, graph says {graph.outcomes[v]}")
 
+    key = (tuple(graph.nodes), tuple(graph.edges), dist.var_ids)
+    plan = _AXES.get(key)
+    if plan is None:
+        plan = tuple((u, w, _factor_axes(dist.var_ids, (u, w))) for u, w in cg.maximal_disjoint_past_pairs(graph))
+        _AXES.put(key, plan, 1 + len(plan))
     violations = []
-    pairs_checked = 0
     worst = 0.0
-    for u_set, w_set in cg.maximal_disjoint_past_pairs(graph):
-        if not u_set or not w_set:
-            continue
-        dev = independence_deviation(dist, (u_set, w_set))
-        pairs_checked += 1
+    for u_set, w_set, axes in plan:
+        dev = _deviation_kernel(dist.table, *axes)
         worst = max(worst, dev)
         if dev > tol:
             violations.append((u_set, w_set, dev))
@@ -79,6 +89,6 @@ def is_correlation(
         is_correlation=not violations,
         violations=violations,
         tol=tol,
-        pairs_checked=pairs_checked,
+        pairs_checked=len(plan),
         max_deviation=worst,
     )

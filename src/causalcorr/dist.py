@@ -204,9 +204,21 @@ def independence_deviation(dist: JointDistribution, groups) -> float:
     One numpy sum takes ``dist.table`` onto the union of the groups' axes;
     each group's marginal is summed from that joint with ``keepdims=True``, so
     the product forms by broadcasting in the joint's own axis order.  No
-    intermediate JointDistribution is built and nothing is revalidated.
+    intermediate JointDistribution is built and nothing is revalidated.  The
+    axes come from :func:`_factor_axes` and the reductions run in
+    :func:`_deviation_kernel`.
     """
-    axis_of = {v: i for i, v in enumerate(dist.var_ids)}
+    return _deviation_kernel(dist.table, *_factor_axes(dist.var_ids, groups))
+
+
+def _factor_axes(var_ids, groups) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The axes of :func:`independence_deviation` for a table over ``var_ids``.
+
+    Returns the table axes outside every group (summed out to form the
+    joint), and per group the joint's axes that lie outside it (summed out
+    to form that group's marginal); the joint keeps its axes in table order.
+    """
+    axis_of = {v: i for i, v in enumerate(var_ids)}
     group_axes = []
     for group in groups:
         unknown = set(group) - axis_of.keys()
@@ -216,13 +228,17 @@ def independence_deviation(dist: JointDistribution, groups) -> float:
     union = set().union(*group_axes)
     if len(union) != sum(len(axes) for axes in group_axes):
         raise OverlappingSets("the groups share a variable")
-    summed = tuple(i for i in range(dist.table.ndim) if i not in union)
-    joint = dist.table.sum(axis=summed) if summed else dist.table
-    # the joint keeps the union's axes in table order
+    summed = tuple(i for i in range(len(var_ids)) if i not in union)
     kept = sorted(union)
+    sides = tuple(tuple(i for i, ax in enumerate(kept) if ax not in axes) for axes in group_axes)
+    return summed, sides
+
+
+def _deviation_kernel(table: np.ndarray, summed, sides) -> float:
+    """The reductions of :func:`independence_deviation` along axes from :func:`_factor_axes`."""
+    joint = table.sum(axis=summed) if summed else table
     prod = 1.0
-    for axes in group_axes:
-        others = tuple(i for i, ax in enumerate(kept) if ax not in axes)
+    for others in sides:
         prod = prod * joint.sum(axis=others, keepdims=True)
     return float(np.abs(joint - prod).max())
 

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 from . import _schema
 from .errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode
-from ._config import DEFAULT_MAX_PAIRS
+from ._config import DEFAULT_MAX_PAIRS, MAX_CACHED_PAIRS, BoundedCache
 
 
 class Edge(NamedTuple):
@@ -181,6 +181,9 @@ def _past_masks(graph: CausalGraph) -> list[int]:
     return masks
 
 
+_PAIRS = BoundedCache(MAX_CACHED_PAIRS)
+
+
 def maximal_disjoint_past_pairs(
     graph: CausalGraph, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
@@ -198,7 +201,22 @@ def maximal_disjoint_past_pairs(
     the number of pairs.  Each pair is two closed sets; SizeLimitExceeded is
     raised as soon as there are more than ``max_pairs`` pairs, which bounds
     the work as well.  Output is sorted canonically.
+
+    The pairs depend only on the nodes and edges: they are kept under
+    ``(nodes, edges, max_pairs)``, at most ``MAX_CACHED_PAIRS`` pairs over
+    all graphs held (the oldest graphs dropped first), and every call gets a
+    fresh list of them.  A refusal is never kept, so it is met again.
     """
+    key = (tuple(graph.nodes), tuple(graph.edges), max_pairs)
+    pairs = _PAIRS.get(key)
+    if pairs is None:
+        pairs = _enumerate_pairs(graph, max_pairs)
+        _PAIRS.put(key, pairs, 1 + len(pairs))
+    return list(pairs)
+
+
+def _enumerate_pairs(graph: CausalGraph, max_pairs: int) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+    """The maximal disjoint-past pairs by NextClosure, as a sorted tuple."""
     n = len(graph.nodes)
     masks = _past_masks(graph)
     # conflict[u]: the nodes whose causal past meets that of u
@@ -254,7 +272,7 @@ def maximal_disjoint_past_pairs(
 
     # each side as its sorted name list: the smaller side first, pairs in list order
     keyed = sorted(sorted((names(u), names(w))) for u, w in pairs)
-    return [(frozenset(su), frozenset(sw)) for su, sw in keyed]
+    return tuple((frozenset(su), frozenset(sw)) for su, sw in keyed)
 
 
 def _precedes(graph: CausalGraph) -> set[tuple[str, str]]:

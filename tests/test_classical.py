@@ -512,6 +512,21 @@ class TestLiftAndReroute:
         with pytest.raises(MissingRelayPath):
             cm.reroute_transitive_edge(m, "uw", "v")
 
+    def test_reroute_refuses_a_relay_gate_above_the_guard(self, monkeypatch):
+        # gates of 128, 2 and 128 entries; the relay gate at v would have 2 * 64**2
+        m = wide_transitive_chain()
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "1000")
+        with pytest.raises(SizeLimitExceeded, match="relay gate of 8192 entries at 'v' exceeds the guard 1000"):
+            cm.reroute_transitive_edge(m, "uw", "v")
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "8192")
+        assert cm.reroute_transitive_edge(m, "uw", "v").gates["v"].tensor.size == 8192
+
+
+def wide_transitive_chain():
+    """The chain u->v->w with one-letter edges, and a 64-letter edge u->w."""
+    g = CausalGraph.build([("u", 2), ("v", 2), ("w", 2)], [("uv", "u", "v"), ("uw", "u", "w"), ("vw", "v", "w")])
+    return cm.random_model(g, {"uv": 1, "uw": 64, "vw": 1}, seed=0)
+
 
 def rewrite_graphs(outcomes):
     """The figure graphs, the parallel-edge graph, and a graph whose edge ids

@@ -531,6 +531,19 @@ class TestPipelines:
         dev = np.abs(cm.evaluate(rerouted).table - cm.evaluate(model).table).max()
         assert dev < 1e-12
 
+    def test_reroute_above_the_guard_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        g = gm.CausalGraph.build(
+            [("u", 2), ("v", 2), ("w", 2)], [("uv", "u", "v"), ("uw", "u", "w"), ("vw", "v", "w")]
+        )
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(cm.model_to_dict(cm.random_model(g, {"uv": 1, "uw": 64, "vw": 1}, seed=0))))
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "1000")
+        out_path = tmp_path / "rerouted.json"
+        argv = ["reroute-edge", "--model", str(model_path), "--edge", "uw", "--via", "v", "--out", str(out_path)]
+        assert run(argv) == 2
+        assert "relay gate of 8192 entries" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_push_determinism_and_embed_quantum(self, tmp_path, capsys):
         g = bell_graph()
         model = cm.random_model(g, 2, seed=4)

@@ -4,14 +4,17 @@
 import functools
 import math
 import operator
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from causalcorr import _config
 from causalcorr import classical as cm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
-from causalcorr._config import _contract, _greedy_path, max_state_space
+from causalcorr._config import MAX_CACHED_PLANS, BoundedCache, _contract, _greedy_path, max_state_space
 from causalcorr.errors import CausalCorrError, SizeLimitExceeded
 from causalcorr.graph import CausalGraph
 
@@ -202,6 +205,143 @@ class TestContract:
         assert _contract([], []) == 1.0
         joint = family.evaluate(build(CausalGraph.build([], [])))
         assert joint.variables == () and joint.table.shape == () and joint.table == 1.0
+
+
+FAMILIES = pytest.mark.parametrize(
+    "family, make", [(cm, cm.random_model), (hm, hm.random_hbn), (qm, qm.random_model)],
+    ids=["classical", "hbn", "quantum"],
+)
+
+
+def outcome(call):
+    """A call's table as bytes, or its refusal's message."""
+    try:
+        return call().table.tobytes()
+    except SizeLimitExceeded as exc:
+        return f"refused: {exc}"
+
+
+class TestPlanCache:
+    @pytest.fixture
+    def empty(self, monkeypatch):
+        """Installs and returns an empty plan cache, with no network seen:
+        the next call of every network is cold."""
+
+        def install():
+            fresh = BoundedCache(MAX_CACHED_PLANS)
+            monkeypatch.setattr(_config, "_PLANS", fresh)
+            monkeypatch.setattr(_config, "_SEEN", BoundedCache(MAX_CACHED_PLANS))
+            return fresh
+
+        return install
+
+    def test_a_plan_is_kept_from_the_second_call(self, empty):
+        plans = empty()
+        operands = [(np.ones(2), ["i"]), (np.ones((2, 3)), ["i", "j"])]
+        tables = []
+        for kept in (0, 1, 1):
+            tables.append(_contract(operands, ["j"]))
+            assert len(plans.entries) == kept
+        assert all(np.array_equal(t, tables[0]) for t in tables)
+
+    @FAMILIES
+    def test_refusals_from_a_kept_plan_match_a_cold_call(self, monkeypatch, empty, family, make):
+        model = make(all_test_graphs()["bilocality"], 2, seed=0)
+        outcomes = set()
+        for guard in (2**k for k in range(14)):
+            plans = empty()
+            cold = outcome(lambda: family.evaluate(model, max_states=guard))
+            for _ in range(2):
+                family.evaluate(model)  # a plan kept under the default guard
+            assert len(plans.entries) == 1
+            # the second call under the guard keeps its plan or refusal, the third runs from it
+            assert [outcome(lambda: family.evaluate(model, max_states=guard)) for _ in range(2)] == [cold, cold]
+            with monkeypatch.context() as m:
+                m.setenv("CC_MAX_STATE_SPACE", str(guard))
+                assert [outcome(lambda: family.evaluate(model)) for _ in range(2)] == [cold, cold]
+            # a quantum superoperator above the guard is refused before any contraction
+            assert len(plans.entries) == (1 if str(cold).startswith("refused: superoperator") else 2)
+            outcomes.add(cold.split(" of ")[0] if isinstance(cold, str) else "table")
+        # some guards refuse the contraction and some let it run
+        assert {"refused: contraction array", "table"} <= outcomes
+
+    @FAMILIES
+    def test_new_values_on_a_kept_structure(self, monkeypatch, empty, family, make):
+        for name, g in all_test_graphs().items():
+            plans = empty()
+            for _ in range(2):
+                family.evaluate(make(g, 2, seed=0))
+            kept = len(plans.entries)
+            model = make(g, 2, seed=1)
+            table = family.evaluate(model).table
+            assert kept >= 1 and len(plans.entries) == kept, name  # the same networks: no new plan
+            empty()
+            assert np.array_equal(family.evaluate(model).table, table), name  # bit-identical to a call with no plan
+            with monkeypatch.context() as m:
+                m.setattr(family, "_contract", einsum_path_contract)
+                expected = family.evaluate(model).table
+            assert np.abs(table - expected).max() <= 1e-15, name
+
+    def test_a_kept_network_is_not_planned_again(self, monkeypatch, empty):
+        empty()
+        model = cm.random_model(all_test_graphs()["triangle"], 2, seed=0)
+        cm.evaluate(model)
+        table = cm.evaluate(model).table
+
+        def no_planning(*args):
+            raise AssertionError("planned again")
+
+        monkeypatch.setattr(_config, "_greedy_path", no_planning)
+        assert np.array_equal(cm.evaluate(cm.random_model(model.graph, 2, seed=0)).table, table)
+        with pytest.raises(AssertionError, match="planned again"):
+            cm.evaluate(model, max_states=10**9)  # another guard: another plan
+
+    def test_holds_at_most_its_bound(self, empty):
+        plans = empty()
+        for n in range(1, MAX_CACHED_PLANS + 40):
+            for _ in range(2):
+                _contract([(np.ones(n), ["i"]), (np.ones((n, 2)), ["i", "j"])], ["j"])
+            assert len(plans.entries) <= MAX_CACHED_PLANS
+        assert len(plans.entries) == MAX_CACHED_PLANS
+        shapes = [operands[0][1] for operands, _, _ in plans.entries]
+        assert shapes[-1] == (MAX_CACHED_PLANS + 39,) and (1,) not in shapes  # the oldest went first
+
+
+class TestBoundedCache:
+    def test_oldest_entries_leave_until_a_new_one_fits(self):
+        cache = BoundedCache(5)
+        for key in "abc":
+            cache.put(key, key.upper(), weight=2)
+        assert list(cache.entries) == ["b", "c"] and cache.load == 4
+        assert cache.get("a") is None and cache.get("c") == "C"
+        cache.put("c", "C", weight=5)  # a key put again replaces its entry
+        assert list(cache.entries) == ["c"] and cache.load == 5
+
+    def test_an_entry_heavier_than_the_limit_is_not_kept(self):
+        cache = BoundedCache(5)
+        cache.put("a", "A")
+        assert cache.put("b", "B", weight=6) == "B"
+        assert list(cache.entries) == ["a"] and cache.load == 1
+
+    def test_threads_sharing_one_lose_no_update(self):
+        cache = BoundedCache(64)
+
+        def fill(t):
+            for i in range(2000):
+                cache.put((t, i % 100), i, weight=1 + i % 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(t % 3,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.load == sum(weight for _, weight in cache.entries.values()) <= 64
 
 
 class TestMaxStateSpace:

@@ -147,14 +147,7 @@ ORACLE_CASES = oracle_cases()
 class TestFactorisationKernelOracle:
     @pytest.mark.parametrize("label, graph, dist", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_matches_marginal_product_loop(self, label, graph, dist):
-        checked, expected = factorisation_loop_violations(graph, dist, tol=1e-9)
-        verdict = is_correlation(graph, dist, tol=1e-9)
-        assert [(u, w) for u, w, _ in verdict.violations] == [(u, w) for u, w, _ in expected]
-        for (_, _, dev), (_, _, want) in zip(verdict.violations, expected):
-            assert abs(dev - want) <= 1e-15
-        assert verdict.is_correlation == (not expected)
-        assert verdict.pairs_checked == len(checked)
-        assert abs(verdict.max_deviation - max((d for _, _, d in checked), default=0.0)) <= 1e-15
+        assert_matches_oracle(graph, dist)
 
     def test_some_cases_pass_and_some_fail(self):
         verdicts = [is_correlation(g, d).is_correlation for _, g, d in ORACLE_CASES]
@@ -163,6 +156,46 @@ class TestFactorisationKernelOracle:
     def test_signalling_table_passes_some_pairs(self, bell):
         checked, violations = factorisation_loop_violations(bell, signalling_bell_table(), 1e-9)
         assert 0 < len(violations) < len(checked)
+
+
+def assert_matches_oracle(graph, dist):
+    checked, expected = factorisation_loop_violations(graph, dist, tol=1e-9)
+    verdict = is_correlation(graph, dist, tol=1e-9)
+    assert [(u, w) for u, w, _ in verdict.violations] == [(u, w) for u, w, _ in expected]
+    for (_, _, dev), (_, _, want) in zip(verdict.violations, expected):
+        assert abs(dev - want) <= 1e-15
+    assert verdict.is_correlation == (not expected)
+    assert verdict.pairs_checked == len(checked)
+    assert abs(verdict.max_deviation - max((d for _, _, d in checked), default=0.0)) <= 1e-15
+    return verdict
+
+
+class TestFactorisationCache:
+    def test_reordered_distribution_after_a_cached_call(self, bell):
+        signalling = signalling_bell_table()
+        first = assert_matches_oracle(bell, signalling)
+        for order in (("b", "y", "s", "a", "x"), ("x", "a", "b", "y", "s")):
+            verdict = assert_matches_oracle(bell, signalling.reorder(order))
+            assert verdict.violations == first.violations
+
+    def test_same_node_ids_other_edges(self, bell):
+        # b copies x: a violation on the bell graph, allowed once x->b is an edge
+        wired = CausalGraph.build([(v, bell.outcomes[v]) for v in bell.nodes], [*bell.edges, ("x->b", "x", "b")])
+        signalling = signalling_bell_table()
+        verdicts = [assert_matches_oracle(g, signalling) for g in (bell, wired, bell, wired)]
+        assert [v.is_correlation for v in verdicts] == [False, True, False, True]
+
+    def test_holds_at_most_its_bound(self, monkeypatch):
+        from causalcorr import correlation
+        from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
+
+        cache = BoundedCache(MAX_CACHED_PAIRS)
+        monkeypatch.setattr(correlation, "_AXES", cache)
+        for i in range(MAX_CACHED_PAIRS):  # graphs of one pair each, each entry weighs 2
+            g = CausalGraph.build([(f"u{i}", 2), (f"v{i}", 2)], [])
+            is_correlation(g, dm.JointDistribution(((f"u{i}", 2), (f"v{i}", 2)), np.full((2, 2), 0.25)))
+            assert cache.load <= MAX_CACHED_PAIRS
+        assert len(cache.entries) == MAX_CACHED_PAIRS // 2
 
 
 class TestVerdictMargin:

@@ -352,6 +352,42 @@ class TestPairGuard:
             gm.maximal_disjoint_past_pairs(bell, max_pairs=2)
 
 
+class TestPairCache:
+    def test_mutating_the_returned_list_leaves_the_next_call(self, bell):
+        pairs = gm.maximal_disjoint_past_pairs(bell)
+        expected = list(pairs)
+        pairs.clear()
+        pairs.append((frozenset({"x"}), frozenset({"a"})))
+        again = gm.maximal_disjoint_past_pairs(bell)
+        assert again == expected == brute_force_pairs(bell)
+        assert again is not gm.maximal_disjoint_past_pairs(bell)
+
+    def test_smaller_max_pairs_after_a_cached_call_still_refused(self, bell):
+        assert len(gm.maximal_disjoint_past_pairs(bell)) == 3
+        for _ in range(2):  # a refusal is never kept
+            with pytest.raises(SizeLimitExceeded, match="more than 2 disjoint-past pairs"):
+                gm.maximal_disjoint_past_pairs(bell, max_pairs=2)
+        assert len(gm.maximal_disjoint_past_pairs(bell, max_pairs=3)) == 3
+
+    def test_same_nodes_other_edges(self, bell):
+        signalling = CausalGraph.build([(v, bell.outcomes[v]) for v in bell.nodes], [*bell.edges, ("x->b", "x", "b")])
+        for g in (bell, signalling, bell, signalling):
+            assert gm.maximal_disjoint_past_pairs(g) == brute_force_pairs(g)
+
+    def test_holds_at_most_its_bound(self, monkeypatch):
+        from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
+
+        cache = BoundedCache(MAX_CACHED_PAIRS)
+        monkeypatch.setattr(gm, "_PAIRS", cache)
+        for i in range(MAX_CACHED_PAIRS):  # graphs of one pair each, each entry weighs 2
+            gm.maximal_disjoint_past_pairs(CausalGraph.build([(f"u{i}", 2), (f"v{i}", 2)], []))
+            assert cache.load <= MAX_CACHED_PAIRS
+        assert len(cache.entries) == MAX_CACHED_PAIRS // 2
+        big = antichain(13)  # 4095 pairs: more than the bound, so not kept
+        assert len(gm.maximal_disjoint_past_pairs(big)) == 4095
+        assert len(cache.entries) == MAX_CACHED_PAIRS // 2 and cache.get((big.nodes, big.edges, 2**13 - 1)) is None
+
+
 class TestClosureAndPosetEqual:
     def test_chain_gains_shortcut(self):
         g = chain("u", "v", "w")
