@@ -16,7 +16,8 @@ DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
 DEFAULT_MAX_PAIRS = 2**13 - 1
 # Disjoint-past pairs kept, over all graphs held, by the pair and
 # factorisation caches of graph.maximal_disjoint_past_pairs and
-# correlation.is_correlation; a graph with more pairs is not kept
+# correlation.is_correlation (and factorisation checks, by that of
+# bell.check_free_will_no_signalling); a graph with more pairs is not kept
 MAX_CACHED_PAIRS = 2**11
 
 

@@ -90,22 +90,46 @@ class Phase1Result:
     y: np.ndarray
 
 
-def solve_phase1(
-    A: np.ndarray, b: np.ndarray, tol: float = 1e-7, max_iter: int | None = None
-) -> Phase1Result:
-    """Float feasibility of ``A x = b, x >= 0`` by HiGHS: feasible when the L1
-    residual is <= ``tol``.
+@dataclass(frozen=True, eq=False)
+class Phase1Program:
+    """The L1 phase-1 LP of a matrix ``A`` in HiGHS's column-wise form.
 
-    ``x`` is clipped at 0, so it is nonnegative whatever the solver's bound
-    tolerance.  Raises SolverError when ``max_iter`` simplex iterations
-    (default ``200 * (rows + columns)``) do not reach an optimum.
+    The columns are ``[A | I | -I]``: ``start`` holds each column's first
+    position in ``index`` (row numbers) and ``value`` (entries), and
+    ``cost`` is 0 on ``A``'s columns and 1 on the residual columns; every
+    column is continuous, in ``[lower, upper] = [0, inf)``.  Every array is
+    read-only, so one program may serve many solves and threads.
+    It stands in for ``A`` where an array is read: ``shape``, ``len`` and
+    ``np.asarray`` give ``A``'s.
     """
+
+    A: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
+
+    @property
+    def shape(self):
+        return self.A.shape
+
+    def __len__(self):
+        return len(self.A)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.A, dtype=dtype, copy=copy)
+
+
+def phase1_program(A) -> Phase1Program:
+    """The :class:`Phase1Program` of ``A``; a writeable ``A`` is kept as a read-only copy."""
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    if A.flags.writeable:
+        A = A.copy()
     m, n = A.shape
-    if max_iter is None:
-        max_iter = 200 * (m + n)
-    # column-wise sparse [A | I | -I]: A's nonzeros column by column, then one entry per u and v
+    # A's nonzeros column by column, then one entry per u and v
     cols, rows = np.nonzero(A.T)
     n_col = n + 2 * m
     start = np.zeros(n_col, dtype=np.int32)
@@ -114,7 +138,31 @@ def solve_phase1(
     ids = np.arange(m, dtype=np.int32)
     index = np.concatenate([rows.astype(np.int32), ids, ids])
     value = np.concatenate([A.T[cols, rows], np.ones(m), -np.ones(m)])
+    program = Phase1Program(A, start, index, value, np.repeat([0.0, 1.0], [n, 2 * m]), np.zeros(n_col),
+                            np.full(n_col, np.inf), np.zeros(n_col, dtype=np.int32))
+    for array in vars(program).values():
+        array.flags.writeable = False
+    return program
 
+
+def solve_phase1(
+    A: np.ndarray | Phase1Program, b: np.ndarray, tol: float = 1e-7, max_iter: int | None = None
+) -> Phase1Result:
+    """Float feasibility of ``A x = b, x >= 0`` by HiGHS: feasible when the L1
+    residual is <= ``tol``.
+
+    ``A`` is a matrix, or its :func:`phase1_program`, which skips building
+    the column arrays.  ``x`` is clipped at 0, so it is nonnegative whatever
+    the solver's bound tolerance.  Raises SolverError when ``max_iter``
+    simplex iterations (default ``200 * (rows + columns)``) do not reach an
+    optimum.
+    """
+    program = A if isinstance(A, Phase1Program) else phase1_program(A)
+    b = np.asarray(b, dtype=float)
+    m, n = program.shape
+    n_col = len(program.cost)
+    if max_iter is None:
+        max_iter = 200 * (m + n)
     h = highs_core()
     highs = h._Highs()
     for option, setting in (("output_flag", False), ("presolve", "off"), ("simplex_iteration_limit", int(max_iter))):
@@ -122,9 +170,9 @@ def solve_phase1(
     # columns, rows, nonzeros, column-wise, minimise, no offset, costs, column
     # bounds, row bounds (b both sides), the matrix, every column continuous
     highs.passModel(
-        n_col, m, len(index), int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
-        np.repeat([0.0, 1.0], [n, 2 * m]), np.zeros(n_col), np.full(n_col, np.inf), b, b,
-        start, index, value, np.zeros(n_col, dtype=np.int32),
+        n_col, m, len(program.index), int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
+        program.cost, program.lower, program.upper, b, b,
+        program.start, program.index, program.value, program.integrality,
     )
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()

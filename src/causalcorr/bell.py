@@ -22,7 +22,7 @@ import numpy as np
 from . import _schema
 from . import graph as cg
 from .classical import ClassicalModel, Gate
-from .dist import JointDistribution, conditional, independence_deviation, marginal
+from .dist import JointDistribution, _deviation_kernel, _factor_axes, conditional, marginal
 from .errors import (
     IncompletePOVM,
     NotNoSignalling,
@@ -31,8 +31,8 @@ from .errors import (
     SolverError,
 )
 from .quantum import Instrument, QuantumModel
-from ._config import max_state_space
-from ._simplex import solve_phase1, solve_phase1_exact
+from ._config import MAX_CACHED_PAIRS, BoundedCache, max_state_space
+from ._simplex import phase1_program, solve_phase1, solve_phase1_exact
 
 EXACT_MODE_MAX_STRATEGIES = 4096
 
@@ -72,14 +72,6 @@ def make_bell_graph(scenario: BellScenario) -> cg.CausalGraph:
     return cg.CausalGraph.build(nodes, edges)
 
 
-def _check_vars(scenario: BellScenario, dist: JointDistribution) -> None:
-    graph = make_bell_graph(scenario)
-    expected = {v: graph.outcomes[v] for v in graph.nodes}
-    got = {v: k for v, k in dist.variables}
-    if got != expected:
-        raise ShapeMismatch(f"distribution variables {got} do not match the scenario {expected}")
-
-
 @dataclass
 class NoSignallingVerdict:
     """Free-will and per-party no-signalling deviations (max-abs over entries)."""
@@ -98,6 +90,11 @@ class NoSignallingVerdict:
         }
 
 
+# per (scenario, variable order): the scenario's variables and the axes of
+# its n + 1 factorisation checks
+_NOSIG_AXES = BoundedCache(MAX_CACHED_PAIRS)
+
+
 def check_free_will_no_signalling(
     scenario: BellScenario, dist: JointDistribution, tol: float = 1e-9
 ) -> NoSignallingVerdict:
@@ -108,15 +105,29 @@ def check_free_will_no_signalling(
     ``{x_1}, …, {x_n}, {s}``; no-signalling is one more per party, ``{x_i}``
     against the other outcomes, the other settings and ``s``.  This agrees
     with the generic disjoint-past factorization check on the scenario graph.
+    The distribution's variables must be the scenario graph's nodes with
+    their alphabet sizes (any order), which is checked on every call.  The
+    variables and the checks' axes (``dist._factor_axes``) are kept under
+    the scenario and the variable order (at most ``MAX_CACHED_PAIRS``
+    checks in all, the oldest dropped first), so a call runs only the
+    ``dist._deviation_kernel`` reductions.
     """
-    _check_vars(scenario, dist)
-    xs = scenario.setting_ids()
-    as_ = scenario.outcome_ids()
-    freewill_dev = independence_deviation(dist, [{x} for x in xs] + [{"s"}])
-    nosig_devs = [
-        independence_deviation(dist, ({x}, set(xs + as_ + ["s"]) - {x, a}))
-        for x, a in zip(xs, as_)
-    ]
+    key = (scenario, dist.var_ids)
+    plan = _NOSIG_AXES.get(key)
+    if plan is None:
+        graph = make_bell_graph(scenario)
+        expected = {v: graph.outcomes[v] for v in graph.nodes}
+    else:
+        expected, axes = plan
+    got = dict(dist.variables)
+    if got != expected:
+        raise ShapeMismatch(f"distribution variables {got} do not match the scenario {expected}")
+    if plan is None:
+        xs, as_ = scenario.setting_ids(), scenario.outcome_ids()
+        groups = [[{x} for x in xs] + [{"s"}]] + [({x}, set(xs + as_ + ["s"]) - {x, a}) for x, a in zip(xs, as_)]
+        axes = tuple(_factor_axes(dist.var_ids, g) for g in groups)
+        _NOSIG_AXES.put(key, (expected, axes), 1 + len(axes))
+    freewill_dev, *nosig_devs = [_deviation_kernel(dist.table, *a) for a in axes]
     passes = freewill_dev <= tol and all(d <= tol for d in nosig_devs)
     return NoSignallingVerdict(passes, freewill_dev, nosig_devs, tol)
 
@@ -200,6 +211,42 @@ def _collins_gisin(scenario: BellScenario, used, onehots, defined):
     return c_map.reshape(len(a_mat), -1), a_mat
 
 
+# Bell LP plans kept by local_membership, one per (settings, outcomes, defined
+# setting tuples), weighted by their array entries (about 8 MB of float64 in
+# all); the 7 plans of perfbench's locality mix hold about 228,000 entries
+MAX_CACHED_LP_ENTRIES = 1 << 20
+_LP_PLANS = BoundedCache(MAX_CACHED_LP_ENTRIES)
+
+
+def _lp_plan(scenario: BellScenario, used, counts, defined):
+    """The arrays of one Bell LP that depend only on the scenario's shape and
+    ``defined``: ``(C, A, A's phase-1 program, answers, one-hot tensors)``.
+
+    ``answers[i][x, j]`` is party i's outcome at setting x under strategy j,
+    whose digits at the used settings count in ``itertools.product`` order,
+    and 0 elsewhere; ``onehots[i][x, a, j]`` is 1 where it equals a.  The
+    arrays are read-only and kept under ``(settings, outcomes,
+    defined.tobytes())``, at most ``MAX_CACHED_LP_ENTRIES`` entries in all
+    (the oldest plans dropped first).
+    """
+    key = (scenario.settings, scenario.outcomes, defined.tobytes())
+    plan = _LP_PLANS.get(key)
+    if plan is not None:
+        return plan
+    answers, onehots = [], []
+    for xs, k, m, count in zip(used, scenario.settings, scenario.outcomes, counts):
+        answer = np.zeros((k, count), dtype=np.int64)
+        answer[xs] = np.arange(count) // m ** np.arange(len(xs) - 1, -1, -1)[:, None] % m
+        answers.append(answer)
+        onehots.append((answer[:, None, :] == np.arange(m)[:, None]).astype(float))
+    c_map, a_mat = _collins_gisin(scenario, used, onehots, defined)
+    for array in (c_map, a_mat, *answers, *onehots):
+        array.flags.writeable = False
+    program = phase1_program(a_mat)  # keeps the read-only a_mat as its A
+    weight = sum(a.size for a in (c_map, *answers, *onehots, *vars(program).values()))
+    return _LP_PLANS.put(key, (c_map, a_mat, program, tuple(answers), tuple(onehots)), weight)
+
+
 def _respond(onehots, w):
     """``R w`` for the response tensor ``R[x, a, j]`` (1 when strategy ``j``
     answers the setting tuple ``x`` with the joint outcome ``a``), as a
@@ -266,7 +313,10 @@ def local_membership(
     Farkas vector must separate them, with no slack.  Exact mode thus
     decides the Collins–Gisin projection of the input exactly, while the
     input's signalling, and so the full conditional, is still checked within
-    ``tol``.  Raises SolverError when a solve stops early.
+    ``tol``.  Raises SolverError when a solve stops early.  Both size limits
+    are checked on every call, before the arrays that depend only on the
+    scenario and the defined setting tuples are looked up (:func:`_lp_plan`);
+    exact mode converts those to ``Fraction`` on each call.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -296,21 +346,13 @@ def local_membership(
         if exact and n_strat > EXACT_MODE_MAX_STRATEGIES:
             raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies, "
                                     f"not {n_strat}")
-        # answers[i][x, j]: party i's outcome at setting x under strategy j, whose
-        # digits at the used settings count in itertools.product order; 0 elsewhere
-        answers, onehots = [], []
-        for xs, k, m, count in zip(used, scenario.settings, scenario.outcomes, counts):
-            answer = np.zeros((k, count), dtype=np.int64)
-            answer[xs] = np.arange(count) // m ** np.arange(len(xs) - 1, -1, -1)[:, None] % m
-            answers.append(answer)
-            onehots.append((answer[:, None, :] == np.arange(m)[:, None]).astype(float))
-        c_map, a_mat = _collins_gisin(scenario, used, onehots, defined[:, s])
+        c_map, a_mat, program, answers, onehots = _lp_plan(scenario, used, counts, defined[:, s])
         p_col = probs[:, s].ravel()
         if exact:  # C and A are 0/1, so C p and every check below are exact in Fractions
             c_map, a_mat = c_map.astype(int).astype(object), a_mat.astype(int).astype(object)
             p_col = np.frompyfunc(Fraction, 1, 1)(p_col)
         b_vec = c_map @ p_col
-        res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(a_mat, b_vec, tol=slack)
+        res = solve_phase1_exact(a_mat, b_vec) if exact else solve_phase1(program, b_vec, tol=slack)
         verdict.iterations += res.iterations
         verdict.lp_shape = max(verdict.lp_shape, a_mat.shape)
         if not res.feasible:

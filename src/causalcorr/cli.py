@@ -138,7 +138,8 @@ FLAGS = {
     "tol": {"type": _tolerance},
     "eps": {"type": float, "required": True},
     "exact": {"action": "store_true", "help": "decide the Collins-Gisin LP in rational arithmetic, with no "
-              "tolerance; the input's signalling is still checked within --tol"},
+              "tolerance, on the input's binary float values: a float mixture on a face of the local "
+              "polytope may be judged not local; the input's signalling is still checked within --tol"},
     "parties": {"type": int, "required": True},
     "settings": {"type": _sizes, "default": "2"},
     "outcomes": {"type": _sizes, "default": "2"},

@@ -1,6 +1,10 @@
 import itertools
 import json
+import math
+import sys
+import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from causalcorr.errors import (
     SizeLimitExceeded,
     SolverError,
 )
+from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
 from causalcorr._simplex import solve_phase1
 from causalcorr.cli import run
 
@@ -245,6 +250,22 @@ class TestFreeWillNoSignalling:
         assert not verdict.passes
         assert verdict.nosig_deviations[0] == pytest.approx(0.25, abs=1e-12)
 
+    def test_kept_axes_answer_as_new_ones(self, monkeypatch):
+        # one entry per (scenario, variable order); every call checks the variables
+        cases = [(s, d) for _, s, d in no_signalling_oracle_cases()]
+        monkeypatch.setattr(bm, "_NOSIG_AXES", BoundedCache(0))  # keeps nothing
+        unkept = [bm.check_free_will_no_signalling(s, d).to_dict() for s, d in cases]
+        cache = BoundedCache(MAX_CACHED_PAIRS)
+        monkeypatch.setattr(bm, "_NOSIG_AXES", cache)
+        for _ in range(2):
+            assert [bm.check_free_will_no_signalling(s, d).to_dict() for s, d in cases] == unkept
+        assert len(cache.entries) == len({(s, d.var_ids) for s, d in cases}) == 6
+        # the kept CHSH entry has the same variable order; a2 has 3 outcomes here
+        variables = (("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 3))
+        wrong = dm.JointDistribution(variables, np.full((1, 2, 2, 2, 3), 1 / 24))
+        with pytest.raises(ShapeMismatch, match="do not match the scenario"):
+            bm.check_free_will_no_signalling(chsh_222(), wrong)
+
     def test_agrees_with_generic_correlation_check(self):
         scenario = chsh_222()
         graph = bm.make_bell_graph(scenario)
@@ -418,6 +439,25 @@ class TestLocalMembership:
             verdict.max_residual, abs=1e-12)
         for strategy in enumerate_strategies(chsh_222()):
             assert sum(c for (x, a), c in terms.items() if a == (strategy[0][x[0]], strategy[1][x[1]])) <= 1e-12
+
+    def test_exact_mode_judges_a_float_mixture_on_a_face_not_local(self):
+        # a mixture of 2 strategies lies on a face of the polytope; its float
+        # conditional's Collins–Gisin rows fall outside it by about 1e-16
+        cond = deterministic_mixture(np.random.default_rng(1), (2, 2), (2, 2), 2)
+        joint = bell_joint((2, 2), (2, 2), [cond])
+        assert bm.local_membership(chsh_222(), joint).is_local
+        verdict = bm.local_membership(chsh_222(), joint, exact=True)
+        assert not verdict.is_local and 0 < verdict.max_residual < 1e-15
+        # the inequality, on the input's conditional as it is, holds for every
+        # strategy and is violated, exactly
+        [terms] = verdict.inequality.values()
+        entries = list(itertools.product(itertools.product(range(2), repeat=2), repeat=2))
+        y = np.array([Fraction(terms.get(e, 0.0)) for e in entries], dtype=object)
+        probs = dm.conditional(joint, targets=["a1", "a2"], givens=["x1", "x2", "s"]).probs[:, :, 0]
+        p = np.array([Fraction(float(probs[x + a])) for x, a in entries], dtype=object)
+        responses = np.array([[int(a == (st[0][x[0]], st[1][x[1]])) for st in enumerate_strategies(chsh_222())]
+                              for x, a in entries], dtype=object)
+        bm.check_inequality(responses, p, y, slack=0)
 
     def test_signalling_input_rejected(self):
         scenario = bm.BellScenario(settings=(2, 1), outcomes=(1, 2))
@@ -737,6 +777,124 @@ class TestCertificates:
         verdict = bm.local_membership(chsh_222(), pr_box_dist(), exact=True)
         assert not verdict.is_local and verdict.solver == "exact" and verdict.lp_shape == (9, 16)
         assert verdict.inequality[0] and verdict.max_residual > 0 and verdict.iterations > 0
+
+
+def sum_box(settings, outcomes):
+    """Conditional with ``sum(a) = prod(x)`` mod m, uniform over such outcomes: the PR box on CHSH."""
+    m = outcomes[0]
+    cond = np.zeros(tuple(settings) + tuple(outcomes))
+    for xs in itertools.product(*(range(k) for k in settings)):
+        for a in itertools.product(range(m), repeat=len(outcomes)):
+            cond[xs + a] = (sum(a) % m == math.prod(xs) % m) / m ** (len(outcomes) - 1)
+    return cond
+
+
+def plan_cases():
+    """(scenario, joint) pairs, a mixture and a box per shape, with random setting probabilities."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for settings, outcomes in (((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2), (3, 3)), ((2, 2, 2), (2, 2, 2))):
+        for cond in (deterministic_mixture(rng, settings, outcomes, 3), sum_box(settings, outcomes)):
+            probs = [rng.dirichlet(np.ones(k)) for k in settings]
+            cases.append((bm.BellScenario(settings, outcomes), bell_joint(settings, outcomes, [cond], probs)))
+    return cases
+
+
+class TestLPPlans:
+    """Each Bell LP's scenario-only arrays are kept, and change no answer."""
+
+    @staticmethod
+    def fresh(monkeypatch, limit=bm.MAX_CACHED_LP_ENTRIES):
+        cache = BoundedCache(limit)
+        monkeypatch.setattr(bm, "_LP_PLANS", cache)
+        return cache
+
+    @staticmethod
+    def answer(scenario, joint, exact=False):
+        return json.dumps(bm.local_membership(scenario, joint, exact=exact).to_dict())
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_cold_and_warm_calls_answer_as_an_unkept_plan(self, case, monkeypatch):
+        scenario, joint = plan_cases()[case]
+        self.fresh(monkeypatch, 0)  # keeps nothing: every call builds its plan
+        unkept = self.answer(scenario, joint)
+        cache = self.fresh(monkeypatch)
+        assert self.answer(scenario, joint) == unkept and len(cache.entries) == 1
+        assert self.answer(scenario, joint) == unkept and len(cache.entries) == 1
+
+    def test_exact_mode_uses_the_float_plan(self, monkeypatch):
+        scenario, joint = plan_cases()[0]
+        self.fresh(monkeypatch, 0)
+        unkept = self.answer(scenario, joint, exact=True)
+        cache = self.fresh(monkeypatch)
+        self.answer(scenario, joint)
+        assert self.answer(scenario, joint, exact=True) == unkept and len(cache.entries) == 1
+
+    def test_state_space_guard_refuses_after_a_warm_call(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an LP array was built or solved")
+
+        assert not bm.local_membership(chsh_222(), pr_box_dist()).is_local
+        for name in ("_collins_gisin", "phase1_program", "solve_phase1"):
+            monkeypatch.setattr(bm, name, fail)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "143")
+        with pytest.raises(SizeLimitExceeded, match="exceeds the guard 143"):
+            bm.local_membership(chsh_222(), pr_box_dist())
+
+    def test_exact_strategy_limit_refuses_after_a_warm_call(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an exact LP was solved")
+
+        assert not bm.local_membership(chsh_222(), pr_box_dist(), exact=True).is_local
+        monkeypatch.setattr(bm, "EXACT_MODE_MAX_STRATEGIES", 15)
+        monkeypatch.setattr(bm, "solve_phase1_exact", fail)
+        with pytest.raises(SizeLimitExceeded, match="at most 15 strategies, not 16"):
+            bm.local_membership(chsh_222(), pr_box_dist(), exact=True)
+
+    def test_a_setting_of_probability_0_gets_its_own_plan(self, monkeypatch):
+        settings, outcomes = (2, 3), (2, 2)
+        scenario = bm.BellScenario(settings, outcomes)
+        cond = deterministic_mixture(np.random.default_rng(0), settings, outcomes, 4)
+        cache = self.fresh(monkeypatch)
+        assert bm.local_membership(scenario, bell_joint(settings, outcomes, [cond])).lp_shape == (12, 32)
+        zero = bell_joint(settings, outcomes, [cond], [np.array([0.5, 0.5]), np.array([0.6, 0.0, 0.4])])
+        verdict = bm.local_membership(scenario, zero)
+        assert verdict.is_local and verdict.lp_shape == (9, 16) and len(cache.entries) == 2
+        assert_certificate_holds(scenario, zero, verdict)
+
+    def test_kept_arrays_are_read_only(self, monkeypatch):
+        cache = self.fresh(monkeypatch)
+        bm.local_membership(*plan_cases()[0])
+        [((c_map, a_mat, program, answers, onehots), weight)] = cache.entries.values()
+        arrays = [c_map, a_mat, *answers, *onehots, *vars(program).values()]
+        assert program.A is a_mat and weight == sum(a.size for a in arrays) - a_mat.size
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            a_mat[0, 0] = 2.0
+
+    def test_threads_answer_as_serial_calls(self, monkeypatch):
+        cases = plan_cases()
+        calls = [cases[i % len(cases)] for i in range(25)]
+        serial = [self.answer(*call) for call in calls]
+        self.fresh(monkeypatch)
+        start, results = threading.Barrier(4), [None] * 4
+
+        def work(t):  # each thread starts at another call, so the plans are built concurrently
+            start.wait()
+            results[t] = {i: self.answer(*calls[i]) for i in np.roll(np.arange(25), -t * 6).tolist()}
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the plan build and lookup too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all([got[i] for i in range(25)] == serial for got in results)
 
 
 def bell_root_gates_loop(scenario, hidden_given_source, setting_dists, source_dist):

@@ -12,6 +12,7 @@ from causalcorr import _simplex
 from causalcorr._simplex import (
     STATUS_UNBOUNDED,
     _tableau,
+    phase1_program,
     solve_phase1,
     solve_phase1_exact,
 )
@@ -154,6 +155,42 @@ class TestPhase1:
         assert res.feasible
         np.testing.assert_allclose(a @ res.x, b, atol=1e-8)
         assert np.all(res.x >= -1e-9)
+
+
+class TestPhase1Program:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solves_as_the_matrix_does(self, seed):
+        # the same HiGHS model either way: x, y, residual and iterations bit for bit
+        rng = np.random.default_rng(200 + seed)
+        a, b = (np.array(v, dtype=float) for v in random_integer_system(rng))
+        program = phase1_program(a)
+        for _ in range(2):
+            got, want = solve_phase1(program, b, tol=1e-9), solve_phase1(a, b, tol=1e-9)
+            assert (got.feasible, got.infeasibility, got.iterations) == (want.feasible, want.infeasibility,
+                                                                         want.iterations)
+            assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+    def test_stands_in_for_its_matrix(self):
+        a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+        program = phase1_program(a)
+        assert program.shape == (2, 3) and len(program) == 2
+        np.testing.assert_array_equal(program, a)
+        np.testing.assert_array_equal(program.start, [0, 1, 2, 4, 5, 6, 7])
+        np.testing.assert_array_equal(program.index, [0, 1, 0, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(program.value, [1, 1, 2, 1, 1, 1, -1, -1])
+        np.testing.assert_array_equal(program.cost, [0, 0, 0, 1, 1, 1, 1])
+
+    def test_arrays_are_read_only_and_a_writeable_matrix_is_copied(self):
+        a = np.eye(2)
+        program = phase1_program(a)
+        a[0, 0] = 5.0
+        assert program.A[0, 0] == 1.0
+        assert not any(array.flags.writeable for array in vars(program).values())
+        with pytest.raises(ValueError):
+            program.value[0] = 2.0
+        frozen = np.eye(2)
+        frozen.flags.writeable = False
+        assert phase1_program(frozen).A is frozen
 
 
 class TestBackends:
