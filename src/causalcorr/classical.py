@@ -92,8 +92,72 @@ def _rewire(tensor: np.ndarray, labels, in_edges, out_edges, merged) -> Gate:
     return Gate(in_edges, out_edges, tensor.transpose([at[x] for g in groups for x in g]).reshape(shape))
 
 
+def _row_checked(items, tol, describe) -> list[str]:
+    """Violations of ``items`` in order, with the row checks of its tables filled in.
+
+    An item is a violation, or a ``(tensor, lead, label)`` table whose rows
+    are the blocks of its axes after the first ``lead``.  A table fails when
+    an entry is negative or a row sums to a value more than ``tol`` from 1
+    (a NaN or infinite entry makes its row sum so); ``describe(label,
+    least, dev)`` then gives its violations, ``least`` being the table's
+    least entry when one is negative and ``dev`` its largest row deviation
+    when that fails, each else None.  Tables of one row length and dtype are
+    checked together: one concatenation of the raveled tensors, one row sum
+    and one minimum, so a C-ordered tensor's row sums are bit-identical to
+    its own ``sum`` over the row axes.  A table without rows has none to
+    check.
+    """
+    tables = [item for item in items if not isinstance(item, str)]
+    groups, faults = {}, {}  # faults: index in tables -> (least, dev)
+    for i, (t, lead, _) in enumerate(tables):
+        if t.size:
+            groups.setdefault((math.prod(t.shape[lead:]), t.dtype), []).append(i)
+        elif math.prod(t.shape[:lead]):  # rows of no entries sum to 0
+            faults[i] = (None, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in a row sum is a NaN fault
+        for (cell, _), members in groups.items():
+            parts = [tables[i][0].ravel() for i in members]
+            flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            devs = np.abs(flat.reshape(-1, cell).sum(axis=1) - 1.0)
+            if flat.min() >= 0 and devs.max() <= tol:
+                continue
+            row = 0
+            for i, part in zip(members, parts):
+                rows = part.size // cell
+                dev = float(devs[row:row + rows].max())
+                row += rows
+                least = float(part.min()) if np.any(part < 0) else None
+                if least is not None or not dev <= tol:
+                    faults[i] = (least, None if dev <= tol else dev)
+    violations, i = [], 0
+    for item in items:
+        if isinstance(item, str):
+            violations.append(item)
+            continue
+        if i in faults:
+            violations.extend(describe(item[2], *faults[i]))
+        i += 1
+    return violations
+
+
+def _gate_faults(v, least, dev):
+    if least is not None:
+        yield f"node {v!r}: negative gate entry {least}"
+    if dev is not None:
+        yield f"node {v!r}: gate rows deviate from 1 by {dev}" if math.isfinite(dev) else f"node {v!r}: non-finite gate entry"
+
+
 def validate_model(model: ClassicalModel) -> list[str]:
-    """Check model invariants; returns a list of violations (empty means ok)."""
+    """Check model invariants; returns a list of violations (empty means ok).
+
+    Wiring, shapes and alphabets are checked node by node.  A gate's rows
+    are its (outcome, outgoing values) cells: every entry must be
+    non-negative and every row must sum to 1 within ``GATE_NORM_TOL``.
+    Those rows are summed once per row length over the whole model
+    (:func:`_row_checked`), not gate by gate; every check runs on every
+    call, and the violations are those of a gate-by-gate check, in node
+    order.
+    """
     violations = list(cg.validate(model.graph))
     alphabet = model.edge_alphabet
     in_ids, out_ids = {}, {}  # node -> ids of its in- and out-edges, in one pass
@@ -105,15 +169,16 @@ def validate_model(model: ClassicalModel) -> list[str]:
             violations.append(f"edge {e.id!r}: hidden alphabet size {size} < 1")
         in_ids.setdefault(e.dst, []).append(e.id)
         out_ids.setdefault(e.src, []).append(e.id)
+    items = []  # node violations and gates to row-check, in node order
     for v in model.graph.nodes:
         gate = model.gates.get(v)
         if gate is None:
-            violations.append(f"node {v!r}: missing gate")
+            items.append(f"node {v!r}: missing gate")
             continue
         ins = tuple(sorted(in_ids.get(v, ())))
         outs = tuple(sorted(out_ids.get(v, ())))
         if gate.in_edges != ins or gate.out_edges != outs:
-            violations.append(
+            items.append(
                 f"node {v!r}: gate wired to {gate.in_edges}/{gate.out_edges}, expected {ins}/{outs}"
             )
             continue
@@ -126,20 +191,12 @@ def validate_model(model: ClassicalModel) -> list[str]:
         except KeyError:
             continue
         if gate.tensor.shape != expected:
-            violations.append(
+            items.append(
                 f"node {v!r}: gate tensor shape {gate.tensor.shape}, expected {expected}"
             )
             continue
-        if np.any(gate.tensor < 0):
-            violations.append(f"node {v!r}: negative gate entry {float(gate.tensor.min())}")
-        n_in = len(ins)
-        sums = gate.tensor.sum(axis=tuple(range(n_in, gate.tensor.ndim)))
-        dev = float(np.abs(sums - 1.0).max()) if sums.size else abs(float(sums) - 1.0)
-        if not math.isfinite(dev):  # a NaN or infinite entry makes its row sum so
-            violations.append(f"node {v!r}: non-finite gate entry")
-        elif dev > GATE_NORM_TOL:
-            violations.append(f"node {v!r}: gate rows deviate from 1 by {dev}")
-    return violations
+        items.append((gate.tensor, len(ins), v))
+    return violations + _row_checked(items, GATE_NORM_TOL, _gate_faults)
 
 
 def _contract_gates(model: ClassicalModel, nodes, max_states) -> JointDistribution:

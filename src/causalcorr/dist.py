@@ -112,21 +112,27 @@ def marginal(dist: JointDistribution, keep) -> JointDistribution:
     unknown = keep - set(dist.var_ids)
     if unknown:
         raise UnknownVariable(f"unknown variables {sorted(unknown)}")
-    kept = [(v, k) for v, k in dist.variables if v in keep]
-    kept_root_axes = [dist._root_axes[i] for i, (v, _) in enumerate(dist.variables) if v in keep]
-    removed = tuple(sorted(set(range(dist._root.ndim)) - set(kept_root_axes)))
+    return _summed_onto(dist, [i for i, (v, _) in enumerate(dist.variables) if v in keep])
+
+
+def _summed_onto(dist: JointDistribution, positions) -> JointDistribution:
+    """``dist`` summed onto its variables at ``positions``, distinct, in that order.
+
+    One numpy reduction over the root table, then one transpose; the result
+    is validated once and remembers the root.
+    """
+    root_axes = [dist._root_axes[i] for i in positions]
+    removed = tuple(sorted(set(range(dist._root.ndim)) - set(root_axes)))
     table = dist._root.sum(axis=removed) if removed else dist._root
-    # numpy leaves the surviving axes in root order; restore the kept order
-    rank = {ax: i for i, ax in enumerate(sorted(kept_root_axes))}
-    perm = [rank[ax] for ax in kept_root_axes]
-    table = np.transpose(table, perm)
+    # numpy leaves the surviving axes in root order; restore the order asked for
+    rank = {ax: i for i, ax in enumerate(sorted(root_axes))}
     return JointDistribution(
-        tuple(kept),
-        table,
+        tuple([dist.variables[i] for i in positions]),
+        np.transpose(table, [rank[ax] for ax in root_axes]),
         unnormalized=dist.unnormalized,
         norm_tol=dist.norm_tol,
         _root=dist._root,
-        _root_axes=tuple(kept_root_axes),
+        _root_axes=tuple(root_axes),
     )
 
 
@@ -156,18 +162,24 @@ def conditional(
 ) -> ConditionalTable:
     """Conditional distribution of ``targets`` given ``givens``.
 
-    Variables outside both sets are marginalized out first.  Only given-tuples
-    with marginal probability above ``zero_tol`` get a (normalized) row.
+    Variables outside both sets are marginalized out first: one sum over the
+    root table, transposed straight into givens-then-targets order, so the
+    table equals ``marginal`` followed by ``reorder`` bit for bit and is
+    validated once.  Only given-tuples with marginal probability above
+    ``zero_tol`` get a (normalized) row.
     """
     targets = list(targets)
     givens = list(givens)
     if set(targets) & set(givens):
         raise OverlappingSets(f"targets and givens overlap: {set(targets) & set(givens)}")
+    at = {v: i for i, (v, _) in enumerate(dist.variables)}
     for v in targets + givens:
-        if v not in dist.var_ids:
+        if v not in at:
             raise UnknownVariable(f"unknown variable {v!r}")
-    sub = marginal(dist, set(targets) | set(givens))
-    sub = sub.reorder(tuple(givens) + tuple(targets))
+    order = tuple(givens) + tuple(targets)
+    if len(set(order)) != len(order):
+        raise VariableMismatch(f"{order} is not a permutation of {tuple(v for v in at if v in order)}")
+    sub = _summed_onto(dist, [at[v] for v in order])
     g = len(givens)
     given_vars = sub.variables[:g]
     target_vars = sub.variables[g:]

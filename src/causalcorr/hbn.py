@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as cg
-from .classical import ClassicalModel, Gate, sorted_in_ids, sorted_out_ids
+from .classical import ClassicalModel, Gate, _row_checked, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
 from . import _schema
 from .dist import JointDistribution
@@ -39,41 +39,57 @@ def sorted_parents(graph: cg.CausalGraph, v: str) -> tuple[str, ...]:
     return tuple(sorted(graph.parents(v)))
 
 
+def _table_faults(label, least, dev):
+    v, kind = label
+    if least is not None:
+        yield f"node {v!r}: negative {kind} entry"
+    if dev is not None:
+        yield f"node {v!r}: {kind} rows deviate from 1 by {dev}"
+
+
 def validate(hbn: HiddenBayesNet) -> list[str]:
-    """Check table shapes and row normalization; returns violations (empty = ok)."""
+    """Check table shapes and row normalization; returns violations (empty = ok).
+
+    Shapes and alphabets are checked node by node; a node whose own, a
+    parent's or an outcome alphabet is missing gets that violation and no
+    shape check of the tables that need it.  A table's rows are its last
+    axis: every entry must be non-negative and every row must sum to 1
+    within ``ROW_NORM_TOL``.  Those rows are summed once per row length
+    over the whole network (``classical._row_checked``), not table by
+    table; every check runs on every call, and the violations are those of
+    a table-by-table check, in node order.
+    """
     violations = list(cg.validate(hbn.graph))
+    alphabet = hbn.node_alphabet
     for v in hbn.graph.nodes:
-        size = hbn.node_alphabet.get(v)
+        size = alphabet.get(v)
         if size is None:
             violations.append(f"node {v!r}: missing hidden alphabet")
         elif size < 1:
             violations.append(f"node {v!r}: hidden alphabet size {size} < 1")
+    items = []  # node violations and tables to row-check, in node order
     for v in hbn.graph.nodes:
         trans = hbn.transitions.get(v)
         read = hbn.readouts.get(v)
         if trans is None or read is None:
-            violations.append(f"node {v!r}: missing transition or readout table")
+            items.append(f"node {v!r}: missing transition or readout table")
             continue
-        pa = sorted_parents(hbn.graph, v)
-        expected = tuple(hbn.node_alphabet[u] for u in pa) + (hbn.node_alphabet[v],)
+        expected = tuple(alphabet.get(u) for u in sorted_parents(hbn.graph, v) + (v,))
+        if None in expected:  # the missing alphabet is reported above
+            continue
         if trans.shape != expected:
-            violations.append(f"node {v!r}: transition shape {trans.shape}, expected {expected}")
+            items.append(f"node {v!r}: transition shape {trans.shape}, expected {expected}")
             continue
-        if np.any(trans < 0):
-            violations.append(f"node {v!r}: negative transition entry")
-        dev = float(np.abs(trans.sum(axis=-1) - 1.0).max())
-        if not dev <= ROW_NORM_TOL:  # negated, so that a NaN entry's row sum fails it
-            violations.append(f"node {v!r}: transition rows deviate from 1 by {dev}")
-        expected_r = (hbn.node_alphabet[v], hbn.graph.outcomes[v])
+        items.append((trans, trans.ndim - 1, (v, "transition")))
+        n_o = hbn.graph.outcomes.get(v)
+        if n_o is None:  # reported by cg.validate
+            continue
+        expected_r = (alphabet[v], n_o)
         if read.shape != expected_r:
-            violations.append(f"node {v!r}: readout shape {read.shape}, expected {expected_r}")
+            items.append(f"node {v!r}: readout shape {read.shape}, expected {expected_r}")
             continue
-        if np.any(read < 0):
-            violations.append(f"node {v!r}: negative readout entry")
-        dev = float(np.abs(read.sum(axis=-1) - 1.0).max())
-        if not dev <= ROW_NORM_TOL:
-            violations.append(f"node {v!r}: readout rows deviate from 1 by {dev}")
-    return violations
+        items.append((read, 1, (v, "readout")))
+    return violations + _row_checked(items, ROW_NORM_TOL, _table_faults)
 
 
 def evaluate(hbn: HiddenBayesNet, max_states: int | None = None) -> JointDistribution:

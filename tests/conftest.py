@@ -9,6 +9,8 @@ import pytest
 from causalcorr import bell as bell_mod
 from causalcorr import classical as cm
 from causalcorr import dist as dm
+from causalcorr import graph as cg
+from causalcorr import hbn as hm
 from causalcorr._config import max_state_space
 from causalcorr.errors import CycleError, SizeLimitExceeded, UnknownNode, require_valid
 from causalcorr.graph import CausalGraph
@@ -213,6 +215,97 @@ def evaluate_naive(model: cm.ClassicalModel, max_states: int | None = None) -> d
         table[outcome] = total
     variables = tuple((v, graph.outcomes[v]) for v in graph.nodes)
     return dm.JointDistribution(variables, table, norm_tol=1e-9)
+
+
+def validate_model_loop(model: cm.ClassicalModel) -> list[str]:
+    """Oracle of ``classical.validate_model``: every gate's rows checked gate by gate."""
+    violations = list(cg.validate(model.graph))
+    alphabet = model.edge_alphabet
+    in_ids, out_ids = {}, {}  # node -> ids of its in- and out-edges, in one pass
+    for e in model.graph.edges:
+        size = alphabet.get(e.id)
+        if size is None:
+            violations.append(f"edge {e.id!r}: missing hidden alphabet")
+        elif size < 1:
+            violations.append(f"edge {e.id!r}: hidden alphabet size {size} < 1")
+        in_ids.setdefault(e.dst, []).append(e.id)
+        out_ids.setdefault(e.src, []).append(e.id)
+    for v in model.graph.nodes:
+        gate = model.gates.get(v)
+        if gate is None:
+            violations.append(f"node {v!r}: missing gate")
+            continue
+        ins = tuple(sorted(in_ids.get(v, ())))
+        outs = tuple(sorted(out_ids.get(v, ())))
+        if gate.in_edges != ins or gate.out_edges != outs:
+            violations.append(
+                f"node {v!r}: gate wired to {gate.in_edges}/{gate.out_edges}, expected {ins}/{outs}"
+            )
+            continue
+        try:
+            expected = (
+                tuple(alphabet[e] for e in ins)
+                + (model.graph.outcomes[v],)
+                + tuple(alphabet[e] for e in outs)
+            )
+        except KeyError:
+            continue
+        if gate.tensor.shape != expected:
+            violations.append(
+                f"node {v!r}: gate tensor shape {gate.tensor.shape}, expected {expected}"
+            )
+            continue
+        if np.any(gate.tensor < 0):
+            violations.append(f"node {v!r}: negative gate entry {float(gate.tensor.min())}")
+        n_in = len(ins)
+        sums = gate.tensor.sum(axis=tuple(range(n_in, gate.tensor.ndim)))
+        dev = float(np.abs(sums - 1.0).max()) if sums.size else abs(float(sums) - 1.0)
+        if not math.isfinite(dev):  # a NaN or infinite entry makes its row sum so
+            violations.append(f"node {v!r}: non-finite gate entry")
+        elif dev > cm.GATE_NORM_TOL:
+            violations.append(f"node {v!r}: gate rows deviate from 1 by {dev}")
+    return violations
+
+
+def hbn_validate_loop(hbn: hm.HiddenBayesNet) -> list[str]:
+    """Oracle of ``hbn.validate``: every table's rows checked table by table.
+
+    Raises KeyError where a node's or a parent's hidden alphabet, or a
+    node's outcome alphabet, is missing.
+    """
+    violations = list(cg.validate(hbn.graph))
+    for v in hbn.graph.nodes:
+        size = hbn.node_alphabet.get(v)
+        if size is None:
+            violations.append(f"node {v!r}: missing hidden alphabet")
+        elif size < 1:
+            violations.append(f"node {v!r}: hidden alphabet size {size} < 1")
+    for v in hbn.graph.nodes:
+        trans = hbn.transitions.get(v)
+        read = hbn.readouts.get(v)
+        if trans is None or read is None:
+            violations.append(f"node {v!r}: missing transition or readout table")
+            continue
+        pa = hm.sorted_parents(hbn.graph, v)
+        expected = tuple(hbn.node_alphabet[u] for u in pa) + (hbn.node_alphabet[v],)
+        if trans.shape != expected:
+            violations.append(f"node {v!r}: transition shape {trans.shape}, expected {expected}")
+            continue
+        if np.any(trans < 0):
+            violations.append(f"node {v!r}: negative transition entry")
+        dev = float(np.abs(trans.sum(axis=-1) - 1.0).max())
+        if not dev <= hm.ROW_NORM_TOL:  # negated, so that a NaN entry's row sum fails it
+            violations.append(f"node {v!r}: transition rows deviate from 1 by {dev}")
+        expected_r = (hbn.node_alphabet[v], hbn.graph.outcomes[v])
+        if read.shape != expected_r:
+            violations.append(f"node {v!r}: readout shape {read.shape}, expected {expected_r}")
+            continue
+        if np.any(read < 0):
+            violations.append(f"node {v!r}: negative readout entry")
+        dev = float(np.abs(read.sum(axis=-1) - 1.0).max())
+        if not dev <= hm.ROW_NORM_TOL:
+            violations.append(f"node {v!r}: readout rows deviate from 1 by {dev}")
+    return violations
 
 
 def enumerate_strategies(scenario) -> list[tuple[tuple[int, ...], ...]]:

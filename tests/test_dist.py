@@ -144,6 +144,34 @@ class TestConditional:
         direct = dm.marginal(p, {"a", "b", "c"}).reorder(("b", "a", "c"))
         np.testing.assert_allclose(rebuilt, direct.table, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_marginal_then_reorder(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        p = random_dist(rng, ("a", 2), ("b", 3), ("c", 2), ("d", 3), ("e", 2))
+        # a reordered marginal has root axes out of table order
+        for dist in (p, dm.marginal(p, {"e", "b", "d", "a"}).reorder(("d", "a", "e", "b"))):
+            for targets, givens in ((["a"], ["b"]), (["e", "a"], ["d", "b"]), (["b"], []), ([], ["d", "a"])):
+                sub = dm.marginal(dist, set(targets) | set(givens)).reorder(tuple(givens) + tuple(targets))
+                g = len(givens)
+                weights = sub.table.sum(axis=tuple(range(g, sub.table.ndim))) if targets else sub.table
+                defined = weights > dm.DEFAULT_ZERO_TOL
+                probs = sub.table / np.where(defined, weights, 1.0).reshape(weights.shape + (1,) * len(targets))
+                probs = np.where(defined.reshape(defined.shape + (1,) * len(targets)), probs, 0.0)
+                built = []
+                monkeypatch.setattr(dm.JointDistribution, "__post_init__",
+                                    lambda self, init=dm.JointDistribution.__post_init__: (built.append(1), init(self)))
+                c = dm.conditional(dist, targets, givens)
+                monkeypatch.undo()
+                assert len(built) == 1  # the table is validated once
+                assert c.givens == sub.variables[:g] and c.targets == sub.variables[g:]
+                assert_identical(c.probs, probs)
+                assert_identical(c.defined, defined)
+
+    def test_repeated_variable_rejected(self):
+        p = uniform(("a", 2), ("b", 2), ("c", 2))
+        with pytest.raises(VariableMismatch, match=r"\('b', 'b', 'a'\) is not a permutation of \('a', 'b'\)"):
+            dm.conditional(p, targets=["a"], givens=["b", "b"])
+
 
 class TestProductAndDistance:
     def test_tv_identity(self):
