@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import numbers
+import operator
 import os
+import sys
 import threading
 
 import numpy as np
@@ -22,16 +25,26 @@ MAX_CACHED_PAIRS = 2**11
 
 
 def max_state_space(override=None):
-    """Effective state-space guard; CC_MAX_STATE_SPACE takes precedence over the default."""
+    """Effective state-space guard: ``override``, else CC_MAX_STATE_SPACE, else the default.
+
+    A guard is a non-negative integer.  CausalCorrError is raised for any
+    other override (a bool, a float, whole or not finite, a negative number)
+    and for a variable that is not an integer or is negative.
+    """
     if override is not None:
+        if isinstance(override, bool) or not isinstance(override, numbers.Integral) or override < 0:
+            raise CausalCorrError(f"max_states={override!r} is not a non-negative integer")
         return int(override)
     env = os.environ.get("CC_MAX_STATE_SPACE")
     if env is None:
         return DEFAULT_MAX_STATE_SPACE
     try:
-        return int(env)
+        guard = int(env)
     except ValueError:
         raise CausalCorrError(f"CC_MAX_STATE_SPACE={env!r} is not an integer") from None
+    if guard < 0:
+        raise CausalCorrError(f"CC_MAX_STATE_SPACE={env!r} is negative")
+    return guard
 
 
 def _entries(mask, size):
@@ -42,6 +55,9 @@ def _entries(mask, size):
         n *= size[low.bit_length() - 1]
         mask ^= low
     return n
+
+
+_FIRST = operator.itemgetter(0)  # a candidate's (-removed entries, flop cost)
 
 
 def _greedy_path(masks, out_mask, sizes, guard):
@@ -107,7 +123,7 @@ def _greedy_path(masks, out_mask, sizes, guard):
                 largest = max(largest, _entries(once if len(live) > 2 else once & out_mask, sizes))
                 widest = max(widest, once.bit_count())
                 break
-        (_, cost), bx, by, kept, size = min(known, key=lambda c: c[0])
+        (_, cost), bx, by, kept, size = min(known, key=_FIRST)
         known = [
             (key, x - (x > bx) - (x > by), y - (y > bx) - (y > by), k, e)
             for key, x, y, k, e in known
@@ -150,14 +166,16 @@ class BoundedCache:
         return value
 
 
-# Contraction plans kept by _contract, one per network: repeated evaluation
-# of the five standard graphs meets 65 distinct networks.  A plan is kept
-# from a network's second sighting among the last MAX_CACHED_PLANS networks
-# contracted without one (their hashes are in _SEEN): keeping the plan of
-# every network met once made such networks cost more than planning alone.
-MAX_CACHED_PLANS = 128
-_PLANS = BoundedCache(MAX_CACHED_PLANS)
-_SEEN = BoundedCache(MAX_CACHED_PLANS)
+# Contraction plans kept by _contract, one per canonical network, weighed
+# by their steps.  The budget holds every network a workload repeats: a
+# structure pass over 10-14-node DAGs meets about 1,600 networks of 14,000
+# steps in all.  Eviction is oldest first, so a cycle of networks heavier
+# than the budget would replan every one of them on every pass.
+MAX_PLAN_STEPS = 2**15
+_PLANS = BoundedCache(MAX_PLAN_STEPS)
+# numpy's names for sublist indices 0-51, so each step's string is the one
+# np.einsum builds from the equivalent sublists
+_EINSUM_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
 def _refuse(largest, widest, guard):
@@ -182,79 +200,79 @@ def _contract(operands, output, max_states=None):
     have any number.  The steps then run one einsum call each, over indices
     numbered within the step.
 
-    The plan depends only on each operand's labels and shape, the output
-    labels and the guard.  A network that comes back within the last
-    ``MAX_CACHED_PLANS`` networks contracted without a plan has its plan
-    recorded during that run and kept under them (at most
-    ``MAX_CACHED_PLANS`` networks, the oldest dropped first): its steps'
-    sublists and einsum flags, the final transpose, the largest array and
-    the widest step.  A kept network skips the labelling and the planning,
-    and both refusals are checked from the kept numbers on every call,
-    before any arithmetic.
+    The plan depends only on the network's canonical key, one flat tuple of
+    ints: the guard, then per operand its number of axes, its labels
+    numbered by first appearance and its shape, then the output's label
+    numbers.  Networks whose labels differ only in name share a plan, and
+    the key holds no label.  Every plan is kept from its first call: per
+    step its einsum string, its flag and the positions it pops, then the
+    final transpose, the largest array and the widest step.  The cache
+    holds at most ``MAX_PLAN_STEPS`` steps (a refusal weighs one) and drops
+    the oldest plans first, so networks that come back in a cycle heavier
+    than that are planned again on every call.  Both refusals are checked
+    from the kept numbers on every call, before any arithmetic.
     """
     if not operands:  # the empty product
         return np.ones(())
     guard = max_state_space(max_states)
-    key = (tuple([(tuple(subs), array.shape) for array, subs in operands]), tuple(output), guard)
-    arrays = [array for array, _ in operands]
+    number = {}
+    key = [guard]
+    for array, subs in operands:
+        key.append(len(subs))
+        for i in subs:  # a loop: a comprehension per operand costs more here
+            key.append(number.setdefault(i, len(number)))
+        key += array.shape
+    for i in output:
+        key.append(number[i])
+    key = tuple(key)
     plan = _PLANS.get(key)
     if plan is None:
-        seen = hash(key)
-        record = _SEEN.get(seen) is not None
-        if not record:
-            _SEEN.put(seen, True)
-        return _plan_and_contract(arrays, key, record)
+        plan = _plan(key, len(operands))
+        _PLANS.put(key, plan, len(plan[0]) or 1)
     steps, order, largest, widest = plan
     _refuse(largest, widest, guard)
-    for popped, subs, kept, optimize in steps:
-        args = []
-        for i, sub in zip(popped, subs):
-            args += (arrays.pop(i), sub)
-        args.append(kept)
-        arrays.append(np.einsum(*args, optimize=optimize))
+    arrays = [array for array, _ in operands]
+    for step in steps:  # (einsum string, flag, *popped positions)
+        arrays.append(np.einsum(step[0], *map(arrays.pop, step[2:]), optimize=step[1]))
     return arrays[0].transpose(order)
 
 
-def _plan_and_contract(arrays, key, record):
-    """Plan a network, then run each step; with ``record``, keep the plan."""
-    operands, output, guard = key
-    label, size, masks, ops, largest = {}, {}, [], [], 0
-    for array, (subs, shape) in zip(arrays, operands):
-        bits, mask = [], 0
-        for i, n in zip(subs, shape):
-            b = label.setdefault(i, len(label))
-            size[b] = n
-            bits.append(b)
+def _plan(key, n):
+    """The plan of a canonical key over ``n`` operands (see :func:`_contract`);
+    a refused plan has no steps."""
+    guard, at, size, masks, ops, largest = key[0], 1, {}, [], [], 0
+    for _ in range(n):
+        rank = key[at]
+        bits, shape = key[at + 1:at + 1 + rank], key[at + 1 + rank:at + 1 + 2 * rank]
+        at += 1 + 2 * rank
+        size.update(zip(bits, shape))
+        mask = 0
+        for b in bits:
             mask |= 1 << b
         masks.append(mask)
-        ops.append((array, bits))
-        largest = max(largest, array.size)
-    out = [label[i] for i in output]
+        ops.append(bits)
+        largest = max(largest, math.prod(shape))
+    out = key[at:]
     out_mask = 0
     for b in out:
         out_mask |= 1 << b
     path, planned, widest = _greedy_path(masks, out_mask, size, guard)
     largest = max(largest, planned)
     if widest > 52 or largest > guard:
-        if record:
-            _PLANS.put(key, (None, None, largest, widest))
-        _refuse(largest, widest, guard)
+        return (), (), largest, widest
     steps = []
     for step, kept in path:
         popped = sorted(step, reverse=True)
-        local, args, subs = {}, [], []
-        for array, bits in [ops.pop(i) for i in popped]:
-            subs.append([local.setdefault(b, len(local)) for b in bits])
-            args += (array, subs[-1])
-        bits = [b for b in range(kept.bit_length()) if kept >> b & 1]
-        args.append([local[b] for b in bits])
+        local, subs = {}, []
+        for bits in map(ops.pop, popped):
+            subs.append("".join([local.setdefault(b, _EINSUM_LETTERS[len(local)]) for b in bits]))
+        bits = [b for b in sorted(local) if kept >> b & 1]
+        result = "".join(map(local.__getitem__, bits))
         # numpy's optimized pairwise contraction (BLAS) pays off above about
         # 2^14 terms; below that its set-up costs more than the plain loop
-        optimize = math.prod(size[b] for b in local) > 1 << 14
-        ops.append((np.einsum(*args, optimize=optimize), bits))
-        steps.append((popped, subs, args[-1], optimize))
-    (array, bits), = ops
-    order = [bits.index(b) for b in out]
-    if record:
-        _PLANS.put(key, (steps, order, largest, widest))
-    return array.transpose(order)
+        optimize = math.prod(map(size.__getitem__, local)) > 1 << 14
+        ops.append(bits)
+        # plans share most of their steps' strings: interned, each is held once
+        steps.append((sys.intern(",".join(subs) + "->" + result), optimize, *popped))
+    bits, = ops
+    return tuple(steps), tuple(bits.index(b) for b in out), largest, widest

@@ -89,9 +89,10 @@ class JointDistribution:
 
     def reorder(self, order: list[str] | tuple[str, ...]) -> "JointDistribution":
         """Same distribution with the variables permuted into the given order."""
-        if set(order) != set(self.var_ids) or len(order) != len(self.var_ids):
-            raise VariableMismatch(f"{order} is not a permutation of {self.var_ids}")
-        perm = [self.var_ids.index(v) for v in order]
+        at = {v: i for i, (v, _) in enumerate(self.variables)}
+        if set(order) != at.keys() or len(order) != len(at):
+            raise VariableMismatch(f"{order} is not a permutation of {tuple(at)}")
+        perm = [at[v] for v in order]
         return JointDistribution(
             variables=tuple(self.variables[i] for i in perm),
             table=np.transpose(self.table, perm),

@@ -4,6 +4,7 @@
 import functools
 import math
 import operator
+import re
 import sys
 import threading
 
@@ -14,7 +15,7 @@ from causalcorr import _config
 from causalcorr import classical as cm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
-from causalcorr._config import MAX_CACHED_PLANS, BoundedCache, _contract, _greedy_path, max_state_space
+from causalcorr._config import MAX_PLAN_STEPS, BoundedCache, _contract, _greedy_path, max_state_space
 from causalcorr.errors import CausalCorrError, SizeLimitExceeded
 from causalcorr.graph import CausalGraph
 
@@ -221,27 +222,52 @@ def outcome(call):
         return f"refused: {exc}"
 
 
+def chain(n):
+    """A three-operand chain whose first axis has size ``n``: planned in two
+    steps, with distinct plans for distinct ``n``."""
+    return [(np.ones(n), ["i"]), (np.full((n, 2), 0.5), ["i", "j"]), (np.ones((2, 3)), ["j", "k"])], ["k"]
+
+
+def counting_planner(monkeypatch):
+    """Counts the calls of _greedy_path from now on."""
+    calls = []
+
+    def planner(*args):
+        calls.append(1)
+        return _greedy_path(*args)
+
+    monkeypatch.setattr(_config, "_greedy_path", planner)
+    return calls
+
+
+def contracted(operands, output, guard):
+    """A contraction's table as bytes, or its refusal's message."""
+    try:
+        return _contract(operands, output, guard).tobytes()
+    except SizeLimitExceeded as exc:
+        return f"refused: {exc}"
+
+
 class TestPlanCache:
     @pytest.fixture
     def empty(self, monkeypatch):
-        """Installs and returns an empty plan cache, with no network seen:
-        the next call of every network is cold."""
+        """Installs and returns an empty plan cache, by default with the
+        package's budget: the next call of every network is cold."""
 
-        def install():
-            fresh = BoundedCache(MAX_CACHED_PLANS)
+        def install(limit=None):
+            fresh = BoundedCache(_config._PLANS.limit if limit is None else limit)
             monkeypatch.setattr(_config, "_PLANS", fresh)
-            monkeypatch.setattr(_config, "_SEEN", BoundedCache(MAX_CACHED_PLANS))
             return fresh
 
         return install
 
-    def test_a_plan_is_kept_from_the_second_call(self, empty):
+    def test_a_plan_is_kept_from_the_first_call(self, empty):
         plans = empty()
         operands = [(np.ones(2), ["i"]), (np.ones((2, 3)), ["i", "j"])]
         tables = []
-        for kept in (0, 1, 1):
+        for _ in range(3):
             tables.append(_contract(operands, ["j"]))
-            assert len(plans.entries) == kept
+            assert len(plans.entries) == 1 and plans.load == 1  # one plan of one step
         assert all(np.array_equal(t, tables[0]) for t in tables)
 
     @FAMILIES
@@ -251,16 +277,17 @@ class TestPlanCache:
         for guard in (2**k for k in range(14)):
             plans = empty()
             cold = outcome(lambda: family.evaluate(model, max_states=guard))
-            for _ in range(2):
-                family.evaluate(model)  # a plan kept under the default guard
-            assert len(plans.entries) == 1
-            # the second call under the guard keeps its plan or refusal, the third runs from it
+            # a quantum superoperator above the guard is refused before any contraction
+            early = str(cold).startswith("refused: superoperator")
+            assert len(plans.entries) == (0 if early else 1)  # the cold call keeps its plan or refusal
+            family.evaluate(model)  # a plan kept under the default guard
+            assert len(plans.entries) == (1 if early else 2)
+            # the calls under the guard run from the kept plan or refusal
             assert [outcome(lambda: family.evaluate(model, max_states=guard)) for _ in range(2)] == [cold, cold]
             with monkeypatch.context() as m:
                 m.setenv("CC_MAX_STATE_SPACE", str(guard))
                 assert [outcome(lambda: family.evaluate(model)) for _ in range(2)] == [cold, cold]
-            # a quantum superoperator above the guard is refused before any contraction
-            assert len(plans.entries) == (1 if str(cold).startswith("refused: superoperator") else 2)
+            assert len(plans.entries) == (1 if early else 2)
             outcomes.add(cold.split(" of ")[0] if isinstance(cold, str) else "table")
         # some guards refuse the contraction and some let it run
         assert {"refused: contraction array", "table"} <= outcomes
@@ -296,15 +323,70 @@ class TestPlanCache:
         with pytest.raises(AssertionError, match="planned again"):
             cm.evaluate(model, max_states=10**9)  # another guard: another plan
 
-    def test_holds_at_most_its_bound(self, empty):
+    def test_load_stays_within_the_step_budget_oldest_dropped_first(self, empty):
+        assert _config._PLANS.limit == MAX_PLAN_STEPS
+        plans = empty(limit=41)
+        inserted = []
+        for n in range(1, 60):
+            operands, output = chain(n)
+            if n % 2 == 0:
+                operands, output = operands[:2], ["j"]  # planned in one step
+            _contract(operands, output)
+            inserted.append(list(plans.entries)[-1])
+            with pytest.raises(SizeLimitExceeded):
+                _contract(operands, output, max_states=1)
+            inserted.append(list(plans.entries)[-1])
+            assert plans.load == sum(weight for _, weight in plans.entries.values()) <= 41
+        weights = {(len(plan[0]), weight) for plan, weight in plans.entries.values()}
+        assert weights == {(0, 1), (1, 1), (2, 2)}  # a plan weighs its steps, a refusal one
+        kept = list(plans.entries)
+        assert 20 < len(kept) < len(inserted) and kept == inserted[-len(kept):]  # the oldest went first
+
+    def test_a_cycle_of_200_networks_is_planned_once(self, monkeypatch, empty):
+        empty()
+        planned = counting_planner(monkeypatch)
+        networks = [chain(n) for n in range(1, 201)]
+        first = [_contract(*network).tobytes() for network in networks]
+        assert len(planned) == 200
+        assert [_contract(*network).tobytes() for network in networks] == first
+        assert len(planned) == 200  # none planned in the second cycle
+
+    def test_renamed_labels_share_a_plan_and_give_the_same_bits(self, monkeypatch, empty):
+        for seed in range(40):
+            masks, out_mask, sizes, guard = random_network(seed)
+            rng = np.random.default_rng(seed)
+            arrays = [rng.random([sizes[i] for i in bits(m)]) for m in masks]
+            named, renamed = [], []
+            for array, m in zip(arrays, masks):
+                named.append((array, [("index", i) for i in bits(m)]))
+                renamed.append((array, [f"edge {99 - i}" for i in bits(m)]))
+            out = list(reversed(bits(out_mask)))
+            plans = empty()
+            planned = counting_planner(monkeypatch)
+            cold = contracted(named, [("index", i) for i in out], guard)
+            assert len(planned) == 1 and len(plans.entries) == 1, seed
+            warm = contracted(renamed, [f"edge {99 - i}" for i in out], guard)
+            assert len(planned) == 1 and len(plans.entries) == 1, seed
+            assert warm == cold, seed
+            monkeypatch.undo()
+
+    def test_networks_that_share_other_axes_keep_their_own_plans(self, empty):
         plans = empty()
-        for n in range(1, MAX_CACHED_PLANS + 40):
+        rng = np.random.default_rng(0)
+        a, b = rng.random((2, 2)), rng.random((2, 2))
+        # the same shapes and label counts; only which axes share a label differs
+        networks = [
+            ([(a, "ij"), (b, "jk")], "ik"),
+            ([(a, "ij"), (b, "ik")], "jk"),
+            ([(a, "ij"), (b, "ki")], "jk"),
+            ([(a, "ij"), (b, "ij")], "ij"),
+            ([(a, "ij"), (b, "ji")], "ij"),
+        ]
+        for operands, output in networks:
+            expected = np.einsum(",".join(subs for _, subs in operands) + "->" + output, a, b)
             for _ in range(2):
-                _contract([(np.ones(n), ["i"]), (np.ones((n, 2)), ["i", "j"])], ["j"])
-            assert len(plans.entries) <= MAX_CACHED_PLANS
-        assert len(plans.entries) == MAX_CACHED_PLANS
-        shapes = [operands[0][1] for operands, _, _ in plans.entries]
-        assert shapes[-1] == (MAX_CACHED_PLANS + 39,) and (1,) not in shapes  # the oldest went first
+                assert np.abs(_contract([(x, list(subs)) for x, subs in operands], list(output)) - expected).max() <= 1e-15
+        assert len(plans.entries) == len(networks)
 
 
 class TestBoundedCache:
@@ -348,9 +430,24 @@ class TestMaxStateSpace:
     def test_variable_overrides_the_default_and_an_argument_overrides_both(self, monkeypatch):
         monkeypatch.setenv("CC_MAX_STATE_SPACE", "4096")
         assert max_state_space() == 4096 and max_state_space(64) == 64
+        assert max_state_space(np.int64(64)) == 64 and type(max_state_space(np.int64(64))) is int
+        assert max_state_space(0) == 0
 
     @pytest.mark.parametrize("value", ["lots", "1e6", ""])
     def test_malformed_variable_names_itself(self, monkeypatch, value):
         monkeypatch.setenv("CC_MAX_STATE_SPACE", value)
         with pytest.raises(CausalCorrError, match=f"CC_MAX_STATE_SPACE={value!r} is not an integer"):
             max_state_space()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.7, 2.0, True, False, -5, np.float64(64)])
+    def test_an_override_that_is_not_a_non_negative_integer_is_refused(self, value):
+        model = cm.random_model(all_test_graphs()["bell"], 2, seed=0)
+        with pytest.raises(CausalCorrError, match=re.escape(f"max_states={value!r} is not a non-negative integer")):
+            cm.evaluate(model, max_states=value)
+
+    @pytest.mark.parametrize("value", ["-5", "-1"])
+    def test_a_negative_variable_is_refused(self, monkeypatch, value):
+        model = cm.random_model(all_test_graphs()["bell"], 2, seed=0)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", value)
+        with pytest.raises(CausalCorrError, match=f"CC_MAX_STATE_SPACE={value!r} is negative"):
+            cm.evaluate(model)

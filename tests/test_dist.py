@@ -97,6 +97,25 @@ class TestMarginal:
         assert m1.variables == m2.variables
         np.testing.assert_array_equal(m1.table, m2.table)
 
+    def test_reorder_transposes_by_position(self):
+        rng = np.random.default_rng(7)
+        p = random_dist(rng, ("a", 2), ("b", 3), ("c", 2), ("d", 3))
+        # a reordered marginal has root axes out of table order
+        for dist in (p, dm.marginal(p, {"d", "a", "c"}).reorder(("c", "d", "a"))):
+            ids = dist.var_ids
+            for order in itertools.permutations(ids):
+                perm = [ids.index(v) for v in order]
+                r = dist.reorder(order)
+                assert r.variables == tuple(dist.variables[i] for i in perm)
+                assert_identical(r.table, np.transpose(dist.table, perm))
+                assert r._root is dist._root and r._root_axes == tuple(dist._root_axes[i] for i in perm)
+
+    @pytest.mark.parametrize("order", [(), ("a",), ("a", "a"), ("b", "q"), ("a", "b", "c"), ["b", "a", "a"]])
+    def test_reorder_refuses_a_non_permutation(self, order):
+        with pytest.raises(VariableMismatch) as caught:
+            uniform(("a", 2), ("b", 2)).reorder(order)
+        assert str(caught.value) == f"{order} is not a permutation of ('a', 'b')"
+
     @pytest.mark.parametrize("seed", range(3))
     def test_nested_marginals_exact(self, seed):
         rng = np.random.default_rng(seed)
