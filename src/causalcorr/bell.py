@@ -101,7 +101,7 @@ def check_free_will_no_signalling(
     """Check that settings and source are jointly independent and that each
     party's setting is independent of everything else jointly.
 
-    Free will is one ``dist.independence_deviation`` over the singletons
+    Free will is one ``dist._deviation_kernel`` reduction over the singletons
     ``{x_1}, …, {x_n}, {s}``; no-signalling is one more per party, ``{x_i}``
     against the other outcomes, the other settings and ``s``.  This agrees
     with the generic disjoint-past factorization check on the scenario graph.

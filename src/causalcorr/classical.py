@@ -33,7 +33,7 @@ from .errors import (
     WouldCreateCycle,
     require_valid,
 )
-from ._config import DEFAULT_MAX_PUSHBACK_ALPHABET, _contract, max_state_space
+from ._config import DEFAULT_MAX_PUSHBACK_ALPHABET, BoundedCache, _contract, max_state_space
 
 GATE_NORM_TOL = 1e-12
 
@@ -92,51 +92,74 @@ def _rewire(tensor: np.ndarray, labels, in_edges, out_edges, merged) -> Gate:
     return Gate(in_edges, out_edges, tensor.transpose([at[x] for g in groups for x in g]).reshape(shape))
 
 
-def _row_checked(items, tol, describe) -> list[str]:
-    """Violations of ``items`` in order, with the row checks of its tables filled in.
+# Structural verdicts of the model validators, one per key (see _kept) weighed
+# by its length; a structure pass keeps about 1,500 keys, 150,000 entries in all.
+MAX_STRUCTURE_ENTRIES = 2**19
+_STRUCTURES = BoundedCache(MAX_STRUCTURE_ENTRIES)
 
-    An item is a violation, or a ``(tensor, lead, label)`` table whose rows
-    are the blocks of its axes after the first ``lead``.  A table fails when
-    an entry is negative or a row sums to a value more than ``tol`` from 1
-    (a NaN or infinite entry makes its row sum so); ``describe(label,
-    least, dev)`` then gives its violations, ``least`` being the table's
-    least entry when one is negative and ``dev`` its largest row deviation
-    when that fails, each else None.  Tables of one row length and dtype are
-    checked together: one concatenation of the raveled tensors, one row sum
-    and one minimum, so a C-ordered tensor's row sums are bit-identical to
-    its own ``sum`` over the row axes.  A table without rows has none to
-    check.
-    """
-    tables = [item for item in items if not isinstance(item, str)]
-    groups, faults = {}, {}  # faults: index in tables -> (least, dev)
-    for i, (t, lead, _) in enumerate(tables):
+
+def _kept(key, sizes, build):
+    """``build()``, kept under ``key`` (the oldest dropped first) when each of ``sizes``
+    is an int or None; a model with other sizes or an unhashable key is judged afresh."""
+    try:
+        kept = set(map(type, sizes)) <= {int, type(None)} and _STRUCTURES.get(key)
+    except TypeError:  # an unhashable key: a gate wired to a list of edge ids, say
+        kept = False
+    return build() if kept is False else kept or _STRUCTURES.put(key, build(), len(key))
+
+
+def _row_groups(items):
+    """The violations among ``items``, the labels of its tables with entries per
+    row length and dtype, and those of its tables with rows of no entries."""
+    groups, empty = {}, []
+    for t, lead, label in (item for item in items if not isinstance(item, str)):
         if t.size:
-            groups.setdefault((math.prod(t.shape[lead:]), t.dtype), []).append(i)
-        elif math.prod(t.shape[:lead]):  # rows of no entries sum to 0
-            faults[i] = (None, 1.0)
+            groups.setdefault((math.prod(t.shape[lead:]), t.dtype), []).append(label)
+        elif math.prod(t.shape[:lead]):
+            empty.append(label)
+    clean = tuple(item for item in items if isinstance(item, str))
+    return clean, tuple((cell, tuple(labels)) for (cell, _), labels in groups.items()), tuple(empty)
+
+
+def _row_checked(key, sizes, items, table, tol, describe) -> list[str]:
+    """Violations of a model, with the row checks of its tables filled in.
+
+    ``items()`` lists its violations and ``(tensor, lead, label)`` tables, whose
+    rows are the blocks of their axes after the first ``lead``; their
+    :func:`_row_groups` are kept under ``key``.  On every call each group's
+    tables ``table(label)`` are checked by one concatenation, row sum and
+    minimum, so a C-ordered tensor's row sums are bit-identical to its own
+    ``sum``.  A table fails on a negative entry or a row sum more than ``tol``
+    from 1 (NaN and infinite entries make it so; rows of no entries sum to 0);
+    only then is ``items()`` listed again, and ``describe(label, least, dev)``
+    gives its violations: ``least`` is its least entry when one is negative,
+    ``dev`` its largest row deviation when that fails, each else None.
+    """
+    clean, groups, empty = _kept(key, sizes, lambda: _row_groups(items()))
+    faults = dict.fromkeys(empty, (None, 1.0))  # label -> (least, dev)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in a row sum is a NaN fault
-        for (cell, _), members in groups.items():
-            parts = [tables[i][0].ravel() for i in members]
+        for cell, labels in groups:
+            parts = [table(label).ravel() for label in labels]
             flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
             devs = np.abs(flat.reshape(-1, cell).sum(axis=1) - 1.0)
             if flat.min() >= 0 and devs.max() <= tol:
                 continue
             row = 0
-            for i, part in zip(members, parts):
+            for label, part in zip(labels, parts):
                 rows = part.size // cell
                 dev = float(devs[row:row + rows].max())
                 row += rows
                 least = float(part.min()) if np.any(part < 0) else None
                 if least is not None or not dev <= tol:
-                    faults[i] = (least, None if dev <= tol else dev)
-    violations, i = [], 0
-    for item in items:
+                    faults[label] = (least, None if dev <= tol else dev)
+    if not faults:
+        return list(clean)
+    violations = []
+    for item in items():
         if isinstance(item, str):
             violations.append(item)
-            continue
-        if i in faults:
-            violations.extend(describe(item[2], *faults[i]))
-        i += 1
+        elif item[2] in faults:
+            violations.extend(describe(item[2], *faults[item[2]]))
     return violations
 
 
@@ -147,56 +170,51 @@ def _gate_faults(v, least, dev):
         yield f"node {v!r}: gate rows deviate from 1 by {dev}" if math.isfinite(dev) else f"node {v!r}: non-finite gate entry"
 
 
-def validate_model(model: ClassicalModel) -> list[str]:
-    """Check model invariants; returns a list of violations (empty means ok).
-
-    Wiring, shapes and alphabets are checked node by node.  A gate's rows
-    are its (outcome, outgoing values) cells: every entry must be
-    non-negative and every row must sum to 1 within ``GATE_NORM_TOL``.
-    Those rows are summed once per row length over the whole model
-    (:func:`_row_checked`), not gate by gate; every check runs on every
-    call, and the violations are those of a gate-by-gate check, in node
-    order.
-    """
+def _gate_items(model: ClassicalModel) -> list:
     violations = list(cg.validate(model.graph))
     alphabet = model.edge_alphabet
+    violations += cg._size_faults("edge", [e.id for e in model.graph.edges], alphabet, "hidden alphabet")
     in_ids, out_ids = {}, {}  # node -> ids of its in- and out-edges, in one pass
     for e in model.graph.edges:
-        size = alphabet.get(e.id)
-        if size is None:
-            violations.append(f"edge {e.id!r}: missing hidden alphabet")
-        elif size < 1:
-            violations.append(f"edge {e.id!r}: hidden alphabet size {size} < 1")
         in_ids.setdefault(e.dst, []).append(e.id)
         out_ids.setdefault(e.src, []).append(e.id)
-    items = []  # node violations and gates to row-check, in node order
     for v in model.graph.nodes:
         gate = model.gates.get(v)
         if gate is None:
-            items.append(f"node {v!r}: missing gate")
+            violations.append(f"node {v!r}: missing gate")
             continue
-        ins = tuple(sorted(in_ids.get(v, ())))
-        outs = tuple(sorted(out_ids.get(v, ())))
+        ins, outs = (tuple(sorted(ids.get(v, ()))) for ids in (in_ids, out_ids))
         if gate.in_edges != ins or gate.out_edges != outs:
-            items.append(
-                f"node {v!r}: gate wired to {gate.in_edges}/{gate.out_edges}, expected {ins}/{outs}"
-            )
+            violations.append(f"node {v!r}: gate wired to {gate.in_edges}/{gate.out_edges}, expected {ins}/{outs}")
             continue
         try:
-            expected = (
-                tuple(alphabet[e] for e in ins)
-                + (model.graph.outcomes[v],)
-                + tuple(alphabet[e] for e in outs)
-            )
+            expected = (*(alphabet[e] for e in ins), model.graph.outcomes[v], *(alphabet[e] for e in outs))
         except KeyError:
             continue
         if gate.tensor.shape != expected:
-            items.append(
-                f"node {v!r}: gate tensor shape {gate.tensor.shape}, expected {expected}"
-            )
+            violations.append(f"node {v!r}: gate tensor shape {gate.tensor.shape}, expected {expected}")
             continue
-        items.append((gate.tensor, len(ins), v))
-    return violations + _row_checked(items, GATE_NORM_TOL, _gate_faults)
+        violations.append((gate.tensor, len(ins), v))
+    return violations
+
+
+def validate_model(model: ClassicalModel) -> list[str]:
+    """Check model invariants; returns a list of violations (empty means ok).
+
+    Wiring, shapes and alphabets (integers of at least 1) are checked node by
+    node, once per key of the graph, the sizes and each gate's wiring, rank,
+    dtype and shape.  On every call, every gate entry must be non-negative and
+    every (outcome, outgoing values) row must sum to 1 within
+    ``GATE_NORM_TOL`` (:func:`_row_checked`).  The violations are those of a
+    gate-by-gate check, in node order.
+    """
+    graph, gates = model.graph, model.gates
+    sizes = [*map(graph.outcomes.get, graph.nodes), *(model.edge_alphabet.get(e.id) for e in graph.edges)]
+    key = [_gate_items, graph.nodes, graph.edges, *sizes]
+    for g in map(gates.get, graph.nodes):
+        key += (None,) if g is None else (g.in_edges, g.out_edges, g.tensor.ndim, g.tensor.dtype, *g.tensor.shape)
+    return _row_checked(tuple(key), sizes, lambda: _gate_items(model), lambda v: gates[v].tensor,
+                        GATE_NORM_TOL, _gate_faults)
 
 
 def _contract_gates(model: ClassicalModel, nodes, max_states) -> JointDistribution:

@@ -152,11 +152,6 @@ class ConditionalTable:
     defined: np.ndarray
     zero_tol: float = DEFAULT_ZERO_TOL
 
-    def row(self, given_tuple: tuple[int, ...]) -> np.ndarray:
-        if not self.defined[given_tuple]:
-            raise ShapeMismatch(f"conditional undefined at given values {given_tuple}")
-        return self.probs[given_tuple]
-
 
 def conditional(
     dist: JointDistribution, targets, givens, zero_tol: float = DEFAULT_ZERO_TOL
@@ -211,21 +206,8 @@ def product(d1: JointDistribution, d2: JointDistribution) -> JointDistribution:
     )
 
 
-def independence_deviation(dist: JointDistribution, groups) -> float:
-    """Largest |P(G1 ∪ … ∪ Gk) − P(G1)···P(Gk)| over the entries of the joint marginal.
-
-    One numpy sum takes ``dist.table`` onto the union of the groups' axes;
-    each group's marginal is summed from that joint with ``keepdims=True``, so
-    the product forms by broadcasting in the joint's own axis order.  No
-    intermediate JointDistribution is built and nothing is revalidated.  The
-    axes come from :func:`_factor_axes` and the reductions run in
-    :func:`_deviation_kernel`.
-    """
-    return _deviation_kernel(dist.table, *_factor_axes(dist.var_ids, groups))
-
-
 def _factor_axes(var_ids, groups) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The axes of :func:`independence_deviation` for a table over ``var_ids``.
+    """The axes of :func:`_deviation_kernel` for a table over ``var_ids`` and disjoint ``groups``.
 
     Returns the table axes outside every group (summed out to form the
     joint), and per group the joint's axes that lie outside it (summed out
@@ -248,7 +230,9 @@ def _factor_axes(var_ids, groups) -> tuple[tuple[int, ...], tuple[tuple[int, ...
 
 
 def _deviation_kernel(table: np.ndarray, summed, sides) -> float:
-    """The reductions of :func:`independence_deviation` along axes from :func:`_factor_axes`."""
+    """Largest |P(G1 ∪ … ∪ Gk) − P(G1)···P(Gk)| over the groups' joint marginal:
+    one sum of ``table`` onto it, and each group's marginal summed from it with
+    ``keepdims`` so that the product broadcasts; axes from :func:`_factor_axes`."""
     joint = table.sum(axis=summed) if summed else table
     prod = 1.0
     for others in sides:

@@ -9,6 +9,7 @@ generated edge ids) it is fixed lexicographically so results are reproducible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -62,6 +63,19 @@ class CausalGraph:
         raise UnknownNode(f"no edge with id {edge_id!r}")
 
 
+def _size_faults(kind, ids, sizes, noun, unit=" size"):
+    """The violations of the sizes of ``ids`` in ``sizes``, in order: a size
+    is missing, no integer (a Python or numpy int, no bool) or below 1."""
+    for i in ids:
+        size = sizes.get(i)
+        if size is None:
+            yield f"{kind} {i!r}: missing {noun}"
+        elif isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            yield f"{kind} {i!r}: {noun}{unit} {size!r} is not an integer"
+        elif size < 1:
+            yield f"{kind} {i!r}: {noun}{unit} {size} < 1"
+
+
 def validate(graph: CausalGraph) -> list[str]:
     """Check all graph invariants; returns a list of violations (empty means ok).
 
@@ -84,12 +98,7 @@ def validate(graph: CausalGraph) -> list[str]:
             violations.append(f"edge {e.id!r}: unknown source node {e.src!r}")
         if e.dst not in node_set:
             violations.append(f"edge {e.id!r}: unknown target node {e.dst!r}")
-    for n in graph.nodes:
-        size = graph.outcomes.get(n)
-        if size is None:
-            violations.append(f"node {n!r}: missing outcome alphabet")
-        elif size < 1:
-            violations.append(f"node {n!r}: outcome alphabet size {size} < 1")
+    violations += _size_faults("node", graph.nodes, graph.outcomes, "outcome alphabet")
     # each node once: a duplicate id seeded twice would count its edges twice
     _, indeg = _kahn(CausalGraph(tuple(dict.fromkeys(graph.nodes)), graph.edges, graph.outcomes))
     if any(indeg.values()):

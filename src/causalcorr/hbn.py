@@ -47,49 +47,48 @@ def _table_faults(label, least, dev):
         yield f"node {v!r}: {kind} rows deviate from 1 by {dev}"
 
 
-def validate(hbn: HiddenBayesNet) -> list[str]:
-    """Check table shapes and row normalization; returns violations (empty = ok).
-
-    Shapes and alphabets are checked node by node; a node whose own, a
-    parent's or an outcome alphabet is missing gets that violation and no
-    shape check of the tables that need it.  A table's rows are its last
-    axis: every entry must be non-negative and every row must sum to 1
-    within ``ROW_NORM_TOL``.  Those rows are summed once per row length
-    over the whole network (``classical._row_checked``), not table by
-    table; every check runs on every call, and the violations are those of
-    a table-by-table check, in node order.
-    """
+def _table_items(hbn: HiddenBayesNet) -> list:
     violations = list(cg.validate(hbn.graph))
     alphabet = hbn.node_alphabet
+    violations += cg._size_faults("node", hbn.graph.nodes, alphabet, "hidden alphabet")
     for v in hbn.graph.nodes:
-        size = alphabet.get(v)
-        if size is None:
-            violations.append(f"node {v!r}: missing hidden alphabet")
-        elif size < 1:
-            violations.append(f"node {v!r}: hidden alphabet size {size} < 1")
-    items = []  # node violations and tables to row-check, in node order
-    for v in hbn.graph.nodes:
-        trans = hbn.transitions.get(v)
-        read = hbn.readouts.get(v)
+        trans, read = hbn.transitions.get(v), hbn.readouts.get(v)
         if trans is None or read is None:
-            items.append(f"node {v!r}: missing transition or readout table")
+            violations.append(f"node {v!r}: missing transition or readout table")
             continue
         expected = tuple(alphabet.get(u) for u in sorted_parents(hbn.graph, v) + (v,))
         if None in expected:  # the missing alphabet is reported above
             continue
         if trans.shape != expected:
-            items.append(f"node {v!r}: transition shape {trans.shape}, expected {expected}")
+            violations.append(f"node {v!r}: transition shape {trans.shape}, expected {expected}")
             continue
-        items.append((trans, trans.ndim - 1, (v, "transition")))
+        violations.append((trans, trans.ndim - 1, (v, "transition")))
         n_o = hbn.graph.outcomes.get(v)
         if n_o is None:  # reported by cg.validate
             continue
-        expected_r = (alphabet[v], n_o)
-        if read.shape != expected_r:
-            items.append(f"node {v!r}: readout shape {read.shape}, expected {expected_r}")
+        if read.shape != (alphabet[v], n_o):
+            violations.append(f"node {v!r}: readout shape {read.shape}, expected {(alphabet[v], n_o)}")
             continue
-        items.append((read, 1, (v, "readout")))
-    return violations + _row_checked(items, ROW_NORM_TOL, _table_faults)
+        violations.append((read, 1, (v, "readout")))
+    return violations
+
+
+def validate(hbn: HiddenBayesNet) -> list[str]:
+    """Check table shapes and row normalization; returns violations (empty = ok).
+
+    Shapes and alphabets are checked as in ``classical.validate_model``; a
+    node whose own, a parent's or an outcome alphabet is missing gets no
+    shape check of the tables that need it.  A table's rows are its last
+    axis, checked on every call as ``classical._row_checked`` does, within
+    ``ROW_NORM_TOL``.  The violations are those of a table-by-table check.
+    """
+    graph, tables = hbn.graph, {"transition": hbn.transitions, "readout": hbn.readouts}
+    sizes = [*map(graph.outcomes.get, graph.nodes), *map(hbn.node_alphabet.get, graph.nodes)]
+    key = [_table_items, graph.nodes, graph.edges, *sizes]
+    for t in (table.get(v) for v in graph.nodes for table in tables.values()):
+        key += (None,) if t is None else (t.ndim, t.dtype, *t.shape)
+    return _row_checked(tuple(key), sizes, lambda: _table_items(hbn), lambda label: tables[label[1]][label[0]],
+                        ROW_NORM_TOL, _table_faults)
 
 
 def evaluate(hbn: HiddenBayesNet, max_states: int | None = None) -> JointDistribution:

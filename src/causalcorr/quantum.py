@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as cg
-from .classical import ClassicalModel, sorted_in_ids, sorted_out_ids
+from .classical import ClassicalModel, _kept, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
 from . import _schema
 from .dist import JointDistribution
@@ -59,25 +59,13 @@ def _io_dims(graph: cg.CausalGraph, edge_dim, v: str) -> tuple[int, int]:
 def completeness_deviation(model: QuantumModel, v: str) -> float:
     """Max-abs deviation of the summed K†K from the identity on the input space."""
     din, _ = _io_dims(model.graph, model.edge_dim, v)
-    acc = np.zeros((din, din), dtype=complex)
-    for ops in model.instruments[v].components:
-        for k in ops:
-            acc += k.conj().T @ k
+    acc = sum((k.conj().T @ k for ops in model.instruments[v].components for k in ops), np.zeros((din, din), complex))
     return float(np.abs(acc - np.eye(din)).max())
 
 
-def validate_model(model: QuantumModel) -> list[str]:
-    """Check shapes and trace preservation; returns violations (empty means ok)."""
-    violations = list(cg.validate(model.graph))
-    n_graph = len(violations)
-    for e in model.graph.edges:
-        d = model.edge_dim.get(e.id)
-        if d is None:
-            violations.append(f"edge {e.id!r}: missing dimension")
-        elif d < 1:
-            violations.append(f"edge {e.id!r}: dimension {d} < 1")
-    # node dimensions are products of edge dimensions: check them only when those are sound
-    dims_known = len(violations) == n_graph
+def _instrument_items(model: QuantumModel) -> list:
+    dim_faults = list(cg._size_faults("edge", [e.id for e in model.graph.edges], model.edge_dim, "dimension", ""))
+    violations = list(cg.validate(model.graph)) + dim_faults
     for v in model.graph.nodes:
         inst = model.instruments.get(v)
         if inst is None:
@@ -89,16 +77,38 @@ def validate_model(model: QuantumModel) -> list[str]:
         if inst.n_outcomes != n_o:
             violations.append(f"node {v!r}: instrument has {inst.n_outcomes} outcomes, expected {n_o}")
             continue
-        if not dims_known:
+        if dim_faults:  # node dimensions are products of edge dimensions: check them only when those are sound
             continue
         din, dout = _io_dims(model.graph, model.edge_dim, v)
         bad_shape = next((k.shape for ops in inst.components for k in ops if k.shape != (dout, din)), None)
         if bad_shape is not None:
             violations.append(f"node {v!r}: Kraus operator shape {bad_shape}, expected {(dout, din)}")
             continue
-        dev = completeness_deviation(model, v)
-        if dev > COMPLETENESS_TOL:
-            violations.append(f"node {v!r}: completeness deviation {dev}")
+        violations.append((v, din))  # completeness is left to check
+    return violations
+
+
+def validate_model(model: QuantumModel) -> list[str]:
+    """Check shapes and trace preservation; returns violations (empty means ok).
+
+    Dimensions must be integers of at least 1.  The structural verdict is kept
+    per graph, sizes and each instrument's outcome count and operator shapes
+    (``classical._kept``); completeness is checked on every call, by one product
+    of each node's stacked Kraus operators, and reported as :func:`completeness_deviation`.
+    """
+    graph, instruments = model.graph, model.instruments
+    sizes = [*map(graph.outcomes.get, graph.nodes), *(model.edge_dim.get(e.id) for e in graph.edges)]
+    key = [_instrument_items, graph.nodes, graph.edges, *sizes]
+    for inst in map(instruments.get, graph.nodes):
+        key += (None,) if inst is None else (len(inst.components), *(k.shape for ops in inst.components for k in ops))
+    violations = []
+    for item in _kept(tuple(key), sizes, lambda: tuple(_instrument_items(model))):
+        if not isinstance(item, str):  # a node and its input dimension
+            m = np.concatenate([np.empty((0, item[1])), *(k for ops in instruments[item[0]].components for k in ops)])
+            if not np.abs(m.conj().T @ m - np.eye(item[1])).max() > COMPLETENESS_TOL:
+                continue
+            item = f"node {item[0]!r}: completeness deviation {completeness_deviation(model, item[0])}"
+        violations.append(item)
     return violations
 
 

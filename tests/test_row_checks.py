@@ -1,17 +1,26 @@
-"""Batched row checks of ``classical.validate_model`` and ``hbn.validate``.
+"""Batched row checks and kept structures of the model validators.
 
-Both validators sum the rows of a model's tables once per row length over the
-whole model; these tests hold their violation lists to those of the
-gate-by-gate and table-by-table oracles in ``conftest``, byte for byte, on
-valid and broken models.
+``classical.validate_model`` and ``hbn.validate`` sum the rows of a model's
+tables once per row length over the whole model; these tests hold their
+violation lists to those of the gate-by-gate and table-by-table oracles in
+``conftest``, byte for byte, on valid and broken models.  All three
+validators keep their structural verdicts per key; the tests at the end
+check that a kept verdict never hides a change, cold, warm and across
+threads, and that sizes that are no integers are named violations.
 """
+
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from causalcorr import classical as cm
+from causalcorr import graph as gm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
+from causalcorr._config import BoundedCache
 from causalcorr.errors import InvalidModel
 from causalcorr.graph import CausalGraph
 
@@ -287,3 +296,227 @@ class TestMissingAlphabetsAreViolations:
         assert qm.validate_model(model) == ["node 'b': missing outcome alphabet"]
         with pytest.raises(InvalidModel, match="node 'b': missing outcome alphabet"):
             qm.evaluate(model)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """An empty structural cache with the package's budget: the next check of every model is cold."""
+    fresh = BoundedCache(cm.MAX_STRUCTURE_ENTRIES)
+    monkeypatch.setattr(cm, "_STRUCTURES", fresh)
+    return fresh
+
+
+def triangle_quantum_model(seed: int) -> qm.QuantumModel:
+    return qm.random_model(all_test_graphs()["triangle"], 2, seed)
+
+
+class TestKeptStructure:
+    """The structural verdict is kept per key; every value, and every part of the key, is read on every call."""
+
+    def test_hbn_every_call_checks_again(self):
+        net = hm.from_classical(dag_model(4, 10))
+        assert hm.validate(net) == []
+        net.readouts["n5"].flat[0] = np.nan
+        assert hm.validate(net) == ["node 'n5': readout rows deviate from 1 by nan"] == hbn_validate_loop(net)
+
+    def test_quantum_every_call_checks_again(self):
+        model = triangle_quantum_model(4)
+        assert qm.validate_model(model) == []
+        model.instruments["b"].components[0][0][...] *= 1.5
+        dev = qm.completeness_deviation(model, "b")
+        assert dev > qm.COMPLETENESS_TOL
+        assert qm.validate_model(model) == [f"node 'b': completeness deviation {dev}"]
+
+    def test_a_structure_is_kept_once_and_weighs_its_key(self, empty_cache):
+        model = dag_model(7, 12)
+        for _ in range(3):
+            assert cm.validate_model(model) == []
+            assert len(empty_cache.entries) == 1
+        (key, (_, weight)), = empty_cache.entries.items()
+        assert weight == len(key) == empty_cache.load
+        # the key refers to the graph's own tuples, it does not copy them
+        assert key[1] is model.graph.nodes and key[2] is model.graph.edges
+        hm.validate(hm.from_classical(model))
+        qm.validate_model(qm.decohere_embed(model))
+        assert len(empty_cache.entries) == 3
+
+    def test_numpy_int_sizes_are_accepted_but_not_kept(self, empty_cache):
+        model = cm.random_model(triangle_graph(), 2, 1)
+        sizes = {e: np.int64(s) for e, s in model.edge_alphabet.items()}
+        wide = cm.ClassicalModel(model.graph, sizes, dict(model.gates))
+        assert cm.validate_model(wide) == cm.validate_model(wide) == []
+        sizes["x->b"] = np.int64(3)  # the message shows numpy's repr, as an unkept check gives it
+        assert cm.validate_model(wide) == validate_model_loop(wide) != []
+        assert not empty_cache.entries
+
+    @pytest.mark.parametrize("change", ["outcomes", "alphabet", "alphabet below 1", "gate swapped",
+                                        "gate swapped, same structure", "shape reassigned", "gate removed"])
+    def test_classical_in_place_changes_are_seen(self, change):
+        model = dag_model(8, 10)
+        assert cm.validate_model(model) == []
+        v, e = "n4", model.graph.edges[3].id
+        gate = model.gates[v]
+        assert gate.tensor.shape != gate.tensor.shape[::-1]
+        if change == "outcomes":
+            model.graph.outcomes[v] = 3
+        elif change == "alphabet":
+            model.edge_alphabet[e] = 3
+        elif change == "alphabet below 1":
+            model.edge_alphabet[e] = 0
+        elif change == "gate swapped":
+            model.gates[v] = cm.Gate(gate.out_edges, gate.in_edges, gate.tensor)
+        elif change == "gate swapped, same structure":
+            model.gates[v] = cm.Gate(gate.in_edges, gate.out_edges, -gate.tensor)
+        elif change == "shape reassigned":  # the same rank and size, in another order
+            gate.tensor.shape = gate.tensor.shape[::-1]
+        else:
+            del model.gates[v]
+        violations = cm.validate_model(model)
+        assert violations and violations == validate_model_loop(model)
+
+    @pytest.mark.parametrize("change", ["outcomes", "alphabet", "table swapped", "shape reassigned"])
+    def test_hbn_in_place_changes_are_seen(self, change):
+        net = hm.random_hbn(all_test_graphs()["bilocality"], 3, 11)
+        assert hm.validate(net) == []
+        if change == "outcomes":
+            net.graph.outcomes["b"] = 3
+        elif change == "alphabet":
+            net.node_alphabet["b"] = 2
+        elif change == "table swapped":
+            net.transitions["b"] = 2 * net.transitions["b"]
+        else:
+            net.readouts["b"].shape = net.readouts["b"].shape[::-1]  # (3, 2) as (2, 3)
+        violations = hm.validate(net)
+        assert violations and violations == hbn_validate_loop(net)
+
+    @pytest.mark.parametrize("change", ["outcomes", "dimension", "instrument swapped", "shape reassigned"])
+    def test_quantum_in_place_changes_are_seen(self, monkeypatch, change):
+        model = triangle_quantum_model(5)
+        assert qm.validate_model(model) == []
+        inst = model.instruments["b"]
+        if change == "outcomes":
+            model.graph.outcomes["b"] = 3
+        elif change == "dimension":
+            model.edge_dim["x->b"] = 3
+        elif change == "instrument swapped":
+            model.instruments["b"] = qm.Instrument(tuple(tuple(1.5 * k for k in ops) for ops in inst.components))
+        else:
+            inst.components[0][0].shape = inst.components[0][0].shape[::-1]
+        violations = qm.validate_model(model)
+        monkeypatch.setattr(cm, "_STRUCTURES", BoundedCache(cm.MAX_STRUCTURE_ENTRIES))
+        assert violations and violations == qm.validate_model(model)  # as a cold check gives them
+
+    def test_cold_and_warm_lists_match_the_oracles(self, empty_cache):
+        models, nets = valid_models()[::3], valid_nets()[::3]
+        structures = len(models) + len(nets)
+        for model in list(models):
+            for v in model.graph.nodes[::4]:
+                gate = model.gates[v]
+                models.append(with_gate(model, v, gate.tensor[..., None]))
+                structures += 1
+                # a value fault shares the structure of the valid model
+                models.append(with_gate(model, v, corrupt(gate.tensor, len(gate.in_edges), "nan")))
+        for net in list(nets):
+            v = net.graph.nodes[-1]
+            nets.append(hbn_with(net, "readouts", v, corrupt(net.readouts[v], 1, "negative")))
+        empty_cache.entries.clear()  # building the models validated others
+        empty_cache.load = 0
+        for _ in range(2):
+            for model in models:
+                assert cm.validate_model(model) == validate_model_loop(model)
+            for net in nets:
+                assert hm.validate(net) == hbn_validate_loop(net)
+        assert len(empty_cache.entries) == structures
+
+    def test_threads_sharing_the_cache_get_serial_lists(self, empty_cache):
+        models = [dag_model(seed, 11) for seed in range(6)]
+        models += [with_gate(m, "n3", corrupt(m.gates["n3"].tensor, len(m.gates["n3"].in_edges), "negative"))
+                   for m in models[:3]]
+        nets = [hm.from_classical(m) for m in models[:3]]
+        quantum = [triangle_quantum_model(seed) for seed in range(3)]
+        quantum[0].instruments["c"].components[1][0][...] *= 2.0
+        serial = ([validate_model_loop(m) for m in models], [hbn_validate_loop(n) for n in nets],
+                  [qm.validate_model(q) for q in quantum])
+        empty_cache.entries.clear()
+        empty_cache.load = 0
+        results, failures = [], []
+
+        def check():
+            try:
+                for _ in range(20):
+                    results.append(([cm.validate_model(m) for m in models], [hm.validate(n) for n in nets],
+                                    [qm.validate_model(q) for q in quantum]))
+            except Exception as exc:  # reported below: a thread's exception would not fail the test
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=check) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(thread.is_alive() for thread in threads)
+        assert len(results) == 80 and all(r == serial for r in results)
+        assert empty_cache.load == sum(w for _, w in empty_cache.entries.values())
+
+
+NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, "2", [2], None]
+
+
+class TestSizesThatAreNoIntegers:
+    """A size that is no integer is a named violation, also where it is unhashable; numpy ints are integers."""
+
+    @staticmethod
+    def expect(violations, message):
+        assert message in violations and len(violations) == len(set(violations))
+
+    @pytest.mark.parametrize("size", NOT_INTEGERS)
+    def test_outcome_count(self, size):
+        g = all_test_graphs()["bell"]
+        model = cm.random_model(g, 2, 0)
+        outcomes = {**g.outcomes, "a": size}
+        if size is None:
+            del outcomes["a"]
+        bad = CausalGraph(g.nodes, g.edges, outcomes)
+        message = "node 'a': missing outcome alphabet" if size is None else \
+            f"node 'a': outcome alphabet size {size!r} is not an integer"
+        self.expect(gm.validate(bad), message)
+        self.expect(cm.validate_model(cm.ClassicalModel(bad, model.edge_alphabet, model.gates)), message)
+        net = hm.random_hbn(g, 2, 0)
+        self.expect(hm.validate(hm.HiddenBayesNet(bad, net.node_alphabet, net.transitions, net.readouts)), message)
+        quantum = qm.random_model(g, 2, 0)
+        self.expect(qm.validate_model(qm.QuantumModel(bad, quantum.edge_dim, quantum.instruments)), message)
+
+    @pytest.mark.parametrize("size", NOT_INTEGERS[:-1])
+    def test_alphabets_and_dimensions(self, size):
+        g = all_test_graphs()["bell"]
+        model = cm.random_model(g, 2, 0)
+        sizes = {**model.edge_alphabet, "x->a": size}
+        with pytest.raises(InvalidModel, match=re.escape(f"edge 'x->a': hidden alphabet size {size!r} is not an integer")):
+            cm.evaluate(cm.ClassicalModel(g, sizes, model.gates))
+        net = hm.random_hbn(g, 2, 0)
+        bad = hm.HiddenBayesNet(g, {**net.node_alphabet, "x": size}, net.transitions, net.readouts)
+        with pytest.raises(InvalidModel, match=re.escape(f"node 'x': hidden alphabet size {size!r} is not an integer")):
+            hm.evaluate(bad)
+        quantum = qm.random_model(g, 2, 0)
+        dims = {**quantum.edge_dim, "x->a": size}
+        bad_q = qm.QuantumModel(g, dims, quantum.instruments)
+        assert qm.validate_model(bad_q) == [f"edge 'x->a': dimension {size!r} is not an integer"]
+        with pytest.raises(InvalidModel, match="is not an integer"):
+            qm.evaluate(bad_q)
+
+    def test_numpy_ints_are_integers(self):
+        g = all_test_graphs()["bell"]
+        outcomes = {v: np.int64(k) for v, k in g.outcomes.items()}
+        model = cm.random_model(g, 2, 0)
+        graph = CausalGraph(g.nodes, g.edges, outcomes)
+        assert gm.validate(graph) == []
+        assert cm.validate_model(cm.ClassicalModel(graph, {e: np.int32(s) for e, s in model.edge_alphabet.items()},
+                                                   model.gates)) == []
+        quantum = qm.random_model(g, 2, 0)
+        assert qm.validate_model(qm.QuantumModel(graph, {e: np.int64(d) for e, d in quantum.edge_dim.items()},
+                                                 quantum.instruments)) == []
