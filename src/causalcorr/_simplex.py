@@ -6,10 +6,13 @@ The float solver poses the L1 phase-1 LP
     minimise 1ᵀ(u + v)  subject to  A x + u - v = b,  x, u, v >= 0,
 
 which is always feasible, and solves it with the simplex solver of HiGHS
-(Huangfu & Hall, Math. Prog. Comp. 10, 119 (2018)), presolve off.  Its
-optimum is the L1 residual of the best ``x``, and its row duals ``y`` are a
-Farkas vector: ``yᵀa_j <= 0`` for every column ``a_j`` and ``yᵀb`` equals
-the residual.  The caller checks whichever certificate its verdict rests on.
+(Huangfu & Hall, Math. Prog. Comp. 10, 119 (2018)), presolve off.  The LP
+of an ``A`` is passed to a HiGHS object once (:func:`phase1_program`); each
+solve takes the object's lock, resets its solver, so that it starts cold,
+and sets ``b``.  The optimum is the L1 residual of the best ``x``, and
+its row duals ``y`` are a Farkas vector: ``yᵀa_j <= 0`` for every column
+``a_j`` and ``yᵀb`` equals the residual.  The caller checks whichever
+certificate its verdict rests on.
 
 The exact solver is a dense tableau in ``Fraction`` arithmetic with Bland's
 smallest-index rules, pivoted row by row; each pivot skips the rows whose
@@ -29,12 +32,13 @@ import importlib.util
 import itertools
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ShapeMismatch, SolverError
 
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
@@ -42,6 +46,8 @@ STATUS_ITER_LIMIT = 2
 
 # scipy's compiled HiGHS module; this file layout is that of scipy 1.17
 HIGHS_MODULE = "scipy.optimize._highspy._core"
+# a HiGHS object's resident size after a solve, in float64 entries: 2^14, plus 8 per nonzero of its LP
+HIGHS_ENTRIES, HIGHS_ENTRIES_PER_NONZERO = 1 << 14, 8
 
 
 def highs_core():
@@ -92,25 +98,22 @@ class Phase1Result:
 
 @dataclass(frozen=True, eq=False)
 class Phase1Program:
-    """The L1 phase-1 LP of a matrix ``A`` in HiGHS's column-wise form.
+    """The L1 phase-1 LP of a matrix ``A``, passed once to its own HiGHS object.
 
-    The columns are ``[A | I | -I]``: ``start`` holds each column's first
-    position in ``index`` (row numbers) and ``value`` (entries), and
-    ``cost`` is 0 on ``A``'s columns and 1 on the residual columns; every
-    column is continuous, in ``[lower, upper] = [0, inf)``.  Every array is
-    read-only, so one program may serve many solves and threads.
+    ``highs`` holds the LP: columns ``[A | I | -I]``, cost 0 on ``A``'s
+    columns and 1 on the others, all continuous in ``[0, inf)``, and
+    placeholder row bounds.  A solve holds ``lock``, resets the solver and
+    sets its ``b`` as the row bounds, so one program may serve many solves
+    and threads, each answered as by a fresh object.  ``entries`` weighs it
+    in float64 entries: ``A``'s, plus the object's (``HIGHS_ENTRIES``).
     It stands in for ``A`` where an array is read: ``shape``, ``len`` and
     ``np.asarray`` give ``A``'s.
     """
 
     A: np.ndarray
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-    cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    integrality: np.ndarray
+    highs: object
+    lock: threading.Lock
+    entries: int
 
     @property
     def shape(self):
@@ -128,21 +131,36 @@ def phase1_program(A) -> Phase1Program:
     A = np.asarray(A, dtype=float)
     if A.flags.writeable:
         A = A.copy()
+        A.flags.writeable = False
     m, n = A.shape
     # A's nonzeros column by column, then one entry per u and v
     cols, rows = np.nonzero(A.T)
-    n_col = n + 2 * m
+    n_col, nonzeros = n + 2 * m, len(cols) + 2 * m
     start = np.zeros(n_col, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n)[:-1], out=start[1:n])
     start[n:] = len(cols) + np.arange(2 * m)
     ids = np.arange(m, dtype=np.int32)
-    index = np.concatenate([rows.astype(np.int32), ids, ids])
-    value = np.concatenate([A.T[cols, rows], np.ones(m), -np.ones(m)])
-    program = Phase1Program(A, start, index, value, np.repeat([0.0, 1.0], [n, 2 * m]), np.zeros(n_col),
-                            np.full(n_col, np.inf), np.zeros(n_col, dtype=np.int32))
-    for array in vars(program).values():
-        array.flags.writeable = False
-    return program
+    h = highs_core()
+    highs = h._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    # columns, rows, nonzeros, column-wise, minimise, no offset, costs, column
+    # bounds, placeholder row bounds, the matrix, every column continuous
+    highs.passModel(
+        n_col, m, nonzeros, int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
+        np.repeat([0.0, 1.0], [n, 2 * m]), np.zeros(n_col), np.full(n_col, np.inf), np.zeros(m), np.zeros(m),
+        start, np.concatenate([rows.astype(np.int32), ids, ids]),
+        np.concatenate([A.T[cols, rows], np.ones(m), -np.ones(m)]), np.zeros(n_col, dtype=np.int32),
+    )
+    return Phase1Program(A, highs, threading.Lock(), A.size + HIGHS_ENTRIES + HIGHS_ENTRIES_PER_NONZERO * nonzeros)
+
+
+def _rhs(b, m, dtype=float):
+    """``b`` as an array, once it is checked to be ``m`` finite numbers."""
+    b = np.asarray(b, dtype=dtype)
+    if b.shape != (m,) or not ((b == b) & (abs(b) != np.inf)).all():
+        raise ShapeMismatch(f"b of shape {b.shape} is not {m} finite numbers, one per row of A")
+    return b
 
 
 def solve_phase1(
@@ -151,39 +169,33 @@ def solve_phase1(
     """Float feasibility of ``A x = b, x >= 0`` by HiGHS: feasible when the L1
     residual is <= ``tol``.
 
-    ``A`` is a matrix, or its :func:`phase1_program`, which skips building
-    the column arrays.  ``x`` is clipped at 0, so it is nonnegative whatever
-    the solver's bound tolerance.  Raises SolverError when ``max_iter``
-    simplex iterations (default ``200 * (rows + columns)``) do not reach an
-    optimum.
+    ``A`` is a matrix, or its :func:`phase1_program`, whose HiGHS object
+    already holds the LP.  ``x`` is clipped at 0, so it is nonnegative
+    whatever the solver's bound tolerance.  Raises ShapeMismatch unless
+    ``b`` holds one finite number per row of ``A``, and SolverError when
+    ``max_iter`` simplex iterations (default ``200 * (rows + columns)``) do
+    not reach an optimum.
     """
     program = A if isinstance(A, Phase1Program) else phase1_program(A)
-    b = np.asarray(b, dtype=float)
     m, n = program.shape
-    n_col = len(program.cost)
+    b = _rhs(b, m)
     if max_iter is None:
         max_iter = 200 * (m + n)
-    h = highs_core()
-    highs = h._Highs()
-    for option, setting in (("output_flag", False), ("presolve", "off"), ("simplex_iteration_limit", int(max_iter))):
-        highs.setOptionValue(option, setting)
-    # columns, rows, nonzeros, column-wise, minimise, no offset, costs, column
-    # bounds, row bounds (b both sides), the matrix, every column continuous
-    highs.passModel(
-        n_col, m, len(program.index), int(h.MatrixFormat.kColwise), int(h.ObjSense.kMinimize), 0.0,
-        program.cost, program.lower, program.upper, b, b,
-        program.start, program.index, program.value, program.integrality,
-    )
-    highs.run()
-    status, info = highs.getModelStatus(), highs.getInfo()
-    if status == h.HighsModelStatus.kIterationLimit:
-        raise SolverError(f"simplex did not terminate within {max_iter} pivots")
-    if status != h.HighsModelStatus.kOptimal:
-        raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)!r}")
-    solution = highs.getSolution()
-    x = np.maximum(np.asarray(solution.col_value)[:n], 0.0)
-    infeas = max(0.0, float(info.objective_function_value))
-    return Phase1Result(infeas <= tol, x, infeas, int(info.simplex_iteration_count), np.asarray(solution.row_dual))
+    h, highs = highs_core(), program.highs
+    with program.lock:  # the object is this solve's from reset to read-out
+        highs.clearSolver()  # start cold, as a fresh object would
+        highs.setOptionValue("simplex_iteration_limit", int(max_iter))
+        for i, bound in enumerate(b.tolist()):
+            highs.changeRowBounds(i, bound, bound)
+        highs.run()
+        status, info = highs.getModelStatus(), highs.getInfo()
+        if status == h.HighsModelStatus.kIterationLimit:
+            raise SolverError(f"simplex did not terminate within {max_iter} pivots")
+        if status != h.HighsModelStatus.kOptimal:
+            raise SolverError(f"HiGHS ended with status {highs.modelStatusToString(status)!r}")
+        solution, infeas = highs.getSolution(), max(0.0, float(info.objective_function_value))
+        x, y = np.maximum(np.asarray(solution.col_value)[:n], 0.0), np.asarray(solution.row_dual)
+        return Phase1Result(infeas <= tol, x, infeas, int(info.simplex_iteration_count), y)
 
 
 def _phase1_loops(T, basis, max_iter):
@@ -248,9 +260,11 @@ def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     """Rational-arithmetic feasibility of ``A x = b, x >= 0`` (exact, no tolerance).
 
     Entries are converted with ``Fraction``, so float inputs are taken at
-    their exact binary values.  Raises SolverError when ``max_iter`` pivots
+    their exact binary values.  Raises ShapeMismatch unless ``b`` holds one
+    finite number per row of ``A``, and SolverError when ``max_iter`` pivots
     (default ``200 * (rows + columns)``) do not reach an optimal tableau.
     """
+    b = _rhs(b, len(A), object)
     T, basis = _tableau(A, b)
     m = basis.shape[0]
     n = T.shape[1] - m - 1
@@ -266,5 +280,5 @@ def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     in_x = basis < n
     x[basis[in_x]] = T[:m, -1][in_x]
     # the artificial columns' reduced costs are 1 - y on the rows _tableau negated where b < 0
-    y = np.where(np.asarray(b, dtype=object) < 0, -1, 1) * (1 - T[m, n:n + m])
+    y = np.where(b < 0, -1, 1) * (1 - T[m, n:n + m])
     return Phase1Result(feasible=infeas == 0, x=x, infeasibility=infeas, iterations=iters, y=y)

@@ -212,15 +212,17 @@ def _collins_gisin(scenario: BellScenario, used, onehots, defined):
 
 
 # Bell LP plans kept by local_membership, one per (settings, outcomes, defined
-# setting tuples), weighted by their array entries (about 8 MB of float64 in
-# all); the 7 plans of perfbench's locality mix hold about 228,000 entries
+# setting tuples), weighted by their array entries and their HiGHS object's
+# (Phase1Program.entries), about 8 MB in all; the 7 plans of perfbench's
+# locality mix weigh about 451,000 entries
 MAX_CACHED_LP_ENTRIES = 1 << 20
 _LP_PLANS = BoundedCache(MAX_CACHED_LP_ENTRIES)
 
 
 def _lp_plan(scenario: BellScenario, used, counts, defined):
     """The arrays of one Bell LP that depend only on the scenario's shape and
-    ``defined``: ``(C, A, A's phase-1 program, answers, one-hot tensors)``.
+    ``defined``: ``(C, A, A's phase-1 program and its HiGHS object, answers,
+    one-hot tensors)``.
 
     ``answers[i][x, j]`` is party i's outcome at setting x under strategy j,
     whose digits at the used settings count in ``itertools.product`` order,
@@ -243,7 +245,7 @@ def _lp_plan(scenario: BellScenario, used, counts, defined):
     for array in (c_map, a_mat, *answers, *onehots):
         array.flags.writeable = False
     program = phase1_program(a_mat)  # keeps the read-only a_mat as its A
-    weight = sum(a.size for a in (c_map, *answers, *onehots, *vars(program).values()))
+    weight = sum(a.size for a in (c_map, *answers, *onehots)) + program.entries
     return _LP_PLANS.put(key, (c_map, a_mat, program, tuple(answers), tuple(onehots)), weight)
 
 

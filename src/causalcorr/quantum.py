@@ -102,13 +102,15 @@ def validate_model(model: QuantumModel) -> list[str]:
     for inst in map(instruments.get, graph.nodes):
         key += (None,) if inst is None else (len(inst.components), *(k.shape for ops in inst.components for k in ops))
     violations = []
-    for item in _kept(tuple(key), sizes, lambda: tuple(_instrument_items(model))):
-        if not isinstance(item, str):  # a node and its input dimension
-            m = np.concatenate([np.empty((0, item[1])), *(k for ops in instruments[item[0]].components for k in ops)])
-            if not np.abs(m.conj().T @ m - np.eye(item[1])).max() > COMPLETENESS_TOL:
-                continue
-            item = f"node {item[0]!r}: completeness deviation {completeness_deviation(model, item[0])}"
-        violations.append(item)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or infinite entry makes a deviation NaN or inf
+        for item in _kept(tuple(key), sizes, lambda: tuple(_instrument_items(model))):
+            if not isinstance(item, str):  # a node and its input dimension
+                kraus = (k for ops in instruments[item[0]].components for k in ops)
+                m = np.concatenate([np.empty((0, item[1])), *kraus])
+                if np.abs(m.conj().T @ m - np.eye(item[1])).max() <= COMPLETENESS_TOL:  # a NaN one is a violation
+                    continue
+                item = f"node {item[0]!r}: completeness deviation {completeness_deviation(model, item[0])}"
+            violations.append(item)
     return violations
 
 

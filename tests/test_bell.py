@@ -22,7 +22,7 @@ from causalcorr.errors import (
     SolverError,
 )
 from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
-from causalcorr._simplex import solve_phase1
+from causalcorr._simplex import HIGHS_ENTRIES, solve_phase1
 from causalcorr.cli import run
 
 from conftest import (
@@ -866,8 +866,11 @@ class TestLPPlans:
         cache = self.fresh(monkeypatch)
         bm.local_membership(*plan_cases()[0])
         [((c_map, a_mat, program, answers, onehots), weight)] = cache.entries.values()
-        arrays = [c_map, a_mat, *answers, *onehots, *vars(program).values()]
-        assert program.A is a_mat and weight == sum(a.size for a in arrays) - a_mat.size
+        arrays = [c_map, a_mat, *answers, *onehots]
+        # the HiGHS object weighs a fixed share plus a share per nonzero of [A | I | -I]
+        nonzeros = np.count_nonzero(a_mat) + 2 * len(a_mat)
+        assert program.A is a_mat and program.entries == a_mat.size + HIGHS_ENTRIES + 8 * nonzeros
+        assert weight == sum(a.size for a in (c_map, *answers, *onehots)) + program.entries
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             a_mat[0, 0] = 2.0

@@ -106,6 +106,16 @@ class TestValidateModel:
         with pytest.raises(InvalidModel, match="s->a"):
             qm.evaluate(broken)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_kraus_operators_are_invalid_model(self, bell, entry):
+        # a NaN completeness deviation is a violation, not a pass
+        model = qm.random_model(bell, 2, seed=0)
+        components = tuple(tuple(np.full_like(k, entry) for k in ops) for ops in model.instruments["s"].components)
+        model.instruments["s"] = qm.Instrument(components)
+        assert [v for v in qm.validate_model(model) if "completeness" in v][0].startswith("node 's'")
+        with pytest.raises(InvalidModel, match="node 's'"):
+            qm.evaluate(model)
+
 
 class TestEvaluate:
     def test_orthogonal_state_measurement(self):

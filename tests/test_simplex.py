@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+import threading
 import types
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ import pytest
 
 from causalcorr import _simplex
 from causalcorr._simplex import (
+    HIGHS_ENTRIES,
     STATUS_UNBOUNDED,
     _tableau,
     phase1_program,
     solve_phase1,
     solve_phase1_exact,
 )
-from causalcorr.errors import CausalCorrError, SolverError
+from causalcorr.errors import CausalCorrError, ShapeMismatch, SolverError
 
 SRC = os.path.dirname(os.path.dirname(_simplex.__file__))
 
@@ -157,6 +159,12 @@ class TestPhase1:
         assert np.all(res.x >= -1e-9)
 
 
+def same_result(got, want):
+    """Whether two float solves agree bit for bit: x, y, residual and iterations."""
+    return ((got.feasible, got.infeasibility, got.iterations) == (want.feasible, want.infeasibility, want.iterations)
+            and got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes())
+
+
 class TestPhase1Program:
     @pytest.mark.parametrize("seed", range(4))
     def test_solves_as_the_matrix_does(self, seed):
@@ -165,32 +173,110 @@ class TestPhase1Program:
         a, b = (np.array(v, dtype=float) for v in random_integer_system(rng))
         program = phase1_program(a)
         for _ in range(2):
-            got, want = solve_phase1(program, b, tol=1e-9), solve_phase1(a, b, tol=1e-9)
-            assert (got.feasible, got.infeasibility, got.iterations) == (want.feasible, want.infeasibility,
-                                                                         want.iterations)
-            assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+            assert same_result(solve_phase1(program, b, tol=1e-9), solve_phase1(a, b, tol=1e-9))
 
     def test_stands_in_for_its_matrix(self):
         a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
         program = phase1_program(a)
         assert program.shape == (2, 3) and len(program) == 2
         np.testing.assert_array_equal(program, a)
-        np.testing.assert_array_equal(program.start, [0, 1, 2, 4, 5, 6, 7])
-        np.testing.assert_array_equal(program.index, [0, 1, 0, 1, 0, 1, 0, 1])
-        np.testing.assert_array_equal(program.value, [1, 1, 2, 1, 1, 1, -1, -1])
-        np.testing.assert_array_equal(program.cost, [0, 0, 0, 1, 1, 1, 1])
+        # the LP its HiGHS object holds: [A | I | -I] column-wise, cost 1 on the residual columns
+        lp = program.highs.getLp()
+        np.testing.assert_array_equal(lp.a_matrix_.start_, [0, 1, 2, 4, 5, 6, 7, 8])
+        np.testing.assert_array_equal(lp.a_matrix_.index_, [0, 1, 0, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(lp.a_matrix_.value_, [1, 1, 2, 1, 1, 1, -1, -1])
+        np.testing.assert_array_equal(lp.col_cost_, [0, 0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(lp.col_lower_, np.zeros(7))
+        np.testing.assert_array_equal(lp.col_upper_, np.full(7, np.inf))
 
     def test_arrays_are_read_only_and_a_writeable_matrix_is_copied(self):
         a = np.eye(2)
         program = phase1_program(a)
         a[0, 0] = 5.0
-        assert program.A[0, 0] == 1.0
-        assert not any(array.flags.writeable for array in vars(program).values())
+        assert program.A[0, 0] == 1.0 and not program.A.flags.writeable
         with pytest.raises(ValueError):
-            program.value[0] = 2.0
+            program.A[0, 0] = 2.0
+        # A's 4 entries, and the HiGHS object's fixed share plus 8 per nonzero of [A | I | -I]
+        assert program.entries == 4 + HIGHS_ENTRIES + 8 * 6
         frozen = np.eye(2)
         frozen.flags.writeable = False
         assert phase1_program(frozen).A is frozen
+
+
+class TestKeptSolver:
+    """One program's HiGHS object serves every solve, each as a fresh object would."""
+
+    @staticmethod
+    def system(seed):
+        """A nonnegative matrix, a feasible b and an infeasible one (a negative entry)."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 4, size=(6, 12)).astype(float)
+        feasible = a @ rng.integers(0, 4, size=12).astype(float)
+        return a, feasible, feasible - np.eye(6)[int(rng.integers(6))] * (feasible.max() + 1)
+
+    def test_a_solve_after_an_iteration_limit_starts_cold(self):
+        a, feasible, _ = self.system(1)
+        program = phase1_program(a)
+        assert solve_phase1(a, feasible).iterations > 2
+        with pytest.raises(SolverError, match="2 pivots"):
+            solve_phase1(program, feasible, max_iter=2)
+        assert same_result(solve_phase1(program, feasible), solve_phase1(a, feasible))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_feasible_and_infeasible_right_hand_sides_alternated(self, seed):
+        a, feasible, other = self.system(10 + seed)
+        program = phase1_program(a)
+        fresh = [solve_phase1(a, b) for b in (feasible, other)]
+        assert fresh[0].feasible and not fresh[1].feasible
+        for i in range(6):
+            assert same_result(solve_phase1(program, (feasible, other)[i % 2]), fresh[i % 2])
+
+    def test_threads_sharing_one_program_answer_as_serial_calls(self):
+        a, feasible, other = self.system(2)
+        program = phase1_program(a)
+        rhs = [feasible, other, feasible + 1.0, other * 2.0]
+        serial = [solve_phase1(a, b) for b in rhs]
+        results = [None] * 4
+
+        def work(t):  # each thread solves every right-hand side, starting at another one
+            results[t] = [(i, solve_phase1(program, rhs[i])) for i in np.roll(np.arange(4), -t).tolist() * 10]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(same_result(res, serial[i]) for got in results for i, res in got)
+
+
+class TestRightHandSide:
+    """``b`` must hold one finite number per row of ``A``, in both solvers."""
+
+    A = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("b", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0, [np.nan, 1.0], [1.0, np.inf],
+                                   [-np.inf, 1.0]])
+    @pytest.mark.parametrize("solve", [solve_phase1, solve_phase1_exact])
+    def test_refused(self, solve, b):
+        with pytest.raises(ShapeMismatch, match="not 2 finite numbers"):
+            solve(np.array(self.A), b)
+
+    def test_a_short_b_leaves_no_bound_of_an_earlier_solve(self):
+        program = phase1_program(np.array(self.A))
+        assert not solve_phase1(program, [1.0, -3.0]).feasible
+        with pytest.raises(ShapeMismatch):
+            solve_phase1(program, [1.0])
+        assert same_result(solve_phase1(program, [1.0, 1.0]), solve_phase1(np.array(self.A), [1.0, 1.0]))
+
+    def test_exact_solver_takes_fractions_and_big_integers(self):
+        assert solve_phase1_exact(self.A, [Fraction(1, 3), Fraction(2, 3)]).feasible
+        assert solve_phase1_exact(self.A, [10**400, 10**400]).feasible
 
 
 class TestBackends:
