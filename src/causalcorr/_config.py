@@ -17,11 +17,11 @@ DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
 # Disjoint-past pairs listed before graph.maximal_disjoint_past_pairs refuses:
 # the most that any graph of 14 or fewer nodes has (the 14-node antichain)
 DEFAULT_MAX_PAIRS = 2**13 - 1
-# Disjoint-past pairs kept, over all graphs held, by the pair and
-# factorisation caches of graph.maximal_disjoint_past_pairs and
-# correlation.is_correlation (and factorisation checks, by that of
-# bell.check_free_will_no_signalling); a graph with more pairs is not kept
+# Disjoint-past pairs kept, over all graphs held, by the pair cache of
+# graph.maximal_disjoint_past_pairs; a graph with more pairs is not kept
 MAX_CACHED_PAIRS = 2**11
+# Cell-index entries (dist._factor_index) kept by each factorisation cache
+MAX_CACHED_INDEX_ENTRIES = 2**18
 
 
 def max_state_space(override=None):
@@ -45,6 +45,12 @@ def max_state_space(override=None):
     if guard < 0:
         raise CausalCorrError(f"CC_MAX_STATE_SPACE={env!r} is negative")
     return guard
+
+
+def check_tol(tol):
+    """Raise CausalCorrError unless ``tol`` is a finite non-negative real number."""
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise CausalCorrError(f"tol={tol!r} is not a finite non-negative number")
 
 
 def _entries(mask, size):

@@ -22,7 +22,7 @@ import numpy as np
 from . import _schema
 from . import graph as cg
 from .classical import ClassicalModel, Gate
-from .dist import JointDistribution, _deviation_kernel, _factor_axes, conditional, marginal
+from .dist import JointDistribution, _deviation_kernel, _factor_index, conditional, marginal
 from .errors import (
     IncompletePOVM,
     NotNoSignalling,
@@ -31,7 +31,7 @@ from .errors import (
     SolverError,
 )
 from .quantum import Instrument, QuantumModel
-from ._config import MAX_CACHED_PAIRS, BoundedCache, max_state_space
+from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol, max_state_space
 from ._simplex import phase1_program, solve_phase1, solve_phase1_exact
 
 EXACT_MODE_MAX_STRATEGIES = 4096
@@ -90,9 +90,9 @@ class NoSignallingVerdict:
         }
 
 
-# per (scenario, variable order): the scenario's variables and the axes of
-# its n + 1 factorisation checks
-_NOSIG_AXES = BoundedCache(MAX_CACHED_PAIRS)
+# per (scenario, variables that matched it): the cell indices of its n + 1
+# factorisation checks
+_NOSIG_AXES = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
 
 
 def check_free_will_no_signalling(
@@ -101,34 +101,32 @@ def check_free_will_no_signalling(
     """Check that settings and source are jointly independent and that each
     party's setting is independent of everything else jointly.
 
-    Free will is one ``dist._deviation_kernel`` reduction over the singletons
+    Free will is one ``dist._deviation_kernel`` run over the singletons
     ``{x_1}, …, {x_n}, {s}``; no-signalling is one more per party, ``{x_i}``
-    against the other outcomes, the other settings and ``s``.  This agrees
-    with the generic disjoint-past factorization check on the scenario graph.
-    The distribution's variables must be the scenario graph's nodes with
-    their alphabet sizes (any order), which is checked on every call.  The
-    variables and the checks' axes (``dist._factor_axes``) are kept under
-    the scenario and the variable order (at most ``MAX_CACHED_PAIRS``
-    checks in all, the oldest dropped first), so a call runs only the
-    ``dist._deviation_kernel`` reductions.
+    against the other outcomes, the other settings and ``s``; each is one
+    ``np.bincount`` of the table over a kept cell index.  This agrees with
+    the generic disjoint-past factorization check on the scenario graph.
+    ``tol`` must be finite and non-negative (CausalCorrError otherwise).  The
+    distribution's variables must be the scenario graph's nodes with their
+    alphabet sizes (any order).  The checks' cell indices
+    (``dist._factor_index``) are kept under the scenario and the exact
+    ``dist.variables`` that matched it (at most ``MAX_CACHED_INDEX_ENTRIES``
+    index entries in all, the oldest dropped first), so a call whose
+    variables were matched before runs only the kernels.
     """
-    key = (scenario, dist.var_ids)
-    plan = _NOSIG_AXES.get(key)
-    if plan is None:
-        graph = make_bell_graph(scenario)
-        expected = {v: graph.outcomes[v] for v in graph.nodes}
-    else:
-        expected, axes = plan
-    got = dict(dist.variables)
-    if got != expected:
-        raise ShapeMismatch(f"distribution variables {got} do not match the scenario {expected}")
-    if plan is None:
+    check_tol(tol)
+    key = (scenario, dist.variables)
+    indices = _NOSIG_AXES.get(key)
+    if indices is None:
+        expected, got = dict(make_bell_graph(scenario).outcomes), dict(dist.variables)
+        if got != expected:
+            raise ShapeMismatch(f"distribution variables {got} do not match the scenario {expected}")
         xs, as_ = scenario.setting_ids(), scenario.outcome_ids()
         groups = [[{x} for x in xs] + [{"s"}]] + [({x}, set(xs + as_ + ["s"]) - {x, a}) for x, a in zip(xs, as_)]
-        axes = tuple(_factor_axes(dist.var_ids, g) for g in groups)
-        _NOSIG_AXES.put(key, (expected, axes), 1 + len(axes))
-    freewill_dev, *nosig_devs = [_deviation_kernel(dist.table, *a) for a in axes]
-    passes = freewill_dev <= tol and all(d <= tol for d in nosig_devs)
+        indices = tuple(_factor_index(dist.variables, g) for g in groups)
+        _NOSIG_AXES.put(key, indices, 1 + sum(i[0].size + i[1].size for i in indices))
+    freewill_dev, *nosig_devs = [_deviation_kernel(dist.table, *i) for i in indices]
+    passes = max(freewill_dev, *nosig_devs) <= tol
     return NoSignallingVerdict(passes, freewill_dev, nosig_devs, tol)
 
 
@@ -221,7 +219,7 @@ MAX_CACHED_LP_ENTRIES = 1 << 20
 _LP_PLANS = BoundedCache(MAX_CACHED_LP_ENTRIES)
 
 
-def _lp_plan(scenario: BellScenario, used, counts, defined):
+def _lp_plan(scenario: BellScenario, used, counts, defined, exact=False):
     """The arrays of one Bell LP that depend only on the scenario's shape and
     ``defined``: ``(C, A, A's phase-1 program and its HiGHS object, answers,
     one-hot tensors)``.
@@ -231,24 +229,28 @@ def _lp_plan(scenario: BellScenario, used, counts, defined):
     and 0 elsewhere; ``onehots[i][x, a, j]`` is 1 where it equals a.  The
     arrays are read-only and kept under ``(settings, outcomes,
     defined.tobytes())``, at most ``MAX_CACHED_LP_ENTRIES`` entries in all
-    (the oldest plans dropped first).
+    (the oldest plans dropped first).  The program is None until the plan's
+    first float call builds it and adds its entries, so exact calls never load HiGHS.
     """
     key = (scenario.settings, scenario.outcomes, defined.tobytes())
     plan = _LP_PLANS.get(key)
-    if plan is not None:
+    if plan is not None and (exact or plan[2] is not None):
         return plan
-    answers, onehots = [], []
-    for xs, k, m, count in zip(used, scenario.settings, scenario.outcomes, counts):
-        answer = np.zeros((k, count), dtype=np.int64)
-        answer[xs] = np.arange(count) // m ** np.arange(len(xs) - 1, -1, -1)[:, None] % m
-        answers.append(answer)
-        onehots.append((answer[:, None, :] == np.arange(m)[:, None]).astype(float))
-    c_map, a_mat = _collins_gisin(scenario, used, onehots, defined)
-    for array in (c_map, a_mat, *answers, *onehots):
-        array.flags.writeable = False
-    program = phase1_program(a_mat)  # keeps the read-only a_mat as its A
-    weight = sum(a.size for a in (c_map, *answers, *onehots)) + program.entries
-    return _LP_PLANS.put(key, (c_map, a_mat, program, tuple(answers), tuple(onehots)), weight)
+    if plan is None:
+        answers, onehots = [], []
+        for xs, k, m, count in zip(used, scenario.settings, scenario.outcomes, counts):
+            answer = np.zeros((k, count), dtype=np.int64)
+            answer[xs] = np.arange(count) // m ** np.arange(len(xs) - 1, -1, -1)[:, None] % m
+            answers.append(answer)
+            onehots.append((answer[:, None, :] == np.arange(m)[:, None]).astype(float))
+        c_map, a_mat = _collins_gisin(scenario, used, onehots, defined)
+        for array in (c_map, a_mat, *answers, *onehots):
+            array.flags.writeable = False
+        plan = c_map, a_mat, None, tuple(answers), tuple(onehots)
+    c_map, a_mat, program, answers, onehots = plan
+    program = None if exact else phase1_program(a_mat)  # keeps the read-only a_mat as its A
+    weight = sum(a.size for a in (c_map, *answers, *onehots)) + (program.entries if program else 0)
+    return _LP_PLANS.put(key, (c_map, a_mat, program, answers, onehots), weight)
 
 
 def _respond(onehots, w):
@@ -295,32 +297,32 @@ def local_membership(
 ) -> LocalityVerdict:
     """LP feasibility of the conditional inside the local polytope, per source outcome.
 
-    Requires a no-signalling input (checked first).  For each source outcome
-    that some setting tuple has positive probability with, an LP decides
-    whether the conditional outcome distribution is a convex mixture of
-    deterministic strategies.  Its columns are the strategies over the used
-    settings, those that some such setting tuple reads: one column per
-    response there, so a setting of probability 0 adds no duplicate columns,
-    and the weight keys give outcome 0 at the other settings.  Before any LP
-    array is built, SizeLimitExceeded is raised when the rows times the
-    larger of the strategies and the (setting tuple, joint outcome) entries
-    exceed ``max_state_space()``.  The float path poses the LP on
-    Collins–Gisin rows, solves the L1 phase-1 LP with HiGHS and checks the
+    Requires a finite ``tol`` >= 0 and a no-signalling input (both checked
+    first).  For each source outcome that some setting tuple has positive
+    probability with, an LP decides whether the conditional outcome
+    distribution is a convex mixture of deterministic strategies.  Its columns
+    are the strategies over the used settings, those that some such setting
+    tuple reads: one column per response there, so a setting of probability 0
+    adds no duplicate columns, and the weight keys give outcome 0 at the other
+    settings.  Before any LP array is built, SizeLimitExceeded is raised when
+    the rows times the larger of the strategies and the (setting tuple, joint
+    outcome) entries exceed ``max_state_space()``.  The float path poses the LP
+    on Collins–Gisin rows, solves the L1 phase-1 LP with HiGHS and checks the
     answer here: "local" weights must reproduce the full conditional within
     ``tol``, and a "not local" Farkas vector must be a Bell inequality that
-    every strategy satisfies within ``tol`` and the input violates by more;
-    an answer that fails its check raises SolverError.  ``exact=True`` poses
-    the same Collins–Gisin LP, its rows ``C p`` summed in ``Fraction``
-    arithmetic from the inputs' binary float values, and solves it with the
-    rational simplex for at most ``EXACT_MODE_MAX_STRATEGIES`` strategies
-    posed; its weights must also reproduce the Collins–Gisin rows, and its
-    Farkas vector must separate them, with no slack.  Exact mode thus
-    decides the Collins–Gisin projection of the input exactly, while the
-    input's signalling, and so the full conditional, is still checked within
-    ``tol``.  Raises SolverError when a solve stops early.  Both size limits
-    are checked on every call, before the arrays that depend only on the
-    scenario and the defined setting tuples are looked up (:func:`_lp_plan`);
-    exact mode converts those to ``Fraction`` on each call.
+    every strategy satisfies within ``tol`` and the input violates by more; an
+    answer that fails its check raises SolverError.  ``exact=True`` poses the
+    same Collins–Gisin LP, its rows ``C p`` summed in ``Fraction`` arithmetic
+    from the inputs' binary float values, and solves it with the rational
+    simplex for at most ``EXACT_MODE_MAX_STRATEGIES`` strategies posed; its
+    weights must also reproduce the Collins–Gisin rows, and its Farkas vector
+    must separate them, with no slack.  Exact mode thus decides the
+    Collins–Gisin projection of the input exactly, while the input's
+    signalling, and so the full conditional, is still checked within ``tol``.
+    Raises SolverError when a solve stops early.  Both size limits are checked
+    on every call, before the arrays that depend only on the scenario and the
+    defined setting tuples are looked up (:func:`_lp_plan`); exact mode
+    converts those to ``Fraction`` on each call.
     """
     ns = check_free_will_no_signalling(scenario, dist, tol=tol)
     if not ns.passes:
@@ -350,7 +352,7 @@ def local_membership(
         if exact and n_strat > EXACT_MODE_MAX_STRATEGIES:
             raise SizeLimitExceeded(f"exact mode supports at most {EXACT_MODE_MAX_STRATEGIES} strategies, "
                                     f"not {n_strat}")
-        c_map, a_mat, program, answers, onehots = _lp_plan(scenario, used, counts, defined[:, s])
+        c_map, a_mat, program, answers, onehots = _lp_plan(scenario, used, counts, defined[:, s], exact)
         p_col = probs[:, s].ravel()
         if exact:  # C and A are 0/1, so C p and every check below are exact in Fractions
             c_map, a_mat = c_map.astype(int).astype(object), a_mat.astype(int).astype(object)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph as cg
-from ._config import MAX_CACHED_PAIRS, BoundedCache
-from .dist import JointDistribution, _deviation_kernel, _factor_axes
+from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol
+from .dist import JointDistribution, _deviation_kernel, _factor_index
 from .errors import ShapeMismatch
 
 
@@ -45,8 +45,8 @@ class CorrelationVerdict:
         }
 
 
-# per (nodes, edges, variable order): each checked pair with its axes
-_AXES = BoundedCache(MAX_CACHED_PAIRS)
+# per (nodes, edges, variables): each checked pair with its cell index
+_AXES = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
 
 
 def is_correlation(
@@ -54,16 +54,17 @@ def is_correlation(
 ) -> CorrelationVerdict:
     """Check the disjoint-past factorization condition for every maximal pair.
 
-    The distribution's variables must be exactly the graph's nodes with
-    matching alphabet sizes (any order); that is checked on every call.
-    Each pair ``(U, W)`` costs one ``dist._deviation_kernel`` reduction of
-    the table, with no intermediate distribution.  The pairs and their axes
-    (``dist._factor_axes``) depend only on the graph's nodes and edges and
-    the variable order, and are kept under them (at most
-    ``MAX_CACHED_PAIRS`` pairs in all, the oldest dropped first), so a
-    structure met again runs the kernels only.  Graphs with no
+    ``tol`` must be finite and >= 0, and the distribution's variables exactly
+    the graph's nodes with their alphabet sizes (any order); both are checked
+    on every call.  Each pair ``(U, W)`` costs one ``dist._deviation_kernel``
+    run, one ``np.bincount`` of the table.  The pairs and their cell indices
+    (``dist._factor_index``) depend only on the graph's nodes and edges and
+    the variables with their sizes, and are kept under them (at most
+    ``MAX_CACHED_INDEX_ENTRIES`` index entries in all, the oldest dropped
+    first), so a structure met again runs the kernels only.  Graphs with no
     disjoint-past pairs accept every distribution vacuously.
     """
+    check_tol(tol)
     if set(dist.var_ids) != set(graph.nodes):
         raise ShapeMismatch(
             f"distribution variables {sorted(dist.var_ids)} != graph nodes {sorted(graph.nodes)}"
@@ -72,15 +73,15 @@ def is_correlation(
         if graph.outcomes[v] != k:
             raise ShapeMismatch(f"variable {v!r} has size {k}, graph says {graph.outcomes[v]}")
 
-    key = (tuple(graph.nodes), tuple(graph.edges), dist.var_ids)
+    key = (tuple(graph.nodes), tuple(graph.edges), dist.variables)
     plan = _AXES.get(key)
     if plan is None:
-        plan = tuple((u, w, _factor_axes(dist.var_ids, (u, w))) for u, w in cg.maximal_disjoint_past_pairs(graph))
-        _AXES.put(key, plan, 1 + len(plan))
+        plan = tuple((u, w, _factor_index(dist.variables, (u, w))) for u, w in cg.maximal_disjoint_past_pairs(graph))
+        _AXES.put(key, plan, 1 + sum(index[0].size + index[1].size for *_, index in plan))
     violations = []
     worst = 0.0
-    for u_set, w_set, axes in plan:
-        dev = _deviation_kernel(dist.table, *axes)
+    for u_set, w_set, index in plan:
+        dev = _deviation_kernel(dist.table, *index)
         worst = max(worst, dev)
         if dev > tol:
             violations.append((u_set, w_set, dev))

@@ -142,6 +142,20 @@ def outer_product(d1: dm.JointDistribution, d2: dm.JointDistribution) -> dm.Join
     return dm.JointDistribution(d1.variables + d2.variables, np.multiply.outer(d1.table, d2.table))
 
 
+def axis_sum_deviation(p: dm.JointDistribution, groups) -> float:
+    """Oracle: largest |P(G1 ∪ … ∪ Gk) − P(G1)···P(Gk)| by multi-axis sums, the
+    factorisation kernel's former reduction: the table summed over the axes
+    outside every group, then each group's marginal summed from that joint."""
+    axis_of = {v: i for i, v in enumerate(p.var_ids)}
+    group_axes = [{axis_of[v] for v in group} for group in groups]
+    kept = sorted(set().union(*group_axes))
+    joint = p.table.sum(axis=tuple(i for i in range(p.table.ndim) if i not in kept))
+    prod = 1.0
+    for axes in group_axes:
+        prod = prod * joint.sum(axis=tuple(i for i, ax in enumerate(kept) if ax not in axes), keepdims=True)
+    return float(np.abs(joint - prod).max())
+
+
 def assert_identical(a, b):
     """Same dtype, shape and bytes: equal to the last bit, signed zeros included."""
     a, b = np.asarray(a), np.asarray(b)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -15,13 +17,14 @@ from causalcorr import dist as dm
 from causalcorr import quantum as qm
 from causalcorr.correlation import is_correlation
 from causalcorr.errors import (
+    CausalCorrError,
     IncompletePOVM,
     NotNoSignalling,
     ShapeMismatch,
     SizeLimitExceeded,
     SolverError,
 )
-from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
+from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
 from causalcorr._simplex import HIGHS_ENTRIES, solve_phase1
 from causalcorr.cli import run
 
@@ -251,20 +254,33 @@ class TestFreeWillNoSignalling:
         assert verdict.nosig_deviations[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_kept_axes_answer_as_new_ones(self, monkeypatch):
-        # one entry per (scenario, variable order); every call checks the variables
+        # one entry per (scenario, variables); variables not matched before are checked
         cases = [(s, d) for _, s, d in no_signalling_oracle_cases()]
         monkeypatch.setattr(bm, "_NOSIG_AXES", BoundedCache(0))  # keeps nothing
         unkept = [bm.check_free_will_no_signalling(s, d).to_dict() for s, d in cases]
-        cache = BoundedCache(MAX_CACHED_PAIRS)
+        cache = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
         monkeypatch.setattr(bm, "_NOSIG_AXES", cache)
         for _ in range(2):
             assert [bm.check_free_will_no_signalling(s, d).to_dict() for s, d in cases] == unkept
-        assert len(cache.entries) == len({(s, d.var_ids) for s, d in cases}) == 6
+        assert len(cache.entries) == len({(s, d.variables) for s, d in cases}) == 6
         # the kept CHSH entry has the same variable order; a2 has 3 outcomes here
         variables = (("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 3))
         wrong = dm.JointDistribution(variables, np.full((1, 2, 2, 2, 3), 1 / 24))
         with pytest.raises(ShapeMismatch, match="do not match the scenario"):
             bm.check_free_will_no_signalling(chsh_222(), wrong)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
+        with pytest.raises(CausalCorrError, match="tol="):
+            bm.check_free_will_no_signalling(chsh_222(), pr_box_dist(), tol=tol)
+        for exact in (False, True):  # at tol=inf the PR box would pass as local
+            with pytest.raises(CausalCorrError, match="tol="):
+                bm.local_membership(chsh_222(), pr_box_dist(), tol=tol, exact=exact)
+
+    def test_zero_tolerance_is_valid(self):
+        assert bm.check_free_will_no_signalling(chsh_222(), pr_box_dist(), tol=0).passes
+        for exact in (False, True):
+            assert not bm.local_membership(chsh_222(), pr_box_dist(), tol=0, exact=exact).is_local
 
     def test_agrees_with_generic_correlation_check(self):
         scenario = chsh_222()
@@ -861,6 +877,42 @@ class TestLPPlans:
         verdict = bm.local_membership(scenario, zero)
         assert verdict.is_local and verdict.lp_shape == (9, 16) and len(cache.entries) == 2
         assert_certificate_holds(scenario, zero, verdict)
+
+    def test_exact_calls_build_no_program_until_a_float_call(self, monkeypatch):
+        scenario, joint = plan_cases()[0]
+        self.fresh(monkeypatch, 0)
+        unkept = self.answer(scenario, joint)
+        cache = self.fresh(monkeypatch)
+        exact = self.answer(scenario, joint, exact=True)
+        [((c_map, a_mat, program, answers, onehots), weight)] = cache.entries.values()
+        arrays = sum(a.size for a in (c_map, *answers, *onehots))
+        assert program is None and weight == arrays == cache.load
+        assert self.answer(scenario, joint) == unkept
+        [((_, kept, program, _, _), weight)] = cache.entries.values()
+        assert kept is a_mat and weight == arrays + program.entries == cache.load
+        assert self.answer(scenario, joint, exact=True) == exact and len(cache.entries) == 1
+
+    def test_an_exact_only_process_never_loads_highs(self):
+        code = (
+            "import json, sys\n"
+            "from causalcorr import bell as bm\n"
+            "from causalcorr._simplex import HIGHS_MODULE\n"
+            "from conftest import pr_box_dist\n"
+            "scenario = bm.BellScenario((2, 2), (2, 2))\n"
+            "exact = bm.local_membership(scenario, pr_box_dist(), exact=True).to_dict()\n"
+            "print(HIGHS_MODULE in sys.modules)\n"
+            "print(json.dumps(exact))\n"
+            "print(json.dumps(bm.local_membership(scenario, pr_box_dist()).to_dict()))\n"
+        )
+        here = os.path.dirname(__file__)
+        path = [os.path.join(os.path.dirname(here), "src"), here, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        loaded, exact, floating = out.stdout.splitlines()
+        assert loaded == "False"
+        assert exact == self.answer(chsh_222(), pr_box_dist(), exact=True)
+        assert floating == self.answer(chsh_222(), pr_box_dist())
 
     def test_kept_arrays_are_read_only(self, monkeypatch):
         cache = self.fresh(monkeypatch)

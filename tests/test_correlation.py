@@ -7,10 +7,10 @@ from causalcorr import classical as cm
 from causalcorr import dist as dm
 from causalcorr import graph as gm
 from causalcorr.correlation import is_correlation
-from causalcorr.errors import ShapeMismatch
+from causalcorr.errors import CausalCorrError, ShapeMismatch
 from causalcorr.graph import CausalGraph
 
-from conftest import all_test_graphs, outer_product, pr_box_dist
+from conftest import all_test_graphs, bell_graph, outer_product, pr_box_dist
 
 
 def random_table(rng, graph):
@@ -185,17 +185,36 @@ class TestFactorisationCache:
         verdicts = [assert_matches_oracle(g, signalling) for g in (bell, wired, bell, wired)]
         assert [v.is_correlation for v in verdicts] == [False, True, False, True]
 
+    def test_same_nodes_and_edges_other_outcome_counts(self):
+        # the kept cell index depends on the alphabet sizes, so it is keyed on them
+        rng = np.random.default_rng(4)
+        graphs = [bell_graph(2), bell_graph(3), bell_graph(2, source_outcomes=2)]
+        assert len({(tuple(g.nodes), tuple(g.edges)) for g in graphs}) == 1
+        for g in graphs + graphs:
+            assert_matches_oracle(g, random_table(rng, g))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, bell, tol):
+        with pytest.raises(CausalCorrError, match="tol="):
+            is_correlation(bell, signalling_bell_table(), tol=tol)
+
+    def test_zero_tolerance_is_valid(self, bell):
+        assert not is_correlation(bell, signalling_bell_table(), tol=0).is_correlation
+        uniform = dm.JointDistribution(tuple((v, bell.outcomes[v]) for v in bell.nodes), np.full(16, 1 / 16))
+        assert is_correlation(bell, uniform, tol=0).is_correlation  # dyadic sums and products: no round-off
+
     def test_holds_at_most_its_bound(self, monkeypatch):
         from causalcorr import correlation
-        from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
+        from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
 
-        cache = BoundedCache(MAX_CACHED_PAIRS)
+        assert correlation._AXES.limit == MAX_CACHED_INDEX_ENTRIES
+        cache = BoundedCache(1000)
         monkeypatch.setattr(correlation, "_AXES", cache)
-        for i in range(MAX_CACHED_PAIRS):  # graphs of one pair each, each entry weighs 2
+        for i in range(400):  # graphs of one 2 x 2 pair each: an entry weighs 1 + 2 + 2 index entries
             g = CausalGraph.build([(f"u{i}", 2), (f"v{i}", 2)], [])
             is_correlation(g, dm.JointDistribution(((f"u{i}", 2), (f"v{i}", 2)), np.full((2, 2), 0.25)))
-            assert cache.load <= MAX_CACHED_PAIRS
-        assert len(cache.entries) == MAX_CACHED_PAIRS // 2
+            assert cache.load <= 1000
+        assert len(cache.entries) == 200 and cache.load == 1000
 
 
 class TestVerdictMargin:

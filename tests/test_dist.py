@@ -15,7 +15,7 @@ from causalcorr.errors import (
     VariableMismatch,
 )
 
-from conftest import assert_identical, outer_product, pr_box_dist
+from conftest import assert_identical, axis_sum_deviation, outer_product, pr_box_dist
 
 
 def uniform(*vars_and_sizes):
@@ -214,7 +214,14 @@ class TestProductAndDistance:
 
 def deviation(p, groups) -> float:
     """The factorisation kernel that ``correlation`` and ``bell`` run, on ``p`` and ``groups``."""
-    return dm._deviation_kernel(p.table, *dm._factor_axes(p.var_ids, groups))
+    return dm._deviation_kernel(p.table, *dm._factor_index(p.variables, groups))
+
+
+ORACLE_SHAPES = {
+    "size-one-axes": (1, 2, 1, 3, 1, 2),
+    "binary-rank-14": (2,) * 14,
+    "twos-and-threes": (2, 3, 3, 2, 3, 2, 3, 2),
+}
 
 
 class TestIndependenceDeviation:
@@ -246,7 +253,33 @@ class TestIndependenceDeviation:
     def test_one_group_and_no_group(self):
         p = random_dist(np.random.default_rng(1), ("a", 2), ("b", 2))
         assert deviation(p, [{"a", "b"}]) == 0.0
-        assert deviation(p, []) <= 1e-15
+        assert deviation(p, []) <= 1e-15  # the joint of no group is a scalar, the table's sum
+        for groups in ([{"a", "b"}], [{"b"}], [], [set(), {"a"}]):
+            assert abs(deviation(p, groups) - axis_sum_deviation(p, groups)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES.values(), ids=ORACLE_SHAPES)
+    def test_matches_the_axis_sum_oracle(self, shape, k):
+        rng = np.random.default_rng(len(shape) * 10 + k)
+        p = random_dist(rng, *((f"v{i}", n) for i, n in enumerate(shape)))
+        for _ in range(4):
+            label = rng.integers(-1, k, size=len(shape))  # -1: outside every group
+            groups = [{f"v{i}" for i in np.flatnonzero(label == g)} for g in range(k)]
+            view = p.reorder(tuple(rng.permutation(list(p.var_ids))))  # a transposed, non-contiguous table
+            # with no group the joint is the sum of every entry, whose round-off grows with their
+            # number in either summation order: at most (entries - 1) units of 2^-53 each
+            bound = 1e-15 if k else p.table.size * 2.0**-52
+            for q in (p, view):
+                assert abs(deviation(q, groups) - axis_sum_deviation(q, groups)) <= bound
+
+    def test_index_is_two_factors_near_the_square_root(self):
+        p = random_dist(np.random.default_rng(2), *((f"v{i}", 2) for i in range(14)))
+        lead, trail, shape, sides = dm._factor_index(p.variables, [{"v0", "v13"}, {"v5"}])
+        assert lead.shape == (128, 1) and trail.shape == (128,)
+        assert shape == (4, 2) and sides == ((1,), (0,))
+        assert lead.dtype == trail.dtype == np.uint8  # the narrowest type that holds the 8 cells
+        lead, trail, _, _ = dm._factor_index(p.variables, [{f"v{i}" for i in range(9)}])
+        assert lead.dtype == trail.dtype == np.uint16 and (lead + trail).max() == 2**9 - 1
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
