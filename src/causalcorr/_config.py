@@ -14,12 +14,6 @@ from .errors import CausalCorrError, SizeLimitExceeded
 
 DEFAULT_MAX_STATE_SPACE = 1 << 24
 DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
-# Disjoint-past pairs listed before graph.maximal_disjoint_past_pairs refuses:
-# the most that any graph of 14 or fewer nodes has (the 14-node antichain)
-DEFAULT_MAX_PAIRS = 2**13 - 1
-# Disjoint-past pairs kept, over all graphs held, by the pair cache of
-# graph.maximal_disjoint_past_pairs; a graph with more pairs is not kept
-MAX_CACHED_PAIRS = 2**11
 # Cell-index entries (dist._factor_index) kept by each factorisation cache
 MAX_CACHED_INDEX_ENTRIES = 2**18
 

@@ -3,12 +3,9 @@
 The readers check JSON types and list lengths only.  What a value must
 satisfy against its graph (shapes, normalisation, completeness) is checked
 by the validators of each model family, which serve models built in Python
-as well.  ``what`` names the value in the error message.
+as well.  ``what`` names the value in the error message.  This module loads
+no numpy: ``dist._json_numbers`` and ``dist._json_table`` read numeric arrays.
 """
-
-import math
-
-import numpy as np
 
 from .errors import SchemaError
 
@@ -51,44 +48,3 @@ def named(value, what, known, kind=dict):
         raise SchemaError(f"malformed {what}: unknown {sorted(unknown)}")
     return value
 
-
-def numbers(value, what, shape, dtype=float):
-    """Nested JSON lists of numbers as a numpy array of ``shape``.
-
-    ``shape`` gives the list length at each depth; None takes any length,
-    the same for every list at that depth.  With ``dtype=float`` a number is
-    a JSON int or float, with ``dtype=int`` an int only, and with
-    ``dtype=complex`` a ``[re, im]`` pair of ints or floats.
-    """
-    dims = list(shape) + [2] * (dtype is complex)
-    leaf = (int,) if dtype is int else (int, float)
-    flat = []
-
-    def walk(lst, depth):
-        typed(lst, list, what)
-        if dims[depth] is None:
-            dims[depth] = len(lst)
-        if len(lst) != dims[depth]:
-            raise SchemaError(f"malformed {what}: a list of {len(lst)} entries, expected {dims[depth]}")
-        if depth + 1 < len(dims):
-            for item in lst:
-                walk(item, depth + 1)
-        elif all(type(x) in leaf for x in lst):
-            flat.extend(lst)
-        else:
-            raise SchemaError(f"malformed {what}: expected {'integers' if dtype is int else 'numbers'}")
-
-    walk(value, 0)
-    try:
-        arr = np.array(flat, dtype=np.int64 if dtype is int else float)
-    except OverflowError:
-        raise SchemaError(f"malformed {what}: a number out of range") from None
-    arr = arr.reshape([0 if d is None else d for d in dims])  # None remains below an empty list
-    return arr.view(complex)[..., 0] if dtype is complex else arr
-
-
-def table(value, what, shape):
-    """A flat JSON list of numbers, row-major over ``shape``, as a float array of that shape."""
-    if min(shape, default=1) < 1:
-        raise SchemaError(f"malformed {what}: no table has the sizes {tuple(shape)}")
-    return numbers(value, what, (math.prod(shape),)).reshape(shape)

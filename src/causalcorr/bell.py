@@ -22,13 +22,14 @@ import numpy as np
 from . import _schema
 from . import graph as cg
 from .classical import ClassicalModel, Gate
-from .dist import JointDistribution, _deviation_kernel, _factor_index, conditional, marginal
+from .dist import JointDistribution, _deviation_kernel, _factor_index, _json_numbers, conditional, marginal
 from .errors import (
     IncompletePOVM,
     NotNoSignalling,
     ShapeMismatch,
     SizeLimitExceeded,
     SolverError,
+    as_size,
 )
 from .quantum import Instrument, QuantumModel
 from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol, max_state_space
@@ -48,6 +49,9 @@ class BellScenario:
     def __post_init__(self):
         if len(self.settings) != len(self.outcomes) or not self.settings:
             raise ShapeMismatch("settings and outcomes must list one size per party")
+        object.__setattr__(self, "settings", tuple(as_size(k, "setting", f"x{i}") for i, k in enumerate(self.settings, 1)))
+        object.__setattr__(self, "outcomes", tuple(as_size(k, "outcome", f"a{i}") for i, k in enumerate(self.outcomes, 1)))
+        object.__setattr__(self, "source_outcomes", as_size(self.source_outcomes, "source", "s"))
         if min(self.settings) < 1 or min(self.outcomes) < 1 or self.source_outcomes < 1:
             raise ShapeMismatch("all sizes must be >= 1")
 
@@ -545,15 +549,15 @@ def setup_from_dict(data: dict) -> QuantumModel:
                                         ["source_outcomes"])
     return quantum_bell_model(
         BellScenario(
-            tuple(_schema.numbers(settings, f"{what} settings", (None,), int).tolist()),
-            tuple(_schema.numbers(outcomes, f"{what} outcomes", (None,), int).tolist()),
+            tuple(_json_numbers(settings, f"{what} settings", (None,), int).tolist()),
+            tuple(_json_numbers(outcomes, f"{what} outcomes", (None,), int).tolist()),
             _schema.typed(scenario.get("source_outcomes", 1), int, f"{what} source_outcomes"),
         ),
-        _schema.numbers(states, f"{what} states", (None, None), complex),
+        _json_numbers(states, f"{what} states", (None, None), complex),
         # per party: effects as (settings, outcomes, dimension, dimension), and a setting distribution
-        [_schema.numbers(p, f"{what} povms", (None,) * 4, complex) for p in povms],
-        [_schema.numbers(p, f"{what} setting_dists", (None,)) for p in setting_dists],
-        _schema.numbers(source_dist, f"{what} source_dist", (None,)),
+        [_json_numbers(p, f"{what} povms", (None,) * 4, complex) for p in povms],
+        [_json_numbers(p, f"{what} setting_dists", (None,)) for p in setting_dists],
+        _json_numbers(source_dist, f"{what} source_dist", (None,)),
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graph as cg
 from . import _schema
-from .dist import JointDistribution
+from .dist import JointDistribution, _json_table
 from .errors import (
     MissingRelayPath,
     NotAncestral,
@@ -448,5 +448,5 @@ def model_from_dict(data: dict) -> ClassicalModel:
         ins = tuple(_schema.named(ins, f"{what}, in", sizes, list))
         outs = tuple(_schema.named(outs, f"{what}, out", sizes, list))
         shape = [sizes[e] for e in ins] + [graph.outcomes[v]] + [sizes[e] for e in outs]
-        parsed[v] = Gate(ins, outs, _schema.table(tensor, f"{what}, tensor", shape))
+        parsed[v] = Gate(ins, outs, _json_table(tensor, f"{what}, tensor", shape))
     return ClassicalModel(graph, sizes, parsed)

@@ -3,6 +3,8 @@
 Tables are numpy arrays whose shape is the tuple of alphabet sizes, stored in
 row-major order, so flat index and outcome tuple correspond the usual way.
 Desk-scale only: total table size is capped (override with CC_MAX_STATE_SPACE).
+The readers of numeric JSON arrays live here too, so that ``_schema``, and
+with it a graph-only command, loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import numpy as np
 from .errors import (
     BadEpsilon,
     OverlappingSets,
+    SchemaError,
     ShapeMismatch,
     SizeLimitExceeded,
     UnknownVariable,
     VariableCollision,
     VariableMismatch,
+    as_size,
 )
 from . import _schema
 from ._config import max_state_space
@@ -44,7 +48,7 @@ class JointDistribution:
     norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
-        self.variables = tuple((str(v), int(k)) for v, k in self.variables)
+        self.variables = tuple((str(v), as_size(k, "variable", v)) for v, k in self.variables)
         sizes = tuple(k for _, k in self.variables)
         if any(k < 1 for k in sizes):
             raise ShapeMismatch("alphabet sizes must be >= 1")
@@ -61,7 +65,7 @@ class JointDistribution:
         if np.any(self.table < 0):
             worst = float(self.table.min())
             raise ShapeMismatch(f"negative table entry {worst}")
-        if abs(s - 1.0) > self.norm_tol:
+        if not abs(s - 1.0) <= self.norm_tol:  # a NaN tolerance admits nothing
             raise ShapeMismatch(f"table sums to {s}, not 1 within {self.norm_tol}")
 
     @property
@@ -220,7 +224,8 @@ class CoarseGraining:
     map: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.domain = tuple(int(k) for k in self.domain)
+        self.domain = tuple(as_size(k, "domain factor", i) for i, k in enumerate(self.domain))
+        self.codomain = as_size(self.codomain, "coarse-graining", "codomain")
         self.map = np.asarray(self.map, dtype=np.int64)
         if min(self.domain, default=1) < 1 or self.map.size != math.prod(self.domain):
             raise ShapeMismatch(f"coarse-graining map of {self.map.size} values for the domain {self.domain}")
@@ -315,6 +320,48 @@ def factor_coarse_graining(
     )
 
 
+def _json_numbers(value, what, shape, dtype=float):
+    """Nested JSON lists of numbers as a numpy array of ``shape``.
+
+    ``shape`` gives the list length at each depth; None takes any length,
+    the same for every list at that depth.  With ``dtype=float`` a number is
+    a JSON int or float, with ``dtype=int`` an int only, and with
+    ``dtype=complex`` a ``[re, im]`` pair of ints or floats.
+    """
+    dims = list(shape) + [2] * (dtype is complex)
+    leaf = (int,) if dtype is int else (int, float)
+    flat = []
+
+    def walk(lst, depth):
+        _schema.typed(lst, list, what)
+        if dims[depth] is None:
+            dims[depth] = len(lst)
+        if len(lst) != dims[depth]:
+            raise SchemaError(f"malformed {what}: a list of {len(lst)} entries, expected {dims[depth]}")
+        if depth + 1 < len(dims):
+            for item in lst:
+                walk(item, depth + 1)
+        elif all(type(x) in leaf for x in lst):
+            flat.extend(lst)
+        else:
+            raise SchemaError(f"malformed {what}: expected {'integers' if dtype is int else 'numbers'}")
+
+    walk(value, 0)
+    try:
+        arr = np.array(flat, dtype=np.int64 if dtype is int else float)
+    except OverflowError:
+        raise SchemaError(f"malformed {what}: a number out of range") from None
+    arr = arr.reshape([0 if d is None else d for d in dims])  # None remains below an empty list
+    return arr.view(complex)[..., 0] if dtype is complex else arr
+
+
+def _json_table(value, what, shape):
+    """A flat JSON list of numbers, row-major over ``shape``, as a float array of that shape."""
+    if min(shape, default=1) < 1:
+        raise SchemaError(f"malformed {what}: no table has the sizes {tuple(shape)}")
+    return _json_numbers(value, what, (math.prod(shape),)).reshape(shape)
+
+
 def dist_to_dict(dist: JointDistribution) -> dict:
     return {
         "vars": [{"id": v, "size": k} for v, k in dist.variables],
@@ -326,7 +373,7 @@ def dist_from_dict(data: dict) -> JointDistribution:
     """Parse the distribution JSON schema; unknown fields are rejected."""
     variables, probs = _schema.fields(data, "distribution JSON", {"vars": list, "probs": list})
     variables = [_schema.fields(v, "distribution JSON variable", {"id": str, "size": int}) for v in variables]
-    probs = _schema.table(probs, "distribution JSON probs", [k for _, k in variables])
+    probs = _json_table(probs, "distribution JSON probs", [k for _, k in variables])
     return JointDistribution(tuple(variables), probs)
 
 
@@ -334,5 +381,5 @@ def coarse_graining_from_dict(data: dict) -> CoarseGraining:
     """Parse the coarse-graining JSON schema; unknown fields are rejected."""
     what = "coarse-graining JSON"
     domain, codomain, cg_map = _schema.fields(data, what, {"domain": list, "codomain": int, "map": list})
-    domain = tuple(_schema.numbers(domain, f"{what} domain", (None,), int).tolist())
-    return CoarseGraining(domain, codomain, _schema.numbers(cg_map, f"{what} map", (None,), int))
+    domain = tuple(_json_numbers(domain, f"{what} domain", (None,), int).tolist())
+    return CoarseGraining(domain, codomain, _json_numbers(cg_map, f"{what} map", (None,), int))

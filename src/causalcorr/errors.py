@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class CausalCorrError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,6 +55,16 @@ def require_valid(violations: list[str]) -> None:
     """Raise InvalidModel naming each violation a validator reported, if there is any."""
     if violations:
         raise InvalidModel("; ".join(violations))
+
+
+def as_size(size, kind: str, name) -> int:
+    """``size`` as an int by ``operator.index``, so a numpy integer converts
+    while a float or a string, which ``int()`` would truncate or parse,
+    raises ShapeMismatch naming the ``kind`` and ``name`` it sizes."""
+    try:
+        return operator.index(size)
+    except TypeError:
+        raise ShapeMismatch(f"{kind} {name!r}: size {size!r} is not an integer") from None
 
 
 class NotAncestral(CausalCorrError):

@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from . import _schema
-from .errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode
-from ._config import DEFAULT_MAX_PAIRS, MAX_CACHED_PAIRS, BoundedCache
+from .errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode, as_size
+
+# Disjoint-past pairs listed before maximal_disjoint_past_pairs refuses:
+# the most that any graph of 14 or fewer nodes has (the 14-node antichain)
+DEFAULT_MAX_PAIRS = 2**13 - 1
 
 
 class Edge(NamedTuple):
@@ -39,12 +42,12 @@ class CausalGraph:
 
     @classmethod
     def build(cls, nodes: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str, str]]) -> "CausalGraph":
-        """Construct from ``(node_id, outcome_size)`` and ``(edge_id, src, dst)`` triples."""
+        """Construct from ``(node_id, outcome_size)`` and ``(edge_id, src, dst)`` triples (sizes: ``errors.as_size``)."""
         node_list = list(nodes)
         return cls(
             nodes=tuple(n for n, _ in node_list),
             edges=tuple(Edge(*e) for e in edges),
-            outcomes={n: int(k) for n, k in node_list},
+            outcomes={n: as_size(k, "node", n) for n, k in node_list},
         )
 
     def in_edges(self, v: str) -> list[Edge]:
@@ -190,9 +193,6 @@ def _past_masks(graph: CausalGraph) -> list[int]:
     return masks
 
 
-_PAIRS = BoundedCache(MAX_CACHED_PAIRS)
-
-
 def maximal_disjoint_past_pairs(
     graph: CausalGraph, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
@@ -210,22 +210,7 @@ def maximal_disjoint_past_pairs(
     the number of pairs.  Each pair is two closed sets; SizeLimitExceeded is
     raised as soon as there are more than ``max_pairs`` pairs, which bounds
     the work as well.  Output is sorted canonically.
-
-    The pairs depend only on the nodes and edges: they are kept under
-    ``(nodes, edges, max_pairs)``, at most ``MAX_CACHED_PAIRS`` pairs over
-    all graphs held (the oldest graphs dropped first), and every call gets a
-    fresh list of them.  A refusal is never kept, so it is met again.
     """
-    key = (tuple(graph.nodes), tuple(graph.edges), max_pairs)
-    pairs = _PAIRS.get(key)
-    if pairs is None:
-        pairs = _enumerate_pairs(graph, max_pairs)
-        _PAIRS.put(key, pairs, 1 + len(pairs))
-    return list(pairs)
-
-
-def _enumerate_pairs(graph: CausalGraph, max_pairs: int) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
-    """The maximal disjoint-past pairs by NextClosure, as a sorted tuple."""
     n = len(graph.nodes)
     masks = _past_masks(graph)
     # conflict[u]: the nodes whose causal past meets that of u
@@ -281,7 +266,7 @@ def _enumerate_pairs(graph: CausalGraph, max_pairs: int) -> tuple[tuple[frozense
 
     # each side as its sorted name list: the smaller side first, pairs in list order
     keyed = sorted(sorted((names(u), names(w))) for u, w in pairs)
-    return tuple((frozenset(su), frozenset(sw)) for su, sw in keyed)
+    return [(frozenset(su), frozenset(sw)) for su, sw in keyed]
 
 
 def _precedes(graph: CausalGraph) -> set[tuple[str, str]]:

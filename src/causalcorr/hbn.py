@@ -20,7 +20,7 @@ from . import graph as cg
 from .classical import ClassicalModel, Gate, _row_checked, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
 from . import _schema
-from .dist import JointDistribution
+from .dist import JointDistribution, _json_table
 from .errors import SizeLimitExceeded, require_valid
 from ._config import _contract, max_state_space
 
@@ -227,11 +227,11 @@ def hbn_from_dict(data: dict) -> HiddenBayesNet:
     require_valid(cg.validate(graph))
     sizes = _schema.sizes(sizes, f"{what} node_sizes", graph.nodes)
     transitions = {
-        v: _schema.table(t, f"{what} transitions of {v!r}", [sizes[u] for u in sorted_parents(graph, v) + (v,)])
+        v: _json_table(t, f"{what} transitions of {v!r}", [sizes[u] for u in sorted_parents(graph, v) + (v,)])
         for v, t in _schema.named(transitions, f"{what} transitions", graph.outcomes).items()
     }
     readouts = {
-        v: _schema.table(r, f"{what} readouts of {v!r}", [sizes[v], graph.outcomes[v]])
+        v: _json_table(r, f"{what} readouts of {v!r}", [sizes[v], graph.outcomes[v]])
         for v, r in _schema.named(readouts, f"{what} readouts", graph.outcomes).items()
     }
     return HiddenBayesNet(graph, sizes, transitions, readouts)

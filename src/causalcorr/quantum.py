@@ -22,7 +22,7 @@ from . import graph as cg
 from .classical import ClassicalModel, _kept, sorted_in_ids, sorted_out_ids
 from .classical import validate_model as validate_classical
 from . import _schema
-from .dist import JointDistribution
+from .dist import JointDistribution, _json_numbers
 from .errors import InvalidModel, NegativeProbability, SizeLimitExceeded, require_valid
 from ._config import _contract, max_state_space
 
@@ -275,6 +275,6 @@ def model_from_dict(data: dict) -> QuantumModel:
         components = []
         for o in keys:
             kraus = _schema.typed(byo.get(o, []), list, what_v)
-            components.append(tuple(_schema.numbers(k, what_v, (None, None), complex) for k in kraus))
+            components.append(tuple(_json_numbers(k, what_v, (None, None), complex) for k in kraus))
         parsed[v] = Instrument(tuple(components))
     return QuantumModel(graph, dims, parsed)

@@ -219,6 +219,16 @@ class TestMakeBellGraph:
         assert len(g.nodes) == 3
         assert len(g.edges) == 2
 
+    @pytest.mark.parametrize("settings, outcomes, source, name", [
+        ((2.5, 2), (2, 2), 1, "setting 'x1'"), ((2, 2), (2, "2"), 1, "outcome 'a2'"), ((2, 2), (2, 2), 1.0, "source 's'"),
+    ])
+    def test_scenario_refuses_a_size_that_is_no_integer(self, settings, outcomes, source, name):
+        # int() would truncate 2.5: the checks would then run on a graph that is not the scenario
+        with pytest.raises(ShapeMismatch, match=f"{name}: size .* is not an integer"):
+            bm.BellScenario(settings, outcomes, source)
+        scenario = bm.BellScenario([np.int64(2), 2], np.array([2, 3]), np.int32(1))
+        assert scenario == bm.BellScenario((2, 2), (2, 3)) and hash(scenario) == hash(bm.BellScenario((2, 2), (2, 3)))
+
     def test_three_party(self):
         g = bm.make_bell_graph(bm.BellScenario(settings=(2, 2, 2), outcomes=(2, 2, 2)))
         assert len(g.nodes) == 7

@@ -728,18 +728,23 @@ class TestImportSet:
         assert "numpy" not in loaded
         assert not loaded & MODEL_MODULES
 
-    @pytest.mark.parametrize("argv, expect", [(["--version"], 0), (["--help"], 0),
-                                              (["bell-gen", "--parties", "two"], 2)])
-    def test_help_version_and_usage_errors_load_no_numpy(self, argv, expect):
-        loaded = modules_after_run(argv, expect)
+    @pytest.mark.parametrize("argv, expect, modules", [
+        (["--version"], 0, set()), (["--help"], 0, set()), (["bell-gen", "--parties", "two"], 2, set()),
+        # a node without its outcomes: the graph reader runs and refuses it
+        (["graph-validate", "--graph", "malformed.json"], 2, {"causalcorr.graph"}),
+    ])
+    def test_help_version_and_usage_errors_load_no_numpy(self, argv, expect, modules, tmp_path):
+        (tmp_path / "malformed.json").write_text('{"nodes": [{"id": "a"}], "edges": []}')
+        loaded = modules_after_run([tmp_path / a if a.endswith(".json") else a for a in argv], expect)
         assert "numpy" not in loaded
-        assert not loaded & MODEL_MODULES
+        assert loaded & MODEL_MODULES == modules
 
-    def test_graph_validate_loads_only_graph(self, bell_files):
+    @pytest.mark.parametrize("command", ["graph-validate", "poset-closure"])
+    def test_graph_validate_loads_only_graph(self, bell_files, command):
         graph_path, _ = bell_files
-        loaded = modules_after_run(["graph-validate", "--graph", graph_path], 0)
-        assert "causalcorr.graph" in loaded
-        assert not loaded & {f"causalcorr.{name}" for name in ("bell", "_simplex", "quantum", "hbn", "classical")}
+        loaded = modules_after_run([command, "--graph", graph_path], 0)
+        assert loaded & MODEL_MODULES == {"causalcorr.graph"}
+        assert not loaded & {"numpy", "causalcorr._config"}
 
     def test_eval_hbn_loads_neither_bell_nor_quantum(self, tmp_path):
         path = tmp_path / "hbn.json"

@@ -44,6 +44,17 @@ class TestJointDistribution:
         with pytest.raises(ShapeMismatch, match="sums to"):
             dm.JointDistribution((("a", 2),), np.array([0.9, 0.2]))
         dm.JointDistribution((("a", 2),), np.array([0.9, 0.2]), norm_tol=0.11)
+        # abs(s - 1) > nan is False: a NaN tolerance admits no table, not even one summing to 10
+        for table in ([5.0, 5.0], [0.5, 0.5]):
+            with pytest.raises(ShapeMismatch, match="sums to"):
+                dm.JointDistribution((("a", 2),), np.array(table), norm_tol=float("nan"))
+
+    @pytest.mark.parametrize("size", [2.5, "2", 2.0])
+    def test_rejects_a_size_that_is_no_integer(self, size):
+        with pytest.raises(ShapeMismatch, match=r"variable 'b': size .* is not an integer"):
+            dm.JointDistribution((("a", 2), ("b", size)), np.full(4, 0.25))
+        d = dm.JointDistribution((("a", np.int32(2)), ("b", np.int64(2))), np.full(4, 0.25))
+        assert d.variables == (("a", 2), ("b", 2)) and all(type(k) is int for k in d.sizes)
 
     def test_size_guard(self):
         # the guard is checked before the table is read
@@ -370,6 +381,14 @@ class TestFactorCoarseGraining:
     def test_map_not_filling_the_domain_rejected(self, domain, values):
         with pytest.raises(ShapeMismatch):
             dm.CoarseGraining(domain, 2, np.zeros(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("domain, codomain, name", [((3, 4.5), 2, "4.5"), (("3", 4), 2, "'3'"),
+                                                        ((3, 4), 2.5, "2.5")])
+    def test_rejects_a_size_that_is_no_integer(self, domain, codomain, name):
+        with pytest.raises(ShapeMismatch, match=f"size {name} is not an integer"):
+            dm.CoarseGraining(domain, codomain, np.zeros(12, dtype=np.int64))
+        cg = dm.CoarseGraining((np.int64(3), 4), np.int8(2), np.zeros(12, dtype=np.int64))
+        assert (cg.domain, cg.codomain) == ((3, 4), 2)
 
     def test_identity_factoring_always_exact(self):
         rng = np.random.default_rng(1)

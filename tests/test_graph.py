@@ -7,7 +7,7 @@ from causalcorr import bell as bm
 from causalcorr import classical as cm
 from causalcorr import graph as gm
 from causalcorr.correlation import is_correlation
-from causalcorr.errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode
+from causalcorr.errors import CycleError, NodeMismatch, ShapeMismatch, SizeLimitExceeded, UnknownNode
 from causalcorr.graph import CausalGraph
 
 from conftest import causal_past_bfs
@@ -67,6 +67,14 @@ class TestValidate:
         violations = gm.validate(g)
         assert any("zz" in v for v in violations)
         assert any("outcome" in v for v in violations)
+
+    @pytest.mark.parametrize("size", [2.5, "3", None])
+    def test_build_refuses_a_size_that_is_no_integer(self, size):
+        # int() would truncate 2.5 and parse "3", so validate would never see the fault
+        with pytest.raises(ShapeMismatch, match=r"node 'b': size .* is not an integer"):
+            CausalGraph.build([("a", 2), ("b", size)], [])
+        g = CausalGraph.build([("a", np.int64(3)), ("b", np.uint8(2))], [])
+        assert g.outcomes == {"a": 3, "b": 2} and all(type(k) is int for k in g.outcomes.values())
 
     def test_duplicate_ids(self):
         g = CausalGraph(
@@ -353,6 +361,8 @@ class TestPairGuard:
 
 
 class TestPairCache:
+    """Repeated calls: each returns a fresh list, and a refusal holds every time."""
+
     def test_mutating_the_returned_list_leaves_the_next_call(self, bell):
         pairs = gm.maximal_disjoint_past_pairs(bell)
         expected = list(pairs)
@@ -373,19 +383,6 @@ class TestPairCache:
         signalling = CausalGraph.build([(v, bell.outcomes[v]) for v in bell.nodes], [*bell.edges, ("x->b", "x", "b")])
         for g in (bell, signalling, bell, signalling):
             assert gm.maximal_disjoint_past_pairs(g) == brute_force_pairs(g)
-
-    def test_holds_at_most_its_bound(self, monkeypatch):
-        from causalcorr._config import MAX_CACHED_PAIRS, BoundedCache
-
-        cache = BoundedCache(MAX_CACHED_PAIRS)
-        monkeypatch.setattr(gm, "_PAIRS", cache)
-        for i in range(MAX_CACHED_PAIRS):  # graphs of one pair each, each entry weighs 2
-            gm.maximal_disjoint_past_pairs(CausalGraph.build([(f"u{i}", 2), (f"v{i}", 2)], []))
-            assert cache.load <= MAX_CACHED_PAIRS
-        assert len(cache.entries) == MAX_CACHED_PAIRS // 2
-        big = antichain(13)  # 4095 pairs: more than the bound, so not kept
-        assert len(gm.maximal_disjoint_past_pairs(big)) == 4095
-        assert len(cache.entries) == MAX_CACHED_PAIRS // 2 and cache.get((big.nodes, big.edges, 2**13 - 1)) is None
 
 
 class TestClosureAndPosetEqual:

@@ -43,9 +43,9 @@ class TestReaders:
             _schema.named([1], "list", {"e"}, list)
 
     def test_complex_matrix(self):
-        k = _schema.numbers([[[1, 0.5], [0, -1]]], "kraus", (None, None), complex)
+        k = dm._json_numbers([[[1, 0.5], [0, -1]]], "kraus", (None, None), complex)
         np.testing.assert_array_equal(k, np.array([[1 + 0.5j, -1j]]))
-        assert _schema.numbers([], "kraus", (None, None), complex).shape == (0, 0)
+        assert dm._json_numbers([], "kraus", (None, None), complex).shape == (0, 0)
 
     @pytest.mark.parametrize(
         "value",
@@ -53,23 +53,23 @@ class TestReaders:
     )
     def test_malformed_complex_matrix(self, value):
         with pytest.raises(SchemaError):
-            _schema.numbers(value, "kraus", (None, None), complex)
+            dm._json_numbers(value, "kraus", (None, None), complex)
 
     def test_numbers_out_of_range(self):
         with pytest.raises(SchemaError, match="out of range"):
-            _schema.numbers([10**400], "probs", (None,))
+            dm._json_numbers([10**400], "probs", (None,))
         with pytest.raises(SchemaError, match="out of range"):
-            _schema.numbers([2**63], "map", (None,), int)
+            dm._json_numbers([2**63], "map", (None,), int)
         with pytest.raises(SchemaError, match="integers"):
-            _schema.numbers([1.0], "map", (None,), int)
+            dm._json_numbers([1.0], "map", (None,), int)
 
     def test_table(self):
-        np.testing.assert_array_equal(_schema.table([0, 1, 2, 3, 4, 5], "t", [2, 3]), np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(dm._json_table([0, 1, 2, 3, 4, 5], "t", [2, 3]), np.arange(6.0).reshape(2, 3))
         with pytest.raises(SchemaError, match="5 entries, expected 6"):
-            _schema.table([0] * 5, "t", [2, 3])
+            dm._json_table([0] * 5, "t", [2, 3])
         # two negative sizes multiply to a length a list can have
         with pytest.raises(SchemaError, match="no table"):
-            _schema.table([0, 0], "t", [-1, -2])
+            dm._json_table([0, 0], "t", [-1, -2])
 
 
 # ---- property test over the CLI ---------------------------------------------
