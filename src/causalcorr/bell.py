@@ -22,7 +22,7 @@ import numpy as np
 from . import _schema
 from . import graph as cg
 from .classical import ClassicalModel, Gate
-from .dist import JointDistribution, _deviation_kernel, _factor_index, _json_numbers, conditional, marginal
+from .dist import JointDistribution, _deviations, _factor_plan, _json_numbers, conditional, marginal
 from .errors import (
     IncompletePOVM,
     NotNoSignalling,
@@ -94,7 +94,7 @@ class NoSignallingVerdict:
         }
 
 
-# per (scenario, variables that matched it): the cell indices of its n + 1
+# per (scenario, variables that matched it): the plan of its n + 1
 # factorisation checks
 _NOSIG_AXES = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
 
@@ -105,31 +105,31 @@ def check_free_will_no_signalling(
     """Check that settings and source are jointly independent and that each
     party's setting is independent of everything else jointly.
 
-    Free will is one ``dist._deviation_kernel`` run over the singletons
-    ``{x_1}, …, {x_n}, {s}``; no-signalling is one more per party, ``{x_i}``
-    against the other outcomes, the other settings and ``s``; each is one
-    ``np.bincount`` of the table over a kept cell index.  This agrees with
-    the generic disjoint-past factorization check on the scenario graph.
+    Free will is the factorisation check over the singletons ``{x_1}, …,
+    {x_n}, {s}``; no-signalling is one more per party, ``{x_i}`` against the
+    other outcomes, the other settings and ``s``.  One ``dist._deviations``
+    run makes all n + 1 checks, each no-signalling joint summed from the
+    table and the free-will joint from the smallest of them.  This agrees
+    with the generic disjoint-past factorization check on the scenario graph.
     ``tol`` must be finite and non-negative (CausalCorrError otherwise).  The
     distribution's variables must be the scenario graph's nodes with their
-    alphabet sizes (any order).  The checks' cell indices
-    (``dist._factor_index``) are kept under the scenario and the exact
-    ``dist.variables`` that matched it (at most ``MAX_CACHED_INDEX_ENTRIES``
-    index entries in all, the oldest dropped first), so a call whose
-    variables were matched before runs only the kernels.
+    alphabet sizes (any order).  The plan (``dist._factor_plan``) is kept
+    under the scenario and the exact ``dist.variables`` that matched it (see
+    ``MAX_CACHED_INDEX_ENTRIES``), so a call whose variables were matched
+    before runs only the kernel.
     """
     check_tol(tol)
     key = (scenario, dist.variables)
-    indices = _NOSIG_AXES.get(key)
-    if indices is None:
+    plan = _NOSIG_AXES.get(key)
+    if plan is None:
         expected, got = dict(make_bell_graph(scenario).outcomes), dict(dist.variables)
         if got != expected:
             raise ShapeMismatch(f"distribution variables {got} do not match the scenario {expected}")
         xs, as_ = scenario.setting_ids(), scenario.outcome_ids()
         groups = [[{x} for x in xs] + [{"s"}]] + [({x}, set(xs + as_ + ["s"]) - {x, a}) for x, a in zip(xs, as_)]
-        indices = tuple(_factor_index(dist.variables, g) for g in groups)
-        _NOSIG_AXES.put(key, indices, 1 + sum(i[0].size + i[1].size for i in indices))
-    freewill_dev, *nosig_devs = [_deviation_kernel(dist.table, *i) for i in indices]
+        plan = _factor_plan(dist.variables, groups)
+        _NOSIG_AXES.put(key, plan, 1 + sum(step[3].size + step[4].size for step in plan))
+    freewill_dev, *nosig_devs = _deviations(dist.table, plan)
     passes = max(freewill_dev, *nosig_devs) <= tol
     return NoSignallingVerdict(passes, freewill_dev, nosig_devs, tol)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import graph as cg
 from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol
-from .dist import JointDistribution, _deviation_kernel, _factor_index
+from .dist import JointDistribution, _deviations, _factor_plan
 from .errors import ShapeMismatch
 
 
@@ -45,7 +45,7 @@ class CorrelationVerdict:
         }
 
 
-# per (nodes, edges, variables): each checked pair with its cell index
+# per (nodes, edges, variables): the maximal pairs and their plan
 _AXES = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
 
 
@@ -56,13 +56,13 @@ def is_correlation(
 
     ``tol`` must be finite and >= 0, and the distribution's variables exactly
     the graph's nodes with their alphabet sizes (any order); both are checked
-    on every call.  Each pair ``(U, W)`` costs one ``dist._deviation_kernel``
-    run, one ``np.bincount`` of the table.  The pairs and their cell indices
-    (``dist._factor_index``) depend only on the graph's nodes and edges and
-    the variables with their sizes, and are kept under them (at most
-    ``MAX_CACHED_INDEX_ENTRIES`` index entries in all, the oldest dropped
-    first), so a structure met again runs the kernels only.  Graphs with no
-    disjoint-past pairs accept every distribution vacuously.
+    on every call.  One ``dist._deviations`` run checks every pair, summing
+    each pair's joint from the smallest joint already summed that holds it.
+    The pairs and their plan (``dist._factor_plan``) depend only on the
+    graph's nodes and edges and the variables with their sizes, and are kept
+    under them (see ``MAX_CACHED_INDEX_ENTRIES``), so a structure met again
+    runs the kernel only.  Graphs with no disjoint-past pairs accept every
+    distribution vacuously.
     """
     check_tol(tol)
     if set(dist.var_ids) != set(graph.nodes):
@@ -74,22 +74,19 @@ def is_correlation(
             raise ShapeMismatch(f"variable {v!r} has size {k}, graph says {graph.outcomes[v]}")
 
     key = (tuple(graph.nodes), tuple(graph.edges), dist.variables)
-    plan = _AXES.get(key)
-    if plan is None:
-        plan = tuple((u, w, _factor_index(dist.variables, (u, w))) for u, w in cg.maximal_disjoint_past_pairs(graph))
-        _AXES.put(key, plan, 1 + sum(index[0].size + index[1].size for *_, index in plan))
-    violations = []
-    worst = 0.0
-    for u_set, w_set, index in plan:
-        dev = _deviation_kernel(dist.table, *index)
-        worst = max(worst, dev)
-        if dev > tol:
-            violations.append((u_set, w_set, dev))
+    kept = _AXES.get(key)
+    if kept is None:
+        pairs = cg.maximal_disjoint_past_pairs(graph)
+        plan = _factor_plan(dist.variables, pairs)
+        kept = _AXES.put(key, (pairs, plan), 1 + sum(step[3].size + step[4].size for step in plan))
+    pairs, plan = kept
+    devs = _deviations(dist.table, plan)
+    violations = [(u, w, dev) for (u, w), dev in zip(pairs, devs) if dev > tol]
     violations.sort(key=lambda t: (sorted(t[0]), sorted(t[1])))
     return CorrelationVerdict(
         is_correlation=not violations,
         violations=violations,
         tol=tol,
-        pairs_checked=len(plan),
-        max_deviation=worst,
+        pairs_checked=len(pairs),
+        max_deviation=max(devs, default=0.0),
     )

@@ -169,43 +169,63 @@ def conditional(dist: JointDistribution, targets, givens) -> ConditionalTable:
     return ConditionalTable(targets=target_vars, givens=given_vars, probs=probs, defined=defined)
 
 
-def _factor_index(variables, groups):
-    """The cell index of :func:`_deviation_kernel` over ``variables`` and disjoint ``groups``.
+def _factor_plan(variables, checks):
+    """The plan of :func:`_deviations` for ``checks`` over ``variables``, each check a tuple of disjoint groups.
 
-    The groups' joint is laid out group by group, each group's variables in
-    table order, so it reshapes to one axis per group.  Raveled table entry
-    ``i`` lands in joint cell ``lead[i // len(trail)] + trail[i % len(trail)]``
-    (stride times digit, summed; stride 0 outside every group): ``lead`` runs
-    over the table's first axes and ``trail`` over the rest, split where their
-    lengths sum least.  Returns ``(lead as a column, trail, group sizes, per
-    group the other groups' axes)``.
+    Checks run largest joint first.  Each sums its joint from the smallest
+    joint already summed that holds its variables (of those over the same
+    variables the first; a joint is offered only if smaller than its own
+    source); the first source is the table.  A joint is laid out group by
+    group, each group's variables in its source's order, so it reshapes to
+    one axis per group.  Raveled source entry ``i`` lands in joint cell
+    ``lead[i // len(trail)] + trail[i % len(trail)]`` (stride times digit,
+    summed; stride 0 outside every group): ``lead`` runs over the source's
+    first axes and ``trail`` over the rest, split where their lengths sum
+    least, in the narrowest integer type that holds every cell.  Returns one
+    step per check in run order: (source, check position, whether a later
+    step reads its joint, lead as a column, trail, group sizes, per group
+    the other groups' axes); joint 0 is the table, joint ``j`` step j's.
     """
-    axis_of = {v: i for i, (v, _) in enumerate(variables)}
-    sizes, order, shape = [k for _, k in variables], [], []
-    for group in groups:
-        unknown = set(group) - axis_of.keys()
-        if unknown:
-            raise UnknownVariable(f"unknown variables {sorted(unknown)}")
-        axes = sorted({axis_of[v] for v in group})
-        order += axes
-        shape.append(math.prod(sizes[a] for a in axes))
-    if len(set(order)) != len(order):
-        raise OverlappingSets("the groups share a variable")
-    stride = {a: math.prod(sizes[b] for b in order[j + 1:]) for j, a in enumerate(order)}
-    cut = min(range(len(sizes) + 1), key=lambda j: math.prod(sizes[:j]) + math.prod(sizes[j:]))
-    dtype = np.min_scalar_type(math.prod(shape) - 1)  # the narrowest that holds every cell: less to keep and add
-    lead, trail = (np.ravel(functools.reduce(np.add.outer, [stride.get(a, 0) * np.arange(sizes[a]) for a in part], 0))
-                   .astype(dtype) for part in (range(cut), range(cut, len(sizes))))
-    return lead[:, None], trail, tuple(shape), tuple(tuple(j for j in range(len(shape)) if j != g) for g in range(len(shape)))
+    size = dict(variables)
+    joints = [frozenset().union(*check) for check in checks]
+    for check, joint in zip(checks, joints):
+        if joint - size.keys():
+            raise UnknownVariable(f"unknown variables {sorted(joint - size.keys())}")
+        if sum(len(set(group)) for group in check) != len(joint):
+            raise OverlappingSets("the groups share a variable")
+    # per variable set summed, its first joint; in the order met, so largest first
+    layouts, first, steps = [tuple(variables)], {frozenset(size): 0}, []
+    for c in sorted(range(len(checks)), key=lambda c: math.prod(size[v] for v in joints[c]), reverse=True):
+        src = next(j for have, j in reversed(first.items()) if joints[c] <= have)
+        sizes, at = [k for _, k in layouts[src]], {v: i for i, (v, _) in enumerate(layouts[src])}
+        order = [sorted({at[v] for v in group}) for group in checks[c]]
+        flat = [a for axes in order for a in axes]
+        shape = [math.prod(sizes[a] for a in axes) for axes in order]
+        stride = {a: math.prod(sizes[b] for b in flat[j + 1:]) for j, a in enumerate(flat)}
+        cut = min(range(len(sizes) + 1), key=lambda j: math.prod(sizes[:j]) + math.prod(sizes[j:]))
+        lead, trail = (np.ravel(functools.reduce(np.add.outer, [stride.get(a, 0) * np.arange(sizes[a]) for a in part], 0))
+                       .astype(np.min_scalar_type(math.prod(shape) - 1)) for part in (range(cut), range(cut, len(sizes))))
+        sides = tuple(tuple(j for j in range(len(shape)) if j != g) for g in range(len(shape)))
+        steps.append((src, c, lead[:, None], trail, tuple(shape), sides))
+        if math.prod(shape) < math.prod(sizes):  # a joint no smaller than its source saves no sum
+            first.setdefault(joints[c], len(layouts))
+        layouts.append(tuple(layouts[src][a] for a in flat))
+    read = {step[0] for step in steps}
+    return tuple((src, c, j in read, *index) for j, (src, c, *index) in enumerate(steps, 1))
 
 
-def _deviation_kernel(table: np.ndarray, lead, trail, shape, sides) -> float:
-    """Largest |P(G1 ∪ … ∪ Gk) − P(G1)···P(Gk)|: one ``np.bincount`` of ``table`` onto the groups'
-    joint over the cell index of :func:`_factor_index`, and each group's marginal summed from it."""
-    joint = np.bincount((lead + trail).ravel(), table.ravel()).reshape(shape)
-    # np.add.reduce is ndarray.sum without its Python wrapper, which costs more than these small sums
-    prod = functools.reduce(np.multiply, [np.add.reduce(joint, others, keepdims=True) for others in sides] or [1.0])
-    return float(np.abs(joint - prod).max())
+def _deviations(table: np.ndarray, plan) -> list[float]:
+    """Each check's largest |P(G1 ∪ … ∪ Gk) − P(G1)···P(Gk)|, in the order the checks were given to
+    :func:`_factor_plan`: one ``np.bincount`` of its source onto its joint, and each group's marginal
+    summed from that joint.  A joint no later step reads is dropped at once."""
+    joints, devs = [table.ravel()], [0.0] * len(plan)
+    for src, c, read, lead, trail, shape, sides in plan:
+        joint = np.bincount((lead + trail).ravel(), joints[src]).reshape(shape)
+        joints.append(joint.ravel() if read else None)
+        # np.add.reduce is ndarray.sum without its Python wrapper, which costs more than these small sums
+        prod = functools.reduce(np.multiply, [np.add.reduce(joint, others, keepdims=True) for others in sides] or [1.0])
+        devs[c] = float(np.abs(joint - prod).max())
+    return devs
 
 
 def tv_distance(d1: JointDistribution, d2: JointDistribution) -> float:

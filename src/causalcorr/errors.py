@@ -59,10 +59,10 @@ def require_valid(violations: list[str]) -> None:
 
 def as_size(size, kind: str, name) -> int:
     """``size`` as an int by ``operator.index``, so a numpy integer converts
-    while a float or a string, which ``int()`` would truncate or parse,
-    raises ShapeMismatch naming the ``kind`` and ``name`` it sizes."""
+    while a bool, a float or a string, which ``int()`` would take as 0 or 1,
+    truncate or parse, raises ShapeMismatch naming the ``kind`` and ``name`` it sizes."""
     try:
-        return operator.index(size)
+        return operator.index(None if type(size) is bool else size)
     except TypeError:
         raise ShapeMismatch(f"{kind} {name!r}: size {size!r} is not an integer") from None
 

@@ -221,6 +221,7 @@ class TestMakeBellGraph:
 
     @pytest.mark.parametrize("settings, outcomes, source, name", [
         ((2.5, 2), (2, 2), 1, "setting 'x1'"), ((2, 2), (2, "2"), 1, "outcome 'a2'"), ((2, 2), (2, 2), 1.0, "source 's'"),
+        ((True, 2), (2, 2), 1, "setting 'x1'"),
     ])
     def test_scenario_refuses_a_size_that_is_no_integer(self, settings, outcomes, source, name):
         # int() would truncate 2.5: the checks would then run on a graph that is not the scenario

@@ -203,6 +203,31 @@ class TestFactorisationCache:
         uniform = dm.JointDistribution(tuple((v, bell.outcomes[v]) for v in bell.nodes), np.full(16, 1 / 16))
         assert is_correlation(bell, uniform, tol=0).is_correlation  # dyadic sums and products: no round-off
 
+    @pytest.mark.parametrize("name", ["bell", "sequential", "bilocality"])
+    def test_kept_plans_answer_as_new_ones(self, name, monkeypatch):
+        from causalcorr import correlation
+        from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
+
+        rng = np.random.default_rng(5)
+        cases = [(g, d) for g in (all_test_graphs(2)[name], all_test_graphs(3)[name])
+                 for d in (random_table(rng, g), cm.evaluate(cm.random_model(g, 2, seed=1)))]
+        cases += [(g, d.reorder(tuple(rng.permutation(list(d.var_ids))))) for g, d in cases]
+        monkeypatch.setattr(correlation, "_AXES", BoundedCache(0))  # keeps nothing
+        unkept = [is_correlation(g, d).to_dict() for g, d in cases]
+        cache = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
+        monkeypatch.setattr(correlation, "_AXES", cache)
+        for _ in range(2):
+            assert [is_correlation(g, d).to_dict() for g, d in cases] == unkept
+        assert len(cache.entries) == len({d.variables for _, d in cases})
+
+    def test_bilocality_plan_sums_each_pair_from_a_smaller_joint(self, bilocality):
+        # the 15 pairs of the binary bilocality graph: 3 are summed from the 256-entry table and
+        # 12 from smaller joints, 1,792 entries in all where one sum per pair over the table is 3,840
+        p = random_table(np.random.default_rng(0), bilocality)
+        plan = dm._factor_plan(p.variables, gm.maximal_disjoint_past_pairs(bilocality))
+        assert len(plan) == 15
+        assert sum(lead.size * trail.size for _, _, _, lead, trail, _, _ in plan) == 7 * p.table.size < 15 * p.table.size
+
     def test_holds_at_most_its_bound(self, monkeypatch):
         from causalcorr import correlation
         from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache

@@ -1,9 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from causalcorr import bell as bm
 from causalcorr import dist as dm
+from causalcorr import graph as gm
 from causalcorr.errors import (
     BadEpsilon,
     OverlappingSets,
@@ -49,7 +54,7 @@ class TestJointDistribution:
             with pytest.raises(ShapeMismatch, match="sums to"):
                 dm.JointDistribution((("a", 2),), np.array(table), norm_tol=float("nan"))
 
-    @pytest.mark.parametrize("size", [2.5, "2", 2.0])
+    @pytest.mark.parametrize("size", [2.5, "2", 2.0, True])
     def test_rejects_a_size_that_is_no_integer(self, size):
         with pytest.raises(ShapeMismatch, match=r"variable 'b': size .* is not an integer"):
             dm.JointDistribution((("a", 2), ("b", size)), np.full(4, 0.25))
@@ -224,8 +229,9 @@ class TestProductAndDistance:
 
 
 def deviation(p, groups) -> float:
-    """The factorisation kernel that ``correlation`` and ``bell`` run, on ``p`` and ``groups``."""
-    return dm._deviation_kernel(p.table, *dm._factor_index(p.variables, groups))
+    """The factorisation kernel that ``correlation`` and ``bell`` run, on ``p`` and one check of ``groups``."""
+    (dev,) = dm._deviations(p.table, dm._factor_plan(p.variables, [groups]))
+    return dev
 
 
 ORACLE_SHAPES = {
@@ -285,11 +291,11 @@ class TestIndependenceDeviation:
 
     def test_index_is_two_factors_near_the_square_root(self):
         p = random_dist(np.random.default_rng(2), *((f"v{i}", 2) for i in range(14)))
-        lead, trail, shape, sides = dm._factor_index(p.variables, [{"v0", "v13"}, {"v5"}])
-        assert lead.shape == (128, 1) and trail.shape == (128,)
+        ((src, _, _, lead, trail, shape, sides),) = dm._factor_plan(p.variables, [[{"v0", "v13"}, {"v5"}]])
+        assert src == 0 and lead.shape == (128, 1) and trail.shape == (128,)
         assert shape == (4, 2) and sides == ((1,), (0,))
         assert lead.dtype == trail.dtype == np.uint8  # the narrowest type that holds the 8 cells
-        lead, trail, _, _ = dm._factor_index(p.variables, [{f"v{i}" for i in range(9)}])
+        ((_, _, _, lead, trail, _, _),) = dm._factor_plan(p.variables, [[{f"v{i}" for i in range(9)}]])
         assert lead.dtype == trail.dtype == np.uint16 and (lead + trail).max() == 2**9 - 1
 
     def test_unknown_variable(self):
@@ -299,6 +305,53 @@ class TestIndependenceDeviation:
     def test_overlapping_groups(self):
         with pytest.raises(OverlappingSets):
             deviation(uniform(("a", 2), ("b", 2)), [{"a", "b"}, {"b"}])
+
+
+class TestMarginalLattice:
+    """Each check's joint is summed from the smallest joint already summed that holds its variables."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_nested_pairs_match_the_axis_sum_reference(self, data):
+        # three roots, then nodes of one or two parents each: about 70% of these DAGs have nested pairs
+        n = data.draw(st.integers(4, 7), label="nodes")
+        sizes = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n), label="outcomes")
+        edges = [(f"v{i}->v{j}", f"v{i}", f"v{j}") for j in range(3, n)
+                 for i in data.draw(st.sets(st.integers(0, j - 1), min_size=1, max_size=2), label=f"parents of v{j}")]
+        g = gm.CausalGraph.build([(f"v{i}", k) for i, k in enumerate(sizes)], edges)
+        pairs = gm.maximal_disjoint_past_pairs(g)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p = random_dist(rng, *((f"v{i}", k) for i, k in enumerate(sizes)))
+        plan = dm._factor_plan(p.variables, pairs)
+        assume(any(src for src, *_ in plan))  # some joint sums from another
+        # no check keeps more index entries than one index over the table would
+        assert max(lead.size + trail.size for _, _, _, lead, trail, _, _ in plan) <= min(
+            math.prod(sizes[:j]) + math.prod(sizes[j:]) for j in range(n + 1))
+        for q in (p, p.reorder(tuple(rng.permutation(list(p.var_ids))))):
+            devs = dm._deviations(q.table, dm._factor_plan(q.variables, pairs))
+            assert len(devs) == len(pairs)
+            for pair, dev in zip(pairs, devs):
+                assert abs(dev - axis_sum_deviation(q, pair)) <= 1e-15
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_bell_groups_match_the_axis_sum_reference(self, data):
+        n = data.draw(st.integers(2, 3), label="parties")
+        settings_, outcomes = (data.draw(st.lists(st.integers(low, 3), min_size=n, max_size=n), label=what)
+                               for low, what in ((1, "settings"), (2, "outcomes")))
+        scenario = bm.BellScenario(settings_, outcomes, data.draw(st.integers(1, 2), label="source"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p = random_dist(rng, *bm.make_bell_graph(scenario).outcomes.items())
+        xs, as_ = scenario.setting_ids(), scenario.outcome_ids()
+        freewill = [{x} for x in xs] + [{"s"}]
+        nosig = [({x}, set(p.var_ids) - {x, a}) for x, a in zip(xs, as_)]
+        # the free-will joint lies inside every no-signalling joint, so it is not summed from the table
+        plan = dm._factor_plan(p.variables, [freewill, *nosig])
+        assert [src for src, c, *_ in plan if c == 0] != [0]
+        verdict = bm.check_free_will_no_signalling(scenario, p)
+        assert abs(verdict.freewill_deviation - axis_sum_deviation(p, freewill)) <= 1e-15
+        for dev, groups in zip(verdict.nosig_deviations, nosig, strict=True):
+            assert abs(dev - axis_sum_deviation(p, groups)) <= 1e-15
 
 
 def partitions(values):
@@ -383,7 +436,7 @@ class TestFactorCoarseGraining:
             dm.CoarseGraining(domain, 2, np.zeros(values, dtype=np.int64))
 
     @pytest.mark.parametrize("domain, codomain, name", [((3, 4.5), 2, "4.5"), (("3", 4), 2, "'3'"),
-                                                        ((3, 4), 2.5, "2.5")])
+                                                        ((3, 4), 2.5, "2.5"), ((True, 2), 2, "True")])
     def test_rejects_a_size_that_is_no_integer(self, domain, codomain, name):
         with pytest.raises(ShapeMismatch, match=f"size {name} is not an integer"):
             dm.CoarseGraining(domain, codomain, np.zeros(12, dtype=np.int64))

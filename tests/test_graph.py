@@ -68,7 +68,7 @@ class TestValidate:
         assert any("zz" in v for v in violations)
         assert any("outcome" in v for v in violations)
 
-    @pytest.mark.parametrize("size", [2.5, "3", None])
+    @pytest.mark.parametrize("size", [2.5, "3", None, True])
     def test_build_refuses_a_size_that_is_no_integer(self, size):
         # int() would truncate 2.5 and parse "3", so validate would never see the fault
         with pytest.raises(ShapeMismatch, match=r"node 'b': size .* is not an integer"):
