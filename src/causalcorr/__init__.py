@@ -15,15 +15,15 @@ import importlib
 __version__ = "0.1.0"
 
 _NAMES = {
-    "graph": "CausalGraph Edge causal_past maximal_disjoint_past_pairs poset_equal topological_order "
-             "transitive_closure",
+    "graph": "BellScenario CausalGraph Edge causal_past make_bell_graph maximal_disjoint_past_pairs poset_equal "
+             "topological_order transitive_closure",
     "dist": "CoarseGraining JointDistribution conditional factor_coarse_graining marginal tv_distance",
     "correlation": "CorrelationVerdict is_correlation",
     "classical": "ClassicalModel Gate lift_trivial_edge push_back_determinism reroute_transitive_edge",
     "quantum": "Instrument QuantumModel decohere_embed",
     "hbn": "HiddenBayesNet from_classical to_classical",
-    "bell": "BellScenario LocalityVerdict check_free_will_no_signalling chsh_value classical_bell_model "
-            "local_membership make_bell_graph quantum_bell_model",
+    "bell": "LocalityVerdict check_free_will_no_signalling chsh_value classical_bell_model local_membership "
+            "quantum_bell_model",
 }
 # public name -> (defining module, attribute there); the three evaluate_*
 # names alias each family's ``evaluate``

@@ -40,7 +40,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -233,6 +232,8 @@ def _tableau(A, b):
     values).  Rows with ``b < 0`` are negated, one artificial column per row
     starts in the basis, and the last row holds the artificial-sum objective.
     """
+    from fractions import Fraction
+
     to_fraction = np.vectorize(Fraction, otypes=[object])
     A = to_fraction(np.asarray(A, dtype=object))
     b = to_fraction(np.asarray(b, dtype=object))
@@ -257,6 +258,8 @@ def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     finite number per row of ``A``, and SolverError when ``max_iter`` pivots
     (default ``200 * (rows + columns)``) do not reach an optimal tableau.
     """
+    from fractions import Fraction
+
     b = _rhs(b, len(A), object)
     T, basis = _tableau(A, b)
     m = basis.shape[0]

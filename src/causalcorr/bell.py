@@ -1,5 +1,5 @@
-"""n-party Bell scenarios: graph generation, no-signalling checks, local-polytope
-membership by LP over deterministic strategies, and quantum model construction.
+"""n-party Bell scenarios: no-signalling checks, local-polytope membership by
+LP over deterministic strategies, and classical and quantum model construction.
 
 A scenario has one source node ``s`` and per party a setting node ``x{i}``
 feeding a measurement node ``a{i}`` that also receives an edge from the
@@ -7,6 +7,11 @@ source.  Local-polytope membership is decided once per source outcome: the
 shared hidden variable may absorb the source outcome, so response functions
 need not be shared across source outcomes and the feasibility problems
 decouple.
+
+The scenario and its graph, :class:`BellScenario` and :func:`make_bell_graph`,
+live in the numpy-free ``graph`` module and are imported from there.  The
+model families load only when a model constructor runs, and ``fractions``
+only when exact mode runs.
 """
 
 from __future__ import annotations
@@ -15,65 +20,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import _schema
-from . import graph as cg
-from .classical import ClassicalModel, Gate
 from .dist import JointDistribution, _deviations, _factor_plan, _json_numbers, conditional, marginal
-from .errors import (
-    IncompletePOVM,
-    NotNoSignalling,
-    ShapeMismatch,
-    SizeLimitExceeded,
-    SolverError,
-    as_size,
-)
-from .quantum import Instrument, QuantumModel
+from .errors import IncompletePOVM, NotNoSignalling, ShapeMismatch, SizeLimitExceeded, SolverError
+from .graph import BellScenario, make_bell_graph
 from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol, max_state_space
 from ._simplex import phase1_program, solve_phase1, solve_phase1_exact
 
 EXACT_MODE_MAX_STRATEGIES = 4096
-
-
-@dataclass(frozen=True)
-class BellScenario:
-    """Party count with per-party setting/outcome sizes and a source outcome size."""
-
-    settings: tuple[int, ...]
-    outcomes: tuple[int, ...]
-    source_outcomes: int = 1
-
-    def __post_init__(self):
-        if len(self.settings) != len(self.outcomes) or not self.settings:
-            raise ShapeMismatch("settings and outcomes must list one size per party")
-        object.__setattr__(self, "settings", tuple(as_size(k, "setting", f"x{i}") for i, k in enumerate(self.settings, 1)))
-        object.__setattr__(self, "outcomes", tuple(as_size(k, "outcome", f"a{i}") for i, k in enumerate(self.outcomes, 1)))
-        object.__setattr__(self, "source_outcomes", as_size(self.source_outcomes, "source", "s"))
-        if min(self.settings) < 1 or min(self.outcomes) < 1 or self.source_outcomes < 1:
-            raise ShapeMismatch("all sizes must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.settings)
-
-    def setting_ids(self) -> list[str]:
-        return [f"x{i + 1}" for i in range(self.n)]
-
-    def outcome_ids(self) -> list[str]:
-        return [f"a{i + 1}" for i in range(self.n)]
-
-
-def make_bell_graph(scenario: BellScenario) -> cg.CausalGraph:
-    """The 2n+1-node scenario graph with deterministic node and edge ids."""
-    nodes = [("s", scenario.source_outcomes)]
-    nodes += [(x, k) for x, k in zip(scenario.setting_ids(), scenario.settings)]
-    nodes += [(a, k) for a, k in zip(scenario.outcome_ids(), scenario.outcomes)]
-    edges = [(f"s->a{i + 1}", "s", f"a{i + 1}") for i in range(scenario.n)]
-    edges += [(f"x{i + 1}->a{i + 1}", f"x{i + 1}", f"a{i + 1}") for i in range(scenario.n)]
-    return cg.CausalGraph.build(nodes, edges)
 
 
 @dataclass
@@ -359,6 +316,8 @@ def local_membership(
         c_map, a_mat, program, answers, onehots = _lp_plan(scenario, used, counts, defined[:, s], exact)
         p_col = probs[:, s].ravel()
         if exact:  # C and A are 0/1, so C p and every check below are exact in Fractions
+            from fractions import Fraction
+
             c_map, a_mat = c_map.astype(int).astype(object), a_mat.astype(int).astype(object)
             p_col = np.frompyfunc(Fraction, 1, 1)(p_col)
         b_vec = c_map @ p_col
@@ -402,6 +361,8 @@ def classical_bell_model(
     responses with the weights returned by :func:`local_membership` replay a
     membership witness as an explicit model.
     """
+    from .classical import ClassicalModel, Gate
+
     n = scenario.n
     hidden_given_source = np.asarray(hidden_given_source, dtype=float)
     if hidden_given_source.ndim != 2 or hidden_given_source.shape[0] != scenario.source_outcomes:
@@ -455,6 +416,8 @@ def quantum_bell_model(
     the setting edge carries a classical register of the setting value, and
     the measurement node applies the setting-controlled POVM.
     """
+    from .quantum import Instrument, QuantumModel
+
     n = scenario.n
     if len(povms) != n:
         raise ShapeMismatch(f"{len(povms)} POVM families for {n} parties")

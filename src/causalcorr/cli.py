@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import CausalCorrError, SchemaError
+from .errors import CausalCorrError, SchemaError, ShapeMismatch
 
 
 def _read(path: str, parse):
@@ -36,8 +36,10 @@ def _read(path: str, parse):
 
 def _scenario_from_dist(d, scenario_class):
     """Recover the scenario from canonical Bell variable names (s, x{i}, a{i});
-    the Bell checks refuse a distribution with any other variable."""
+    ShapeMismatch names them when the distribution's variables are any others."""
     n = sum(1 for v in d.var_ids if v.startswith("x") and v[1:].isdigit())
+    if not n or set(d.var_ids) != {"s", *(f"{v}{i}" for v in "xa" for i in range(1, n + 1))}:
+        raise ShapeMismatch(f"expected the Bell variables s, x1..xn, a1..an (n >= 1), got {sorted(d.var_ids)}")
     return scenario_class(
         settings=tuple(d.size_of(f"x{i + 1}") for i in range(n)),
         outcomes=tuple(d.size_of(f"a{i + 1}") for i in range(n)),
@@ -168,7 +170,7 @@ COMMANDS = {
     "reroute-edge": (("model", "edge", "via", "out"), _reroute_edge,
                      "classical.model_from_dict classical.reroute_transitive_edge classical.model_to_dict"),
     "bell-gen": (("parties", "settings", "outcomes", "source-outcomes", "out"), _bell_gen,
-                 "bell.BellScenario bell.make_bell_graph graph.graph_to_dict"),
+                 "graph.BellScenario graph.make_bell_graph graph.graph_to_dict"),
     "bell-check-ns": (("dist", "tol"), _bell_check_ns,
                       "dist.dist_from_dict bell.BellScenario bell.check_free_will_no_signalling"),
     "bell-local": (("dist", "tol", "exact"), _bell_local,

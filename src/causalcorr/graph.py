@@ -5,6 +5,9 @@ identified by their own string ids, so parallel edges between the same pair
 of nodes are allowed.  All operations are pure functions on immutable graph
 values.  Wherever an ordering matters (topological ties, enumeration output,
 generated edge ids) it is fixed lexicographically so results are reproducible.
+
+The Bell scenario graph (:class:`BellScenario`, :func:`make_bell_graph`) is
+defined here too, so that writing it loads no numpy; ``bell`` imports both.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from . import _schema
-from .errors import CycleError, NodeMismatch, SizeLimitExceeded, UnknownNode, as_size
+from .errors import CycleError, NodeMismatch, ShapeMismatch, SizeLimitExceeded, UnknownNode, as_size
 
 # Disjoint-past pairs listed before maximal_disjoint_past_pairs refuses:
 # the most that any graph of 14 or fewer nodes has (the 14-node antichain)
@@ -304,3 +307,41 @@ def graph_from_dict(data: dict) -> CausalGraph:
         [_schema.fields(item, "graph JSON node", {"id": str, "outcomes": int}) for item in nodes],
         [_schema.fields(item, "graph JSON edge", {"id": str, "src": str, "dst": str}) for item in edges],
     )
+
+
+@dataclass(frozen=True)
+class BellScenario:
+    """Party count with per-party setting/outcome sizes and a source outcome size."""
+
+    settings: tuple[int, ...]
+    outcomes: tuple[int, ...]
+    source_outcomes: int = 1
+
+    def __post_init__(self):
+        if len(self.settings) != len(self.outcomes) or not self.settings:
+            raise ShapeMismatch("settings and outcomes must list one size per party")
+        object.__setattr__(self, "settings", tuple(as_size(k, "setting", f"x{i}") for i, k in enumerate(self.settings, 1)))
+        object.__setattr__(self, "outcomes", tuple(as_size(k, "outcome", f"a{i}") for i, k in enumerate(self.outcomes, 1)))
+        object.__setattr__(self, "source_outcomes", as_size(self.source_outcomes, "source", "s"))
+        if min(self.settings) < 1 or min(self.outcomes) < 1 or self.source_outcomes < 1:
+            raise ShapeMismatch("all sizes must be >= 1")
+
+    @property
+    def n(self) -> int:
+        return len(self.settings)
+
+    def setting_ids(self) -> list[str]:
+        return [f"x{i + 1}" for i in range(self.n)]
+
+    def outcome_ids(self) -> list[str]:
+        return [f"a{i + 1}" for i in range(self.n)]
+
+
+def make_bell_graph(scenario: BellScenario) -> CausalGraph:
+    """The 2n+1-node scenario graph with deterministic node and edge ids."""
+    nodes = [("s", scenario.source_outcomes)]
+    nodes += [(x, k) for x, k in zip(scenario.setting_ids(), scenario.settings)]
+    nodes += [(a, k) for a, k in zip(scenario.outcome_ids(), scenario.outcomes)]
+    edges = [(f"s->a{i + 1}", "s", f"a{i + 1}") for i in range(scenario.n)]
+    edges += [(f"x{i + 1}->a{i + 1}", f"x{i + 1}", f"a{i + 1}") for i in range(scenario.n)]
+    return CausalGraph.build(nodes, edges)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from causalcorr import hbn as hm
 from causalcorr import quantum as qm
 from causalcorr.cli import COMMANDS, _library, run
 
-from conftest import bell_graph, pr_box_dist
+from conftest import bell_graph, popescu_graph, pr_box_dist
 
 # child processes import the same causalcorr package as this one
 CHILD_PYTHONPATH = os.pathsep.join(
@@ -112,6 +113,18 @@ class TestExitCodes:
         monkeypatch.setattr(bm, "solve_phase1", lambda a, b, tol: solve(a, b, tol=tol, max_iter=1))
         assert run(["bell-local", "--dist", str(dist_path)]) == 2
         assert "did not terminate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bell-check-ns", "bell-local"])
+    @pytest.mark.parametrize("variables", [popescu_graph().outcomes, {"x1": 2, "x2": 2, "a1": 2, "a2": 2}],
+                             ids=["popescu", "no-source"])
+    def test_bell_check_of_other_variables_names_the_bell_ones(self, tmp_path, capsys, command, variables):
+        path = tmp_path / "dist.json"
+        size = math.prod(variables.values())
+        path.write_text(json.dumps({"vars": [{"id": v, "size": k} for v, k in variables.items()],
+                                    "probs": [1 / size] * size}))
+        assert run([command, "--dist", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"expected the Bell variables s, x1..xn, a1..an (n >= 1), got {sorted(variables)}" in err
 
     def test_missing_file_is_usage_error(self, capsys):
         code = run(["eval-classical", "--model", "missing.json"])
@@ -756,6 +769,29 @@ class TestImportSet:
     def test_every_named_library_call_resolves(self):
         for name, (_, _, calls) in COMMANDS.items():
             assert all(callable(_library(call)) for call in calls.split()), name
+
+    # the Bell checks run neither model family, and only exact mode runs Fractions
+    UNUSED_BY_BELL_CHECKS = {"causalcorr.classical", "causalcorr.quantum", "fractions"}
+
+    @pytest.mark.parametrize("run_what, expect, present, absent", [
+        (["bell-gen", "--parties", "2"], 0, {"causalcorr.graph"},
+         MODEL_MODULES - {"causalcorr.graph"} | {"numpy", "causalcorr._config"}),
+        (["bell-check-ns", "--dist", "pr_box.json"], 0, {"causalcorr.bell"}, UNUSED_BY_BELL_CHECKS),
+        (["chsh", "--dist", "pr_box.json"], 0, {"causalcorr.bell"}, UNUSED_BY_BELL_CHECKS),
+        (["bell-local", "--dist", "pr_box.json"], 1, {"causalcorr.bell"}, UNUSED_BY_BELL_CHECKS),
+        (["bell-local", "--dist", "pr_box.json", "--exact"], 1, {"causalcorr.bell", "fractions"},
+         UNUSED_BY_BELL_CHECKS - {"fractions"}),
+        ("import causalcorr; causalcorr.make_bell_graph(causalcorr.BellScenario((2, 2), (2, 2)))", None,
+         {"causalcorr.graph"}, {"numpy", "causalcorr.bell"}),
+    ], ids=["bell-gen", "bell-check-ns", "chsh", "bell-local", "bell-local-exact", "package-make_bell_graph"])
+    def test_bell_commands_load_only_what_they_run(self, bell_files, run_what, expect, present, absent):
+        _, dist_path = bell_files
+        if isinstance(run_what, str):
+            loaded = modules_after(run_what)
+        else:
+            loaded = modules_after_run([dist_path if a == "pr_box.json" else a for a in run_what], expect)
+        assert present <= loaded
+        assert not loaded & absent
 
     def test_bell_local_loads_bell_and_simplex(self, bell_files):
         _, dist_path = bell_files

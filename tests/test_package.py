@@ -22,16 +22,16 @@ PUBLIC_NAMES = [
 
 # the defining module of every name, and the aliases' names there
 DEFINED_IN = {
-    "graph": ["CausalGraph", "Edge", "causal_past", "maximal_disjoint_past_pairs", "poset_equal",
-              "topological_order", "transitive_closure"],
+    "graph": ["BellScenario", "CausalGraph", "Edge", "causal_past", "make_bell_graph", "maximal_disjoint_past_pairs",
+              "poset_equal", "topological_order", "transitive_closure"],
     "dist": ["CoarseGraining", "JointDistribution", "conditional", "factor_coarse_graining", "marginal", "tv_distance"],
     "correlation": ["CorrelationVerdict", "is_correlation"],
     "classical": ["ClassicalModel", "Gate", "lift_trivial_edge", "push_back_determinism",
                   "reroute_transitive_edge"],
     "quantum": ["Instrument", "QuantumModel", "decohere_embed"],
     "hbn": ["HiddenBayesNet", "from_classical", "to_classical"],
-    "bell": ["BellScenario", "LocalityVerdict", "check_free_will_no_signalling", "chsh_value",
-             "classical_bell_model", "local_membership", "make_bell_graph", "quantum_bell_model"],
+    "bell": ["LocalityVerdict", "check_free_will_no_signalling", "chsh_value", "classical_bell_model",
+             "local_membership", "quantum_bell_model"],
 }
 ALIASES = {"evaluate_classical": "classical", "evaluate_quantum": "quantum", "evaluate_hbn": "hbn"}
 
@@ -44,6 +44,11 @@ def test_all_lists_the_37_names():
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in DEFINED_IN.items() for n in names])
 def test_name_is_the_object_of_its_defining_module(module, name):
     assert getattr(causalcorr, name) is getattr(getattr(causalcorr, module), name)
+
+
+@pytest.mark.parametrize("name", ["BellScenario", "make_bell_graph"])
+def test_bell_imports_the_scenario_from_graph(name):
+    assert getattr(causalcorr.bell, name) is getattr(causalcorr.graph, name)
 
 
 @pytest.mark.parametrize("alias, module", ALIASES.items())
