@@ -40,7 +40,9 @@ class JointDistribution:
 
     ``variables`` is an ordered tuple of ``(var_id, alphabet_size)``;
     ``table`` has exactly that shape.  Entries are non-negative and sum to 1
-    within ``norm_tol``.
+    within ``norm_tol``: the constructor checks this for tables from outside
+    or from a computation; a table derived from a checked one (:meth:`reorder`,
+    :func:`marginal`, :func:`conditional`) is not checked again.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -58,13 +60,18 @@ class JointDistribution:
         ids = [v for v, _ in self.variables]
         if len(set(ids)) != len(ids):
             raise VariableCollision(f"duplicate variable ids in {ids}")
-        self.table = np.asarray(self.table, dtype=float).reshape(sizes)
+        try:
+            table = np.asarray(self.table)
+        except ValueError:
+            raise ShapeMismatch(f"table is a ragged nesting, expected {total} real numbers") from None
+        if table.dtype.kind not in "biuf" or table.size != total:
+            raise ShapeMismatch(f"table of {table.size} entries of dtype {table.dtype}, expected {total} real numbers")
+        self.table = table.astype(float, copy=False).reshape(sizes)
         s = float(self.table.sum())
         if not math.isfinite(s):  # a NaN or infinite entry makes the sum so
             raise ShapeMismatch("table has a non-finite entry")
-        if np.any(self.table < 0):
-            worst = float(self.table.min())
-            raise ShapeMismatch(f"negative table entry {worst}")
+        if self.table.min() < 0:  # every entry is finite here
+            raise ShapeMismatch(f"negative table entry {float(self.table.min())}")
         if not abs(s - 1.0) <= self.norm_tol:  # a NaN tolerance admits nothing
             raise ShapeMismatch(f"table sums to {s}, not 1 within {self.norm_tol}")
 
@@ -83,18 +90,23 @@ class JointDistribution:
         raise UnknownVariable(f"unknown variable {var_id!r}")
 
     def reorder(self, order: list[str] | tuple[str, ...]) -> "JointDistribution":
-        """Same distribution with the variables permuted into the given order."""
+        """The variables permuted into the given order: a transposed view, not checked again."""
         at = {v: i for i, (v, _) in enumerate(self.variables)}
         if set(order) != at.keys() or len(order) != len(at):
             raise VariableMismatch(f"{order} is not a permutation of {tuple(at)}")
         perm = [at[v] for v in order]
-        return JointDistribution(
-            tuple(self.variables[i] for i in perm), np.transpose(self.table, perm), norm_tol=self.norm_tol
-        )
+        return _derived(tuple(self.variables[i] for i in perm), np.transpose(self.table, perm), self.norm_tol)
+
+
+def _derived(variables, table, norm_tol) -> JointDistribution:
+    """A distribution whose table is a transpose or a sum of a checked table: built without the check."""
+    dist = object.__new__(JointDistribution)
+    dist.variables, dist.table, dist.norm_tol = variables, table, norm_tol
+    return dist
 
 
 def marginal(dist: JointDistribution, keep) -> JointDistribution:
-    """Sum out all variables not in ``keep``; kept variables keep their relative order."""
+    """Sum out all variables not in ``keep``, which keep their relative order; the sum is not checked again."""
     keep = set(keep)
     unknown = keep - set(dist.var_ids)
     if unknown:
@@ -106,17 +118,14 @@ def _summed_onto(dist: JointDistribution, positions) -> JointDistribution:
     """``dist`` summed onto its variables at ``positions``, distinct, in that order.
 
     One numpy reduction over the table, then one transpose; the result is
-    validated once.
+    not validated again (:func:`_derived`).
     """
     removed = tuple(i for i in range(dist.table.ndim) if i not in positions)
-    table = dist.table.sum(axis=removed) if removed else dist.table
+    table = np.asarray(dist.table.sum(axis=removed)) if removed else dist.table  # a full sum is a numpy scalar
     # numpy leaves the surviving axes in table order; restore the order asked for
     rank = {ax: i for i, ax in enumerate(sorted(positions))}
-    return JointDistribution(
-        tuple([dist.variables[i] for i in positions]),
-        np.transpose(table, [rank[ax] for ax in positions]),
-        norm_tol=dist.norm_tol,
-    )
+    return _derived(tuple([dist.variables[i] for i in positions]),
+                    np.transpose(table, [rank[ax] for ax in positions]), dist.norm_tol)
 
 
 @dataclass
@@ -139,8 +148,8 @@ def conditional(dist: JointDistribution, targets, givens) -> ConditionalTable:
 
     Variables outside both sets are marginalized out first: one sum over the
     table, transposed straight into givens-then-targets order, so the table
-    equals ``marginal`` followed by ``reorder`` bit for bit and is validated
-    once.  Only given-tuples with marginal probability above
+    equals ``marginal`` followed by ``reorder`` bit for bit and is not
+    validated again.  Only given-tuples with marginal probability above
     ``DEFAULT_ZERO_TOL`` get a (normalized) row.
     """
     targets = list(targets)
@@ -246,7 +255,10 @@ class CoarseGraining:
     def __post_init__(self):
         self.domain = tuple(as_size(k, "domain factor", i) for i, k in enumerate(self.domain))
         self.codomain = as_size(self.codomain, "coarse-graining", "codomain")
-        self.map = np.asarray(self.map, dtype=np.int64)
+        self.map = np.asarray(self.map)
+        if self.map.dtype.kind not in "iu":  # a float would be truncated, a string parsed
+            raise ShapeMismatch(f"coarse-graining map of {self.map.dtype} values, not integers")
+        self.map = self.map.astype(np.int64)
         if min(self.domain, default=1) < 1 or self.map.size != math.prod(self.domain):
             raise ShapeMismatch(f"coarse-graining map of {self.map.size} values for the domain {self.domain}")
         self.map = self.map.reshape(self.domain)

@@ -20,7 +20,7 @@ from causalcorr.errors import (
     VariableMismatch,
 )
 
-from conftest import assert_identical, axis_sum_deviation, outer_product, pr_box_dist
+from conftest import assert_identical, axis_sum_deviation, bell_graph, outer_product, pr_box_dist
 
 
 def uniform(*vars_and_sizes):
@@ -74,6 +74,36 @@ class TestJointDistribution:
     def test_duplicate_variable(self):
         with pytest.raises(VariableCollision):
             dm.JointDistribution((("a", 2), ("a", 2)), np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("table, count", [([0.5, 0.25, 0.25], "3 entries of dtype float64"),
+                                              (np.full((2, 2), 0.25), "4 entries of dtype float64"),
+                                              ([], "0 entries of dtype float64")])
+    def test_rejects_a_table_of_the_wrong_length(self, table, count):
+        with pytest.raises(ShapeMismatch, match=f"table of {count}, expected 2 real numbers"):
+            dm.JointDistribution((("a", 2),), table)
+
+    @pytest.mark.parametrize("table", [["0.5", "0.5"], np.array(["0.5", "0.5"]), ["a", "b"]])
+    def test_rejects_string_entries(self, table):
+        # np.asarray(..., dtype=float) would parse "0.5"
+        with pytest.raises(ShapeMismatch, match=r"table of 2 entries of dtype <U\d, expected 2 real numbers"):
+            dm.JointDistribution((("a", 2),), table)
+
+    @pytest.mark.parametrize("table", [[0.5 + 0j, 0.5], np.array([0.5, 0.5], dtype=complex), [0.5j, 0.5]])
+    def test_rejects_complex_entries(self, table):
+        # a complex array cast to float would drop its imaginary part
+        with pytest.raises(ShapeMismatch, match="table of 2 entries of dtype complex128, expected 2 real numbers"):
+            dm.JointDistribution((("a", 2),), table)
+
+    def test_rejects_a_ragged_table(self):
+        with pytest.raises(ShapeMismatch, match="table is a ragged nesting, expected 4 real numbers"):
+            dm.JointDistribution((("a", 2), ("b", 2)), [[0.25, 0.25], [0.5]])
+
+    @pytest.mark.parametrize("table", [[1, 0], [True, False], np.array([1, 0], dtype=np.uint8),
+                                       np.array([0.5, 0.5], dtype=np.float32), np.array([[0.5], [0.5]])])
+    def test_accepts_real_numbers_of_any_shape_with_the_right_count(self, table):
+        d = dm.JointDistribution((("a", 2),), table)
+        assert d.table.dtype == np.float64 and d.table.shape == (2,)
+        assert_identical(d.table, np.asarray(table, dtype=float).reshape(2))
 
     def test_env_var_overrides_size_guard(self, monkeypatch):
         monkeypatch.setenv("CC_MAX_STATE_SPACE", "3")
@@ -194,7 +224,7 @@ class TestConditional:
                                     lambda self, init=dm.JointDistribution.__post_init__: (built.append(1), init(self)))
                 c = dm.conditional(dist, targets, givens)
                 monkeypatch.undo()
-                assert len(built) == 1  # the table is validated once
+                assert len(built) == 0  # a sum of a checked table is not checked again
                 assert c.givens == sub.variables[:g] and c.targets == sub.variables[g:]
                 assert_identical(c.probs, probs)
                 assert_identical(c.defined, defined)
@@ -203,6 +233,106 @@ class TestConditional:
         p = uniform(("a", 2), ("b", 2), ("c", 2))
         with pytest.raises(VariableMismatch, match=r"\('b', 'b', 'a'\) is not a permutation of \('a', 'b'\)"):
             dm.conditional(p, targets=["a"], givens=["b", "b"])
+
+
+def post_init_runs(monkeypatch, call) -> int:
+    """How often ``call()`` runs ``JointDistribution.__post_init__``, the table check."""
+    built = []
+    monkeypatch.setattr(dm.JointDistribution, "__post_init__",
+                        lambda self, init=dm.JointDistribution.__post_init__: (built.append(1), init(self)))
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return len(built)
+
+
+def exactly_normalised(rng, shape, count) -> list[np.ndarray]:
+    """``count`` random tables of ``shape`` whose float sum is exactly 1."""
+    tables = []
+    while len(tables) < count:
+        t = rng.uniform(size=shape)
+        t = t / t.sum()
+        if t.sum() == 1.0:
+            tables.append(t)
+    return tables
+
+
+class TestCheckedOnce:
+    """A table is checked where it enters; a transpose or sum of a checked table is not checked again."""
+
+    def test_derived_tables_are_not_checked(self, monkeypatch):
+        p, box = random_dist(np.random.default_rng(0), ("a", 2), ("b", 3), ("c", 2)), pr_box_dist()
+        for call in (lambda: p.reorder(("c", "a", "b")), lambda: p.reorder(("a", "b", "c")),
+                     lambda: dm.marginal(p, {"c", "a"}), lambda: dm.marginal(p, set()),
+                     lambda: dm.marginal(p, {"a", "b", "c"}), lambda: dm.conditional(p, ["a"], ["c", "b"]),
+                     lambda: dm.conditional(p, ["b", "a", "c"], []), lambda: bm.chsh_value(box)):
+            assert post_init_runs(monkeypatch, call) == 0
+
+    @pytest.mark.parametrize("entry", ["constructor", "dist_from_dict", "classical.evaluate",
+                                       "classical.evaluate_marginal_ancestral", "hbn.evaluate", "quantum.evaluate"])
+    def test_tables_from_outside_or_a_computation_are_checked_once(self, entry, monkeypatch):
+        from causalcorr import classical as cm
+        from causalcorr import hbn as hm
+        from causalcorr import quantum as qm
+
+        g = bell_graph()
+        data = dm.dist_to_dict(random_dist(np.random.default_rng(1), ("a", 2), ("b", 3)))
+        call = {
+            "constructor": lambda: dm.JointDistribution((("a", 2), ("b", 2)), np.full(4, 0.25)),
+            "dist_from_dict": lambda: dm.dist_from_dict(data),
+            "classical.evaluate": lambda m=cm.random_model(g, 2, seed=0): cm.evaluate(m),
+            "classical.evaluate_marginal_ancestral":
+                lambda m=cm.random_model(g, 2, seed=0): cm.evaluate_marginal_ancestral(m, {"s", "x", "a"}),
+            "hbn.evaluate": lambda m=hm.random_hbn(g, 2, seed=0): hm.evaluate(m),
+            "quantum.evaluate": lambda m=qm.random_model(g, 2, seed=0): qm.evaluate(m),
+        }[entry]
+        assert post_init_runs(monkeypatch, call) == 1
+
+    @staticmethod
+    def exact_cases(shape):
+        """Per exactly normalised table ``t`` over a, b, c at norm_tol=0, each order of the variables,
+        each prefix of it and its joint summed with plain numpy."""
+        ids = ("a", "b", "c")
+        for t in exactly_normalised(np.random.default_rng(11), shape, 30):
+            p = dm.JointDistribution(tuple(zip(ids, shape)), t, norm_tol=0.0)
+            for perm in itertools.permutations(range(3)):
+                for k in range(4):
+                    kept = sorted(perm[:k])
+                    yield p, t, perm, [ids[i] for i in perm[:k]], kept, np.sum(t, axis=tuple(set(range(3)) - set(kept)))
+
+    # the sum of a derived table may round off 1: checked again at norm_tol=0, many would be refused
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4)])
+    def test_reorder_at_zero_norm_tol(self, shape):
+        for p, t, perm, _, _, _ in self.exact_cases(shape):
+            assert_identical(p.reorder([p.var_ids[i] for i in perm]).table, np.transpose(t, perm))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4)])
+    def test_marginal_at_zero_norm_tol(self, shape):
+        for p, _, _, keep, kept, joint in self.exact_cases(shape):
+            m = dm.marginal(p, keep)
+            assert m.norm_tol == 0.0 and m.var_ids == tuple(p.var_ids[i] for i in kept)
+            assert_identical(m.table, joint)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4)])
+    def test_conditional_at_zero_norm_tol(self, shape):
+        for p, _, perm, order, kept, joint in self.exact_cases(shape):
+            k = len(order)
+            sub = np.transpose(joint, [kept.index(i) for i in perm[:k]])
+            for g in range(k + 1):
+                c = dm.conditional(p, order[g:], order[:g])
+                weights = np.sum(sub, axis=tuple(range(g, k))) if g < k else sub
+                defined = weights > dm.DEFAULT_ZERO_TOL
+                probs = sub / np.where(defined, weights, 1.0).reshape(weights.shape + (1,) * (k - g))
+                assert_identical(c.defined, defined)
+                assert_identical(c.probs, np.where(defined.reshape(defined.shape + (1,) * (k - g)), probs, 0.0))
+
+    def test_chsh_value_at_zero_norm_tol(self):
+        variables = (("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2))
+        for t in exactly_normalised(np.random.default_rng(12), (1, 2, 2, 2, 2), 30):
+            for p in (dm.JointDistribution((("s", 1), *variables), t, norm_tol=0.0),
+                      dm.JointDistribution(variables, t[0], norm_tol=0.0)):
+                assert bm.chsh_value(p) == bm.chsh_value(dm.JointDistribution(p.variables, t))
 
 
 class TestProductAndDistance:
@@ -442,6 +572,27 @@ class TestFactorCoarseGraining:
             dm.CoarseGraining(domain, codomain, np.zeros(12, dtype=np.int64))
         cg = dm.CoarseGraining((np.int64(3), 4), np.int8(2), np.zeros(12, dtype=np.int64))
         assert (cg.domain, cg.codomain) == ((3, 4), 2)
+
+    @pytest.mark.parametrize("cg_map, dtype", [([0.7, 1.2], "float64"), (np.array([0.0, 1.0]), "float64"),
+                                               (["1", "0"], "<U1"), ([np.nan, 0], "float64"),
+                                               ([True, False], "bool"), ([1 + 0j, 0], "complex128")])
+    def test_rejects_a_map_entry_that_is_no_integer(self, cg_map, dtype):
+        # np.asarray(..., dtype=np.int64) would truncate 0.7 and 1.2 to 0 and 1, and parse "1"
+        with pytest.raises(ShapeMismatch, match=f"coarse-graining map of {dtype} values, not integers"):
+            dm.CoarseGraining((2,), 2, cg_map)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64, np.uint64])
+    def test_accepts_numpy_integer_maps(self, dtype):
+        cg = dm.CoarseGraining((2, 2), 3, np.array([[0, 2], [1, 0]], dtype=dtype))
+        assert_identical(cg.map, np.array([[0, 2], [1, 0]], dtype=np.int64))
+        assert dm.CoarseGraining((2,), 2, [1, 0]).map.tolist() == [1, 0]
+
+    def test_json_map_takes_integers_only(self):
+        data = {"domain": [2, 2], "codomain": 2, "map": [0, 1, 1, 0]}
+        assert_identical(dm.coarse_graining_from_dict(data).map, np.array([[0, 1], [1, 0]], dtype=np.int64))
+        for bad in ([0, 1, 1.0, 0], [0, 1, "1", 0], [0, 1, True, 0]):
+            with pytest.raises(SchemaError, match="expected integers"):
+                dm.coarse_graining_from_dict({**data, "map": bad})
 
     def test_identity_factoring_always_exact(self):
         rng = np.random.default_rng(1)
