@@ -13,7 +13,6 @@ import numpy as np
 from .errors import CausalCorrError, SizeLimitExceeded
 
 DEFAULT_MAX_STATE_SPACE = 1 << 24
-DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20
 # Index entries kept by each factorisation cache, the oldest plan dropped first.  A
 # dist._factor_plan holds per check its source and a cell index over that source
 # (about twice the square root of the source's size), and weighs 1 plus those entries.

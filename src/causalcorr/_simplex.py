@@ -26,8 +26,8 @@ one is 2).  Its Farkas vector is read from the artificial columns of the
 final objective row: ``yᵀa_j <= 0`` for every column and ``yᵀb`` equals
 that optimum, exactly.
 
-A solve that hits its iteration limit, or ends in any state but optimal,
-raises :class:`SolverError` instead of returning a solution.
+A solve that hits its pivot limit (``PIVOTS_PER_DIMENSION`` per row and
+column of ``A``), or ends in any state but optimal, raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .errors import ShapeMismatch, SolverError
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 # a HiGHS object's resident size after a solve, in float64 entries: 2^14, plus 8 per nonzero of its LP
 HIGHS_ENTRIES, HIGHS_ENTRIES_PER_NONZERO = 1 << 14, 8
+# simplex pivots a solve may take per row and per column of A before it is abandoned
+PIVOTS_PER_DIMENSION = 200
 
 
 def highs_core():
@@ -156,28 +158,24 @@ def _rhs(b, m, dtype=float):
     return b
 
 
-def solve_phase1(
-    A: np.ndarray | Phase1Program, b: np.ndarray, tol: float = 1e-7, max_iter: int | None = None
-) -> Phase1Result:
+def solve_phase1(program: Phase1Program, b: np.ndarray, tol: float = 1e-7) -> Phase1Result:
     """Float feasibility of ``A x = b, x >= 0`` by HiGHS: feasible when the L1
     residual is <= ``tol``.
 
-    ``A`` is a matrix, or its :func:`phase1_program`, whose HiGHS object
+    ``program`` is the :func:`phase1_program` of ``A``, whose HiGHS object
     already holds the LP.  ``x`` is clipped at 0, so it is nonnegative
     whatever the solver's bound tolerance.  Raises ShapeMismatch unless
     ``b`` holds one finite number per row of ``A``, and SolverError when
-    ``max_iter`` simplex iterations (default ``200 * (rows + columns)``) do
-    not reach an optimum.
+    ``PIVOTS_PER_DIMENSION * (rows + columns)`` simplex iterations do not
+    reach an optimum.
     """
-    program = A if isinstance(A, Phase1Program) else phase1_program(A)
     m, n = program.A.shape
     b = _rhs(b, m)
-    if max_iter is None:
-        max_iter = 200 * (m + n)
+    max_iter = PIVOTS_PER_DIMENSION * (m + n)
     h, highs = highs_core(), program.highs
     with program.lock:  # the object is this solve's from reset to read-out
         highs.clearSolver()  # start cold, as a fresh object would
-        highs.setOptionValue("simplex_iteration_limit", int(max_iter))
+        highs.setOptionValue("simplex_iteration_limit", max_iter)
         for i, bound in enumerate(b.tolist()):
             highs.changeRowBounds(i, bound, bound)
         highs.run()
@@ -250,13 +248,14 @@ def _tableau(A, b):
     return T, np.arange(n, n + m, dtype=np.int64)
 
 
-def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
+def solve_phase1_exact(A, b) -> Phase1Result:
     """Rational-arithmetic feasibility of ``A x = b, x >= 0`` (exact, no tolerance).
 
     Entries are converted with ``Fraction``, so float inputs are taken at
     their exact binary values.  Raises ShapeMismatch unless ``b`` holds one
-    finite number per row of ``A``, and SolverError when ``max_iter`` pivots
-    (default ``200 * (rows + columns)``) do not reach an optimal tableau.
+    finite number per row of ``A``, and SolverError when
+    ``PIVOTS_PER_DIMENSION * (rows + columns)`` pivots do not reach an
+    optimal tableau.
     """
     from fractions import Fraction
 
@@ -264,9 +263,7 @@ def solve_phase1_exact(A, b, max_iter: int | None = None) -> Phase1Result:
     T, basis = _tableau(A, b)
     m = basis.shape[0]
     n = T.shape[1] - m - 1
-    if max_iter is None:
-        max_iter = 200 * (m + n)
-    iters = _phase1_loops(T, basis, max_iter)
+    iters = _phase1_loops(T, basis, PIVOTS_PER_DIMENSION * (m + n))
     infeas = max(Fraction(0), -T[m, -1])
     x = np.full(n, Fraction(0), dtype=object)
     in_x = basis < n

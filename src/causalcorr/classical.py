@@ -33,9 +33,10 @@ from .errors import (
     WouldCreateCycle,
     require_valid,
 )
-from ._config import DEFAULT_MAX_PUSHBACK_ALPHABET, BoundedCache, _contract, max_state_space
+from ._config import BoundedCache, _contract, max_state_space
 
 GATE_NORM_TOL = 1e-12
+DEFAULT_MAX_PUSHBACK_ALPHABET = 1 << 20  # the largest edge alphabet push_back_determinism builds
 
 
 @dataclass(frozen=True)
@@ -262,11 +263,7 @@ def evaluate_marginal_ancestral(model: ClassicalModel, subset) -> JointDistribut
     return _contract_gates(model, [v for v in model.graph.nodes if v in subset], None)
 
 
-def push_back_determinism(
-    model: ClassicalModel,
-    max_alphabet: int = DEFAULT_MAX_PUSHBACK_ALPHABET,
-    max_states: int | None = None,
-) -> ClassicalModel:
+def push_back_determinism(model: ClassicalModel) -> ClassicalModel:
     """Equivalent model whose every gate at a node with incoming edges is deterministic.
 
     Nodes are visited in reverse topological order.  For a stochastic gate at
@@ -274,14 +271,14 @@ def push_back_determinism(
     values) cells is sampled once at the designated parent (lowest node id,
     then lowest edge id) and shipped to ``w`` inside an enlarged edge
     alphabet; ``w`` then merely applies the received function.  Alphabets grow
-    doubly exponentially, hence the hard guard; the evaluated joint is
-    preserved within 1e-12.
+    doubly exponentially, hence the hard guards: ``DEFAULT_MAX_PUSHBACK_ALPHABET``
+    and the state-space guard.  The evaluated joint is preserved within 1e-12.
     """
     require_valid(validate_model(model))
     graph = model.graph
     edge_sizes = dict(model.edge_alphabet)
     gates = dict(model.gates)
-    guard = max_state_space(max_states)
+    guard = max_state_space()
     for w in reversed(cg.topological_order(graph)):
         gate = gates[w]
         if not gate.in_edges:
@@ -294,10 +291,9 @@ def push_back_determinism(
         cell = gate.tensor.size // n_in  # (outcome, outgoing values) cells
         n_f = cell**n_in
         new_size = n_f * edge_sizes[desig]
-        if new_size > max_alphabet:
-            raise SizeLimitExceeded(
-                f"pushed-back alphabet {new_size} on edge {desig!r} exceeds {max_alphabet}"
-            )
+        if new_size > DEFAULT_MAX_PUSHBACK_ALPHABET:
+            raise SizeLimitExceeded(f"pushed-back alphabet {new_size} on edge {desig!r} exceeds "
+                                    f"{DEFAULT_MAX_PUSHBACK_ALPHABET}")
         if n_f * n_in * cell > guard:  # the entries of w's new gate, and of its lookup table
             raise SizeLimitExceeded("pushed-back gate tensor exceeds the state-space guard")
         if n_f * gates[u].tensor.size > guard:

@@ -50,7 +50,10 @@ class JointDistribution:
     norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
-        self.variables = tuple((str(v), as_size(k, "variable", v)) for v, k in self.variables)
+        try:
+            self.variables = tuple((str(v), as_size(k, "variable", v)) for v, k in self.variables)
+        except (TypeError, ValueError):  # not a sequence of (id, size) pairs
+            raise ShapeMismatch(f"variables {self.variables!r} are not (id, size) pairs") from None
         sizes = tuple(k for _, k in self.variables)
         if any(k < 1 for k in sizes):
             raise ShapeMismatch("alphabet sizes must be >= 1")
@@ -72,8 +75,11 @@ class JointDistribution:
             raise ShapeMismatch("table has a non-finite entry")
         if self.table.min() < 0:  # every entry is finite here
             raise ShapeMismatch(f"negative table entry {float(self.table.min())}")
-        if not abs(s - 1.0) <= self.norm_tol:  # a NaN tolerance admits nothing
-            raise ShapeMismatch(f"table sums to {s}, not 1 within {self.norm_tol}")
+        try:
+            if not abs(s - 1.0) <= self.norm_tol:  # a NaN tolerance admits nothing
+                raise ShapeMismatch(f"table sums to {s}, not 1 within {self.norm_tol}")
+        except TypeError:
+            raise ShapeMismatch(f"norm_tol={self.norm_tol!r} is not a number") from None
 
     @property
     def var_ids(self) -> tuple[str, ...]:
@@ -255,7 +261,10 @@ class CoarseGraining:
     def __post_init__(self):
         self.domain = tuple(as_size(k, "domain factor", i) for i, k in enumerate(self.domain))
         self.codomain = as_size(self.codomain, "coarse-graining", "codomain")
-        self.map = np.asarray(self.map)
+        try:
+            self.map = np.asarray(self.map)
+        except ValueError:
+            raise ShapeMismatch(f"coarse-graining map is a ragged nesting, not {math.prod(self.domain)} integers") from None
         if self.map.dtype.kind not in "iu":  # a float would be truncated, a string parsed
             raise ShapeMismatch(f"coarse-graining map of {self.map.dtype} values, not integers")
         self.map = self.map.astype(np.int64)
@@ -323,8 +332,11 @@ def factor_coarse_graining(
     ascending value pairs.  The reported error is recomputed by full
     enumeration, never estimated.
     """
-    if not (0.0 <= eps <= 1.0):
-        raise BadEpsilon(f"eps={eps} outside [0, 1]")
+    try:
+        if not (0.0 <= eps <= 1.0):
+            raise BadEpsilon(f"eps={eps} outside [0, 1]")
+    except TypeError:
+        raise BadEpsilon(f"eps={eps!r} is not a number") from None
     if dist.sizes != cg.domain:
         raise ShapeMismatch(f"distribution sizes {dist.sizes} != coarse-graining domain {cg.domain}")
     # labels[k][x] is the group of factor value x; groups are numbered by their

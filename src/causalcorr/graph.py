@@ -196,9 +196,7 @@ def _past_masks(graph: CausalGraph) -> list[int]:
     return masks
 
 
-def maximal_disjoint_past_pairs(
-    graph: CausalGraph, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> list[tuple[frozenset[str], frozenset[str]]]:
+def maximal_disjoint_past_pairs(graph: CausalGraph) -> list[tuple[frozenset[str], frozenset[str]]]:
     """All maximal unordered pairs of nonempty node sets with disjoint causal pasts.
 
     Maximality means no node can be added to either side while keeping the
@@ -211,8 +209,8 @@ def maximal_disjoint_past_pairs(
     Ganter's NextClosure lists the closed sets in lectic order and computes
     at most one closure per node for each, so the run time is polynomial in
     the number of pairs.  Each pair is two closed sets; SizeLimitExceeded is
-    raised as soon as there are more than ``max_pairs`` pairs, which bounds
-    the work as well.  Output is sorted canonically.
+    raised as soon as there are more than ``DEFAULT_MAX_PAIRS`` pairs, which
+    bounds the work as well.  Output is sorted canonically.
     """
     n = len(graph.nodes)
     masks = _past_masks(graph)
@@ -241,10 +239,8 @@ def maximal_disjoint_past_pairs(
     while True:
         if a and w:
             closed += 1
-            if closed > 2 * max_pairs:
-                raise SizeLimitExceeded(
-                    f"more than {max_pairs} disjoint-past pairs, the pair-enumeration guard"
-                )
+            if closed > 2 * DEFAULT_MAX_PAIRS:
+                raise SizeLimitExceeded(f"more than {DEFAULT_MAX_PAIRS} disjoint-past pairs, the pair-enumeration guard")
             if a < w:
                 pairs.append((a, w))
         # next closed set in lectic order: the largest node i not in a whose

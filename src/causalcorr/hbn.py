@@ -108,7 +108,7 @@ def evaluate(hbn: HiddenBayesNet, max_states: int | None = None) -> JointDistrib
     return JointDistribution(variables, table)
 
 
-def from_classical(model: ClassicalModel, max_states: int | None = None) -> HiddenBayesNet:
+def from_classical(model: ClassicalModel) -> HiddenBayesNet:
     """Repackage an edge hidden-variable model with node-dwelling hidden states.
 
     The hidden state of a node is its (outcome, outgoing hidden values) tuple,
@@ -119,7 +119,7 @@ def from_classical(model: ClassicalModel, max_states: int | None = None) -> Hidd
     """
     require_valid(validate_classical(model))
     graph = model.graph
-    guard = max_state_space(max_states)
+    guard = max_state_space()
     # a node's hidden state packs its outcome and its out-edges' values, in that order
     out_ids = {v: sorted_out_ids(graph, v) for v in graph.nodes}
     packed = {v: (graph.outcomes[v], *(model.edge_alphabet[e] for e in out_ids[v])) for v in graph.nodes}
@@ -146,7 +146,7 @@ def from_classical(model: ClassicalModel, max_states: int | None = None) -> Hidd
     return HiddenBayesNet(graph, sizes, transitions, readouts)
 
 
-def to_classical(hbn: HiddenBayesNet, max_states: int | None = None) -> ClassicalModel:
+def to_classical(hbn: HiddenBayesNet) -> ClassicalModel:
     """Unpack a hidden Bayesian network into an edge hidden-variable model.
 
     Every edge carries a copy of its source node's hidden state; a node's
@@ -155,10 +155,11 @@ def to_classical(hbn: HiddenBayesNet, max_states: int | None = None) -> Classica
     broadcasts the value on all outgoing edges (diagonal support).  With
     parallel edges from the same parent, the incoming value is read from the
     lexicographically smallest edge.  Evaluations agree within 1e-12.
+    SizeLimitExceeded is raised when a gate tensor exceeds the state-space guard.
     """
     require_valid(validate(hbn))
     graph = hbn.graph
-    guard = max_state_space(max_states)
+    guard = max_state_space()
     alphabet = {e.id: hbn.node_alphabet[e.src] for e in graph.edges}
     gates = {}
     for v in graph.nodes:
@@ -168,7 +169,7 @@ def to_classical(hbn: HiddenBayesNet, max_states: int | None = None) -> Classica
         n_o = graph.outcomes[v]
         in_sizes = tuple(alphabet[e] for e in in_ids)
         shape = in_sizes + (n_o,) + (yv,) * len(out_ids)
-        if int(np.prod(shape, dtype=np.int64)) > guard:
+        if math.prod(shape) > guard:  # exact: an int64 product can wrap below the guard
             raise SizeLimitExceeded(f"gate tensor at node {v!r} exceeds the guard")
         # weight[lam_in..., mu, o] = transition * readout, each parent's value read
         # off its canonical in-edge and broadcast over that parent's other in-edges

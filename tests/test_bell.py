@@ -25,7 +25,7 @@ from causalcorr.errors import (
     SolverError,
 )
 from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
-from causalcorr._simplex import HIGHS_ENTRIES, solve_phase1
+from causalcorr._simplex import HIGHS_ENTRIES, phase1_program, solve_phase1
 from causalcorr.cli import run
 
 from conftest import (
@@ -645,7 +645,7 @@ class TestLocalMembership:
             np.testing.assert_array_equal(a, c @ a_ref[:-1, cols])
             np.testing.assert_allclose(b, c @ b_ref[:-1], rtol=0, atol=1e-15)
             solved += 1
-            if not solve_phase1(a_ref, b_ref, tol=verdict.tol).feasible:
+            if not solve_phase1(phase1_program(a_ref), b_ref, tol=verdict.tol).feasible:
                 oracle_local = False
                 break
         assert solved == len(built) == (len(lps) if oracle_local else len(verdict.inequality) + len(verdict.weights))

@@ -6,7 +6,7 @@ import pytest
 
 from causalcorr import classical as cm
 from causalcorr import dist as dm
-from causalcorr._config import DEFAULT_MAX_PUSHBACK_ALPHABET, max_state_space
+from causalcorr._config import max_state_space
 from causalcorr.correlation import is_correlation
 from causalcorr.errors import (
     CausalCorrError,
@@ -80,13 +80,14 @@ def triangle_xor_model(graph):
     return cm.ClassicalModel(graph, sizes, gates)
 
 
-def push_back_oracle(model, max_alphabet=DEFAULT_MAX_PUSHBACK_ALPHABET, max_states=None):
-    """Push-back built with a scatter for the applied gate and moveaxis offsets."""
+def push_back_oracle(model):
+    """Push-back built with a scatter for the applied gate and moveaxis offsets,
+    under the same alphabet bound and state-space guard as the rewrite."""
     require_valid(cm.validate_model(model))
     graph = model.graph
     edge_sizes = dict(model.edge_alphabet)
     gates = dict(model.gates)
-    guard = max_state_space(max_states)
+    guard, max_alphabet = max_state_space(), cm.DEFAULT_MAX_PUSHBACK_ALPHABET
     for w in reversed(topological_order(graph)):
         gate = gates[w]
         if not gate.in_edges:
@@ -425,13 +426,14 @@ class TestPushBackDeterminism:
                 assert pushed.gates[v].deterministic
         assert np.abs(cm.evaluate(m).table - cm.evaluate(pushed).table).max() < 1e-12
 
-    def test_blowup_guard(self):
+    def test_blowup_guard(self, monkeypatch):
         g = CausalGraph.build(
             [("u", 2), ("w", 4)], [("e1", "u", "w"), ("e2", "u", "w"), ("e3", "u", "w")]
         )
         m = cm.random_model(g, 6, seed=0)
+        monkeypatch.setattr(cm, "DEFAULT_MAX_PUSHBACK_ALPHABET", 1 << 10)
         with pytest.raises(SizeLimitExceeded):
-            cm.push_back_determinism(m, max_alphabet=1 << 10)
+            cm.push_back_determinism(m)
 
 
 class TestLiftAndReroute:
@@ -576,12 +578,17 @@ class TestRewritesMatchOracles:
 
     @pytest.mark.parametrize("outcomes", [2, 3])
     @pytest.mark.parametrize("at", range(7))
-    def test_push_back(self, outcomes, at):
+    def test_push_back(self, outcomes, at, monkeypatch):
         g = rewrite_graphs(outcomes)[at]
         for alphabet, seed in itertools.product((1, 2, 3), range(3)):
             m = cm.random_model(g, alphabet, seed)
-            for limits in ((1 << 20, None), (64, None), (1 << 20, 1 << 12)):
-                same_as_oracle(cm.push_back_determinism, push_back_oracle, m, *limits)
+            for max_alphabet, max_states in ((1 << 20, None), (64, None), (1 << 20, 1 << 12)):
+                with monkeypatch.context() as limits:
+                    limits.setattr(cm, "DEFAULT_MAX_PUSHBACK_ALPHABET", max_alphabet)
+                    limits.delenv("CC_MAX_STATE_SPACE", raising=False)
+                    if max_states is not None:
+                        limits.setenv("CC_MAX_STATE_SPACE", str(max_states))
+                    same_as_oracle(cm.push_back_determinism, push_back_oracle, m)
 
     @pytest.mark.parametrize("at", range(7))
     def test_lift_then_reroute(self, at):

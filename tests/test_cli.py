@@ -14,6 +14,7 @@ from causalcorr import dist as dm
 from causalcorr import graph as gm
 from causalcorr import hbn as hm
 from causalcorr import quantum as qm
+from causalcorr import _simplex
 from causalcorr.cli import COMMANDS, _library, run
 
 from conftest import bell_graph, popescu_graph, pr_box_dist
@@ -109,8 +110,7 @@ class TestExitCodes:
 
     def test_solver_non_termination_is_exit_2(self, bell_files, capsys, monkeypatch):
         _, dist_path = bell_files
-        solve = bm.solve_phase1
-        monkeypatch.setattr(bm, "solve_phase1", lambda a, b, tol: solve(a, b, tol=tol, max_iter=1))
+        monkeypatch.setattr(_simplex, "PIVOTS_PER_DIMENSION", 0)
         assert run(["bell-local", "--dist", str(dist_path)]) == 2
         assert "did not terminate" in capsys.readouterr().err
 

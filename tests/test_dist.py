@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestJointDistribution:
     def test_rejects_a_ragged_table(self):
         with pytest.raises(ShapeMismatch, match="table is a ragged nesting, expected 4 real numbers"):
             dm.JointDistribution((("a", 2), ("b", 2)), [[0.25, 0.25], [0.5]])
+
+    @pytest.mark.parametrize("variables", [(("a",),), (("a", 2, 3),), 5, (5,)])
+    def test_rejects_variables_that_are_not_id_size_pairs(self, variables):
+        with pytest.raises(ShapeMismatch, match="are not \\(id, size\\) pairs"):
+            dm.JointDistribution(variables, [1.0])
+
+    @pytest.mark.parametrize("norm_tol", ["x", None, [1e-9]])
+    def test_rejects_a_norm_tol_that_is_no_number(self, norm_tol):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"norm_tol={norm_tol!r} is not a number")):
+            dm.JointDistribution((("a", 2),), [0.5, 0.5], norm_tol=norm_tol)
 
     @pytest.mark.parametrize("table", [[1, 0], [True, False], np.array([1, 0], dtype=np.uint8),
                                        np.array([0.5, 0.5], dtype=np.float32), np.array([[0.5], [0.5]])])
@@ -581,6 +592,10 @@ class TestFactorCoarseGraining:
         with pytest.raises(ShapeMismatch, match=f"coarse-graining map of {dtype} values, not integers"):
             dm.CoarseGraining((2,), 2, cg_map)
 
+    def test_rejects_a_ragged_map(self):
+        with pytest.raises(ShapeMismatch, match="coarse-graining map is a ragged nesting, not 2 integers"):
+            dm.CoarseGraining((2,), 2, [[0], [1, 0]])
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64, np.uint64])
     def test_accepts_numpy_integer_maps(self, dtype):
         cg = dm.CoarseGraining((2, 2), 3, np.array([[0, 2], [1, 0]], dtype=dtype))
@@ -658,6 +673,12 @@ class TestFactorCoarseGraining:
         cg = dm.CoarseGraining((2, 2), 1, f)
         with pytest.raises(BadEpsilon):
             dm.factor_coarse_graining(uniform(("a", 2), ("b", 2)), cg, eps=1.5)
+
+    @pytest.mark.parametrize("eps", ["x", None, [0.1]])
+    def test_epsilon_that_is_no_number(self, eps):
+        cg = dm.CoarseGraining((2, 2), 1, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(BadEpsilon, match=re.escape(f"eps={eps!r} is not a number")):
+            dm.factor_coarse_graining(uniform(("a", 2), ("b", 2)), cg, eps=eps)
 
 
 class TestDistJson:

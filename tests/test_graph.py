@@ -354,10 +354,12 @@ class TestPairGuard:
         assert len(g.nodes) == 25
         assert len(gm.maximal_disjoint_past_pairs(g)) == 4095
 
-    def test_max_pairs_refused(self, bell):
-        assert len(gm.maximal_disjoint_past_pairs(bell, max_pairs=3)) == 3
+    def test_max_pairs_refused(self, bell, monkeypatch):
+        monkeypatch.setattr(gm, "DEFAULT_MAX_PAIRS", 3)
+        assert len(gm.maximal_disjoint_past_pairs(bell)) == 3
+        monkeypatch.setattr(gm, "DEFAULT_MAX_PAIRS", 2)
         with pytest.raises(SizeLimitExceeded):
-            gm.maximal_disjoint_past_pairs(bell, max_pairs=2)
+            gm.maximal_disjoint_past_pairs(bell)
 
 
 class TestPairCache:
@@ -372,12 +374,14 @@ class TestPairCache:
         assert again == expected == brute_force_pairs(bell)
         assert again is not gm.maximal_disjoint_past_pairs(bell)
 
-    def test_smaller_max_pairs_after_a_cached_call_still_refused(self, bell):
+    def test_smaller_max_pairs_after_a_cached_call_still_refused(self, bell, monkeypatch):
         assert len(gm.maximal_disjoint_past_pairs(bell)) == 3
+        monkeypatch.setattr(gm, "DEFAULT_MAX_PAIRS", 2)
         for _ in range(2):  # a refusal is never kept
             with pytest.raises(SizeLimitExceeded, match="more than 2 disjoint-past pairs"):
-                gm.maximal_disjoint_past_pairs(bell, max_pairs=2)
-        assert len(gm.maximal_disjoint_past_pairs(bell, max_pairs=3)) == 3
+                gm.maximal_disjoint_past_pairs(bell)
+        monkeypatch.setattr(gm, "DEFAULT_MAX_PAIRS", 3)
+        assert len(gm.maximal_disjoint_past_pairs(bell)) == 3
 
     def test_same_nodes_other_edges(self, bell):
         signalling = CausalGraph.build([(v, bell.outcomes[v]) for v in bell.nodes], [*bell.edges, ("x->b", "x", "b")])

@@ -236,11 +236,13 @@ class TestFromClassical:
         dev = np.abs(hm.evaluate(net).table - cm.evaluate(m).table).max()
         assert dev < 1e-12
 
-    def test_transition_table_above_guard_refused(self, triangle):
+    def test_transition_table_above_guard_refused(self, triangle, monkeypatch):
         m = cm.random_model(triangle, 3, seed=0)  # hidden alphabets 18 and 2: tables of 18 * 18 * 2
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "100")
         with pytest.raises(SizeLimitExceeded, match="transition table of 648 entries at node 'a'"):
-            hm.from_classical(m, max_states=100)
-        assert hm.from_classical(m, max_states=648).transitions["a"].size == 648
+            hm.from_classical(m)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "648")
+        assert hm.from_classical(m).transitions["a"].size == 648
 
     def test_readout_is_deterministic_projection(self, bell):
         net = hm.from_classical(cm.random_model(bell, 2, seed=1))
@@ -290,6 +292,32 @@ class TestToClassical:
         assert cm.validate_model(m) == []
         dev = np.abs(cm.evaluate(m).table - hm.evaluate(net).table).max()
         assert dev < 1e-12
+
+    def test_gate_above_guard_refused(self, triangle, monkeypatch):
+        # x has hidden alphabet 3, one outcome bit and two out-edges: a gate of 2 * 3 * 3 entries
+        net = hm.random_hbn(triangle, {"x": 3, "y": 2, "z": 2, "a": 2, "b": 2, "c": 2}, seed=0)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "17")
+        with pytest.raises(SizeLimitExceeded, match="gate tensor at node 'x' exceeds the guard"):
+            hm.to_classical(net)
+        monkeypatch.setenv("CC_MAX_STATE_SPACE", "18")
+        assert hm.to_classical(net).gates["x"].tensor.size == 18
+
+    def test_gate_whose_size_wraps_an_int64_refused(self):
+        # v's gate would have (2^16)^4 = 2^64 entries, which an int64 product wraps to 0
+        net = wide_broadcast()
+        assert hm.validate(net) == []
+        with pytest.raises(SizeLimitExceeded, match="gate tensor at node 'v' exceeds the guard"):
+            hm.to_classical(net)
+
+
+def wide_broadcast():
+    """A node v of hidden alphabet 2^16 and one outcome, read by four one-letter children."""
+    kids = [f"c{i}" for i in range(4)]
+    g = CausalGraph.build([("v", 1)] + [(c, 1) for c in kids], [(f"v->{c}", "v", c) for c in kids])
+    k = 1 << 16
+    transitions = {"v": np.full(k, 1.0 / k), **{c: np.ones((k, 1)) for c in kids}}
+    readouts = {"v": np.ones((k, 1)), **{c: np.ones((1, 1)) for c in kids}}
+    return hm.HiddenBayesNet(g, {"v": k, **{c: 1 for c in kids}}, transitions, readouts)
 
 
 class TestHbnJson:

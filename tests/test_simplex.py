@@ -117,7 +117,7 @@ class TestPhase1:
     def test_trivially_feasible(self):
         a = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        res = solve_phase1(a, b)
+        res = solve_phase1(phase1_program(a), b)
         assert res.feasible
         assert res.infeasibility <= 1e-12
         np.testing.assert_allclose(a @ res.x, b, atol=1e-12)
@@ -127,7 +127,7 @@ class TestPhase1:
         # x1 + x2 = 1 and x1 + x2 = 3 cannot both hold
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([1.0, 3.0])
-        res = solve_phase1(a, b)
+        res = solve_phase1(phase1_program(a), b)
         assert not res.feasible
         assert res.infeasibility == pytest.approx(2.0, abs=1e-9)
 
@@ -135,7 +135,7 @@ class TestPhase1:
         # x = 1, 1, 0 at once: HiGHS's least L1 residual is |x - 1| + |x - 1| + |x| = 1 at x = 1; the
         # exact tableau's artificials need x <= 0 on every row and sum to 1 + 1 + 0 = 2 at x = 0
         a, b = np.ones((3, 1)), np.array([1.0, 1.0, 0.0])
-        res, exact = solve_phase1(a, b), solve_phase1_exact(a, b)
+        res, exact = solve_phase1(phase1_program(a), b), solve_phase1_exact(a, b)
         assert (res.feasible, exact.feasible) == (False, False)
         assert res.infeasibility == pytest.approx(1.0, abs=1e-9) and float(res.y @ b) == pytest.approx(1.0, abs=1e-9)
         assert exact.infeasibility == 2 and exact.y @ b == 2
@@ -144,7 +144,7 @@ class TestPhase1:
     def test_negative_rhs_handled(self):
         a = np.array([[-1.0, 0.0]])
         b = np.array([-2.0])
-        res = solve_phase1(a, b)
+        res = solve_phase1(phase1_program(a), b)
         assert res.feasible
         assert res.x[0] == pytest.approx(2.0)
 
@@ -152,7 +152,7 @@ class TestPhase1:
         # only solution of x1 - x2 = -1 with a zero-sum row needs x2 > 0
         a = np.array([[1.0, -1.0], [1.0, 1.0]])
         b = np.array([-1.0, 1.0])
-        res = solve_phase1(a, b)
+        res = solve_phase1(phase1_program(a), b)
         assert res.feasible
         np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-12)
 
@@ -163,7 +163,7 @@ class TestPhase1:
         a = rng.uniform(-1, 1, size=(m, n))
         x0 = rng.uniform(0, 1, size=n)
         b = a @ x0
-        res = solve_phase1(a, b, tol=1e-9)
+        res = solve_phase1(phase1_program(a), b, tol=1e-9)
         assert res.feasible
         np.testing.assert_allclose(a @ res.x, b, atol=1e-8)
         assert np.all(res.x >= -1e-9)
@@ -183,7 +183,7 @@ class TestPhase1Program:
         a, b = (np.array(v, dtype=float) for v in random_integer_system(rng))
         program = phase1_program(a)
         for _ in range(2):
-            assert same_result(solve_phase1(program, b, tol=1e-9), solve_phase1(a, b, tol=1e-9))
+            assert same_result(solve_phase1(program, b, tol=1e-9), solve_phase1(phase1_program(a), b, tol=1e-9))
 
     def test_keeps_its_matrix(self):
         a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
@@ -223,19 +223,22 @@ class TestKeptSolver:
         feasible = a @ rng.integers(0, 4, size=12).astype(float)
         return a, feasible, feasible - np.eye(6)[int(rng.integers(6))] * (feasible.max() + 1)
 
-    def test_a_solve_after_an_iteration_limit_starts_cold(self):
+    def test_a_solve_after_an_iteration_limit_starts_cold(self, monkeypatch):
+        # a solve stopped at 0 pivots still leaves HiGHS a basis that a warm restart would reuse
         a, feasible, _ = self.system(1)
         program = phase1_program(a)
-        assert solve_phase1(a, feasible).iterations > 2
-        with pytest.raises(SolverError, match="2 pivots"):
-            solve_phase1(program, feasible, max_iter=2)
-        assert same_result(solve_phase1(program, feasible), solve_phase1(a, feasible))
+        assert solve_phase1(phase1_program(a), feasible).iterations > 2
+        with monkeypatch.context() as limit:
+            limit.setattr(_simplex, "PIVOTS_PER_DIMENSION", 0)
+            with pytest.raises(SolverError, match="within 0 pivots"):
+                solve_phase1(program, feasible)
+        assert same_result(solve_phase1(program, feasible), solve_phase1(phase1_program(a), feasible))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_feasible_and_infeasible_right_hand_sides_alternated(self, seed):
         a, feasible, other = self.system(10 + seed)
         program = phase1_program(a)
-        fresh = [solve_phase1(a, b) for b in (feasible, other)]
+        fresh = [solve_phase1(phase1_program(a), b) for b in (feasible, other)]
         assert fresh[0].feasible and not fresh[1].feasible
         for i in range(6):
             assert same_result(solve_phase1(program, (feasible, other)[i % 2]), fresh[i % 2])
@@ -244,7 +247,7 @@ class TestKeptSolver:
         a, feasible, other = self.system(2)
         program = phase1_program(a)
         rhs = [feasible, other, feasible + 1.0, other * 2.0]
-        serial = [solve_phase1(a, b) for b in rhs]
+        serial = [solve_phase1(phase1_program(a), b) for b in rhs]
         results = [None] * 4
 
         def work(t):  # each thread solves every right-hand side, starting at another one
@@ -273,15 +276,16 @@ class TestRightHandSide:
                                    [-np.inf, 1.0]])
     @pytest.mark.parametrize("solve", [solve_phase1, solve_phase1_exact])
     def test_refused(self, solve, b):
+        a = np.array(self.A)
         with pytest.raises(ShapeMismatch, match="not 2 finite numbers"):
-            solve(np.array(self.A), b)
+            solve(phase1_program(a) if solve is solve_phase1 else a, b)
 
     def test_a_short_b_leaves_no_bound_of_an_earlier_solve(self):
         program = phase1_program(np.array(self.A))
         assert not solve_phase1(program, [1.0, -3.0]).feasible
         with pytest.raises(ShapeMismatch):
             solve_phase1(program, [1.0])
-        assert same_result(solve_phase1(program, [1.0, 1.0]), solve_phase1(np.array(self.A), [1.0, 1.0]))
+        assert same_result(solve_phase1(program, [1.0, 1.0]), solve_phase1(phase1_program(np.array(self.A)), [1.0, 1.0]))
 
     def test_exact_solver_takes_fractions_and_big_integers(self):
         assert solve_phase1_exact(self.A, [Fraction(1, 3), Fraction(2, 3)]).feasible
@@ -299,7 +303,7 @@ class TestBackends:
         for _ in range(40):
             a, b = random_integer_system(rng)
             a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-            res = solve_phase1(a, b, tol=1e-9)
+            res = solve_phase1(phase1_program(a), b, tol=1e-9)
             assert res.feasible is solve_phase1_exact(a, b).feasible
             assert res.x.min() >= 0 and res.y.shape == b.shape
             if res.feasible:
@@ -313,7 +317,7 @@ class TestBackends:
 
     def test_l1_residual_and_dual_of_a_known_system(self):
         # x1 + x2 = 1 and x1 + x2 = 3: residual 2, and y = (-1, 1) proves it
-        res = solve_phase1(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))
+        res = solve_phase1(phase1_program(np.array([[1.0, 1.0], [1.0, 1.0]])), np.array([1.0, 3.0]))
         assert res.infeasibility == pytest.approx(2.0)
         np.testing.assert_allclose(res.y, [-1.0, 1.0])
 
@@ -333,8 +337,8 @@ class TestBackends:
         # finds the same module and its own solvers still work
         code = (
             "import sys, numpy as np\n"
-            "from causalcorr._simplex import HIGHS_MODULE, solve_phase1\n"
-            "assert solve_phase1(np.ones((1, 2)), np.ones(1)).feasible\n"
+            "from causalcorr._simplex import HIGHS_MODULE, phase1_program, solve_phase1\n"
+            "assert solve_phase1(phase1_program(np.ones((1, 2))), np.ones(1)).feasible\n"
             "assert 'scipy.optimize' not in sys.modules and HIGHS_MODULE in sys.modules\n"
             "core = sys.modules[HIGHS_MODULE]\n"
             "from scipy.optimize import linprog\n"
@@ -356,8 +360,8 @@ class TestBackends:
                             or import_module(name, *args))
         core = _simplex.highs_core()
         assert imported[0] == _simplex.HIGHS_MODULE and core.__name__ == _simplex.HIGHS_MODULE
-        assert solve_phase1(np.ones((1, 2)), np.ones(1)).feasible
-        assert not solve_phase1(np.ones((1, 2)), -np.ones(1)).feasible
+        assert solve_phase1(phase1_program(np.ones((1, 2))), np.ones(1)).feasible
+        assert not solve_phase1(phase1_program(np.ones((1, 2))), -np.ones(1)).feasible
 
 
 class TestExact:
@@ -384,7 +388,7 @@ class TestExact:
         x0 = rng.integers(0, 8, size=12) / 8.0
         b = a @ x0
         assert solve_phase1_exact(a, b).feasible
-        assert solve_phase1(a, b).feasible
+        assert solve_phase1(phase1_program(a), b).feasible
 
     def test_exact_matches_list_oracle_on_random_integer_systems(self):
         rng = np.random.default_rng(7)
@@ -428,15 +432,21 @@ class TestSolverError:
         assert issubclass(SolverError, CausalCorrError)
         assert issubclass(SolverError, RuntimeError)
 
-    def test_pivot_limit_raises(self):
+    def test_pivot_limit_raises(self, monkeypatch):
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, size=(6, 12))
         b = a @ rng.uniform(0, 1, size=12)
-        assert solve_phase1(a, b).iterations > 2
-        with pytest.raises(SolverError, match="2 pivots"):
-            solve_phase1(a, b, max_iter=2)
-        with pytest.raises(SolverError, match="2 pivots"):
-            solve_phase1_exact(np.round(a * 8), np.round(b * 8), max_iter=2)
+        assert solve_phase1(phase1_program(a), b).iterations > 2
+        # the limit is PIVOTS_PER_DIMENSION * 18 here, so the least one below the 6 pivots needed is 0
+        with monkeypatch.context() as limit:
+            limit.setattr(_simplex, "PIVOTS_PER_DIMENSION", 0)
+            with pytest.raises(SolverError, match="within 0 pivots"):
+                solve_phase1(phase1_program(a), b)
+            with pytest.raises(SolverError, match="within 0 pivots"):
+                solve_phase1_exact(np.round(a * 8), np.round(b * 8))
+        with pytest.raises(SolverError, match="within 2 pivots"):
+            _phase1_loops(*_tableau(np.round(a * 8), np.round(b * 8)), 2)
+        assert solve_phase1_exact(np.round(a * 8), np.round(b * 8)).iterations > 2
 
     def test_unbounded_tableau_raises(self):
         # column 0 enters (reduced cost -1) and has no positive entry to leave on
@@ -454,4 +464,4 @@ class TestSolverError:
         fake = types.SimpleNamespace(**{**vars(core), "_Highs": Unbounded})
         monkeypatch.setattr(_simplex, "highs_core", lambda: fake)
         with pytest.raises(SolverError, match="Unbounded"):
-            solve_phase1(np.array([[1.0, 1.0]]), np.array([1.0]))
+            solve_phase1(phase1_program(np.array([[1.0, 1.0]])), np.array([1.0]))
