@@ -13,10 +13,6 @@ import numpy as np
 from .errors import CausalCorrError, SizeLimitExceeded
 
 DEFAULT_MAX_STATE_SPACE = 1 << 24
-# Index entries kept by each factorisation cache, the oldest plan dropped first.  A
-# dist._factor_plan holds per check its source and a cell index over that source
-# (about twice the square root of the source's size), and weighs 1 plus those entries.
-MAX_CACHED_INDEX_ENTRIES = 2**18
 
 
 def max_state_space(override=None):
@@ -43,8 +39,8 @@ def max_state_space(override=None):
 
 
 def check_tol(tol):
-    """Raise CausalCorrError unless ``tol`` is a finite non-negative real number."""
-    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+    """Raise CausalCorrError unless ``tol`` is a finite non-negative real number (not a bool)."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
         raise CausalCorrError(f"tol={tol!r} is not a finite non-negative number")
 
 

@@ -19,15 +19,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _schema
-from .dist import JointDistribution, _deviations, _factor_plan, _json_numbers, conditional, marginal
+from .dist import JointDistribution, _factorised, _json_numbers, conditional, marginal
 from .errors import IncompletePOVM, NotNoSignalling, ShapeMismatch, SizeLimitExceeded, SolverError
 from .graph import BellScenario, make_bell_graph
-from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol, max_state_space
+from ._config import BoundedCache, check_tol, max_state_space
 from ._simplex import phase1_program, solve_phase1, solve_phase1_exact
 
 EXACT_MODE_MAX_STRATEGIES = 4096
@@ -43,17 +43,7 @@ class NoSignallingVerdict:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "freewill_deviation": self.freewill_deviation,
-            "nosig_deviations": self.nosig_deviations,
-            "tol": self.tol,
-        }
-
-
-# per (scenario, variables that matched it): the plan of its n + 1
-# factorisation checks
-_NOSIG_AXES = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
+        return asdict(self)
 
 
 def check_free_will_no_signalling(
@@ -70,23 +60,21 @@ def check_free_will_no_signalling(
     with the generic disjoint-past factorization check on the scenario graph.
     ``tol`` must be finite and non-negative (CausalCorrError otherwise).  The
     distribution's variables must be the scenario graph's nodes with their
-    alphabet sizes (any order).  The plan (``dist._factor_plan``) is kept
-    under the scenario and the exact ``dist.variables`` that matched it (see
-    ``MAX_CACHED_INDEX_ENTRIES``), so a call whose variables were matched
-    before runs only the kernel.
+    alphabet sizes (any order).  ``dist._factorised`` keeps the checks and
+    their plan under the scenario and the exact ``dist.variables`` that
+    matched it, so a call whose variables were matched before runs only the
+    kernel.
     """
     check_tol(tol)
-    key = (scenario, dist.variables)
-    plan = _NOSIG_AXES.get(key)
-    if plan is None:
+
+    def checks():
         expected, got = dict(make_bell_graph(scenario).outcomes), dict(dist.variables)
         if got != expected:
             raise ShapeMismatch(f"distribution variables {got} do not match the scenario {expected}")
         xs, as_ = scenario.setting_ids(), scenario.outcome_ids()
-        groups = [[{x} for x in xs] + [{"s"}]] + [({x}, set(xs + as_ + ["s"]) - {x, a}) for x, a in zip(xs, as_)]
-        plan = _factor_plan(dist.variables, groups)
-        _NOSIG_AXES.put(key, plan, 1 + sum(step[3].size + step[4].size for step in plan))
-    freewill_dev, *nosig_devs = _deviations(dist.table, plan)
+        return [[{x} for x in xs] + [{"s"}]] + [({x}, set(xs + as_ + ["s"]) - {x, a}) for x, a in zip(xs, as_)]
+
+    _, (freewill_dev, *nosig_devs) = _factorised(dist, (scenario, dist.variables), checks)
     passes = max(freewill_dev, *nosig_devs) <= tol
     return NoSignallingVerdict(passes, freewill_dev, nosig_devs, tol)
 
@@ -127,12 +115,8 @@ class LocalityVerdict:
             }
 
         return {
-            "is_local": self.is_local,
+            **asdict(self),
             "weights": keyed(self.weights),
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "solver": self.solver,
-            "iterations": self.iterations,
             "lp_shape": list(self.lp_shape),
             "inequality": keyed(self.inequality),
         }

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import CausalCorrError, SchemaError, ShapeMismatch
+from .errors import CausalCorrError, SchemaError, ShapeMismatch, SizeLimitExceeded
 
 
 def _read(path: str, parse):
@@ -79,6 +79,12 @@ def _check_correlation(args, parse_graph, parse_dist, is_correlation):
 
 
 def _bell_gen(args, scenario_class, make_bell_graph, graph_to_dict):
+    from .graph import DEFAULT_MAX_PAIRS
+
+    # an n-party Bell graph has 2^n - 1 maximal disjoint-past pairs
+    if args.parties > (DEFAULT_MAX_PAIRS + 1).bit_length() - 1:
+        raise SizeLimitExceeded(f"{args.parties} parties give more than {DEFAULT_MAX_PAIRS} disjoint-past pairs, "
+                                "the pair-enumeration guard")
     settings, outcomes = (s * args.parties if len(s) == 1 else s for s in (args.settings, args.outcomes))
     if len(settings) != args.parties or len(outcomes) != args.parties:
         raise SchemaError("--settings and --outcomes must list one size or one per party")

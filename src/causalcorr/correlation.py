@@ -7,11 +7,11 @@ pairs suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import graph as cg
-from ._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache, check_tol
-from .dist import JointDistribution, _deviations, _factor_plan
+from ._config import check_tol
+from .dist import JointDistribution, _factorised
 from .errors import ShapeMismatch
 
 
@@ -34,19 +34,8 @@ class CorrelationVerdict:
     max_deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "is_correlation": self.is_correlation,
-            "violations": [
-                {"U": sorted(u), "W": sorted(w), "dev": dev} for u, w, dev in self.violations
-            ],
-            "tol": self.tol,
-            "pairs_checked": self.pairs_checked,
-            "max_deviation": self.max_deviation,
-        }
-
-
-# per (nodes, edges, variables): the maximal pairs and their plan
-_AXES = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
+        violations = [{"U": sorted(u), "W": sorted(w), "dev": dev} for u, w, dev in self.violations]
+        return {**asdict(self), "violations": violations}
 
 
 def is_correlation(
@@ -59,8 +48,8 @@ def is_correlation(
     on every call.  One ``dist._deviations`` run checks every pair, summing
     each pair's joint from the smallest joint already summed that holds it.
     The pairs and their plan (``dist._factor_plan``) depend only on the
-    graph's nodes and edges and the variables with their sizes, and are kept
-    under them (see ``MAX_CACHED_INDEX_ENTRIES``), so a structure met again
+    graph's nodes and edges and the variables with their sizes, and
+    ``dist._factorised`` keeps them under those, so a structure met again
     runs the kernel only.  Graphs with no disjoint-past pairs accept every
     distribution vacuously.
     """
@@ -74,13 +63,7 @@ def is_correlation(
             raise ShapeMismatch(f"variable {v!r} has size {k}, graph says {graph.outcomes[v]}")
 
     key = (tuple(graph.nodes), tuple(graph.edges), dist.variables)
-    kept = _AXES.get(key)
-    if kept is None:
-        pairs = cg.maximal_disjoint_past_pairs(graph)
-        plan = _factor_plan(dist.variables, pairs)
-        kept = _AXES.put(key, (pairs, plan), 1 + sum(step[3].size + step[4].size for step in plan))
-    pairs, plan = kept
-    devs = _deviations(dist.table, plan)
+    pairs, devs = _factorised(dist, key, lambda: cg.maximal_disjoint_past_pairs(graph))
     violations = [(u, w, dev) for (u, w), dev in zip(pairs, devs) if dev > tol]
     violations.sort(key=lambda t: (sorted(t[0]), sorted(t[1])))
     return CorrelationVerdict(

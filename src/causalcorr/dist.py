@@ -28,7 +28,7 @@ from .errors import (
     as_size,
 )
 from . import _schema
-from ._config import max_state_space
+from ._config import BoundedCache, max_state_space
 
 DEFAULT_NORM_TOL = 1e-9
 DEFAULT_ZERO_TOL = 1e-12
@@ -241,6 +241,27 @@ def _deviations(table: np.ndarray, plan) -> list[float]:
         prod = functools.reduce(np.multiply, [np.add.reduce(joint, others, keepdims=True) for others in sides] or [1.0])
         devs[c] = float(np.abs(joint - prod).max())
     return devs
+
+
+# Index entries kept by the factorisation cache, the oldest plan dropped first.  A
+# _factor_plan holds per check its source and a cell index over that source
+# (about twice the square root of the source's size), and weighs 1 plus those entries.
+MAX_CACHED_INDEX_ENTRIES = 2**18
+# keyed (nodes, edges, variables) by is_correlation, (scenario, variables) by the no-signalling check
+_FACTOR_PLANS = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
+
+
+def _factorised(dist: JointDistribution, key, checks):
+    """The checks that ``checks()`` lists and their :func:`_deviations` on ``dist``.  The checks
+    and their plan are kept under ``key``, which must fix ``dist.variables`` and the checks, so
+    ``checks`` runs only when ``key`` is not kept; an exception it raises keeps nothing."""
+    kept = _FACTOR_PLANS.get(key)
+    if kept is None:
+        listed = checks()
+        plan = _factor_plan(dist.variables, listed)
+        kept = _FACTOR_PLANS.put(key, (listed, plan), 1 + sum(step[3].size + step[4].size for step in plan))
+    listed, plan = kept
+    return listed, _deviations(dist.table, plan)
 
 
 def tv_distance(d1: JointDistribution, d2: JointDistribution) -> float:

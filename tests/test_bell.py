@@ -24,7 +24,7 @@ from causalcorr.errors import (
     SizeLimitExceeded,
     SolverError,
 )
-from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
+from causalcorr._config import BoundedCache
 from causalcorr._simplex import HIGHS_ENTRIES, phase1_program, solve_phase1
 from causalcorr.cli import run
 
@@ -267,10 +267,10 @@ class TestFreeWillNoSignalling:
     def test_kept_axes_answer_as_new_ones(self, monkeypatch):
         # one entry per (scenario, variables); variables not matched before are checked
         cases = [(s, d) for _, s, d in no_signalling_oracle_cases()]
-        monkeypatch.setattr(bm, "_NOSIG_AXES", BoundedCache(0))  # keeps nothing
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", BoundedCache(0))  # keeps nothing
         unkept = [bm.check_free_will_no_signalling(s, d).to_dict() for s, d in cases]
-        cache = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
-        monkeypatch.setattr(bm, "_NOSIG_AXES", cache)
+        cache = BoundedCache(dm.MAX_CACHED_INDEX_ENTRIES)
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", cache)
         for _ in range(2):
             assert [bm.check_free_will_no_signalling(s, d).to_dict() for s, d in cases] == unkept
         assert len(cache.entries) == len({(s, d.variables) for s, d in cases}) == 6
@@ -280,7 +280,8 @@ class TestFreeWillNoSignalling:
         with pytest.raises(ShapeMismatch, match="do not match the scenario"):
             bm.check_free_will_no_signalling(chsh_222(), wrong)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    # a bool is a numbers.Real, but no tolerance
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9, True, False])
     def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
         with pytest.raises(CausalCorrError, match="tol="):
             bm.check_free_will_no_signalling(chsh_222(), pr_box_dist(), tol=tol)
@@ -308,6 +309,25 @@ class TestFreeWillNoSignalling:
             assert v1 == v2
             agree += 1
         assert agree == 50
+
+    @pytest.mark.parametrize("correlation_first", [True, False])
+    def test_correlation_and_no_signalling_share_one_cache(self, correlation_first, monkeypatch):
+        # one entry per caller's key on the same graph and variables: their keys differ in length
+        scenario = chsh_222()
+        t = np.random.default_rng(1).uniform(size=(1, 2, 2, 2, 2))
+        d = dm.JointDistribution((("s", 1), ("x1", 2), ("x2", 2), ("a1", 2), ("a2", 2)), t / t.sum())
+        graph = bm.make_bell_graph(scenario)
+        calls = [lambda: is_correlation(graph, d).to_dict(),
+                 lambda: bm.check_free_will_no_signalling(scenario, d).to_dict()]
+        if not correlation_first:
+            calls.reverse()
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", BoundedCache(0))  # keeps nothing
+        unkept = [call() for call in calls]
+        cache = BoundedCache(dm.MAX_CACHED_INDEX_ENTRIES)
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", cache)
+        for _ in range(2):
+            assert [call() for call in calls] == unkept
+        assert len(cache.entries) == 2
 
 
 def marginal_loop_free_will_no_signalling(scenario, dist):

@@ -357,6 +357,17 @@ class TestExitCodes:
     def test_bell_gen_bad_sizes_is_usage_error(self, capsys, sizes):
         assert run(["bell-gen", "--parties", "2"] + sizes) == 2
 
+    @pytest.mark.parametrize("parties", [14, 300_000_000])
+    def test_bell_gen_past_the_pair_guard_is_refused(self, capsys, parties):
+        # 2^n - 1 maximal disjoint-past pairs: refused before any per-party size is repeated
+        assert run(["bell-gen", "--parties", str(parties)]) == 2
+        assert f"{parties} parties give more than {gm.DEFAULT_MAX_PAIRS} disjoint-past pairs" in capsys.readouterr().err
+
+    def test_bell_gen_at_the_pair_guard_is_written(self, capsys):
+        code, payload = run_json(["bell-gen", "--parties", "13"], capsys)
+        assert code == 0 and len(payload["nodes"]) == 27
+        assert len(gm.maximal_disjoint_past_pairs(gm.graph_from_dict(payload))) == gm.DEFAULT_MAX_PAIRS
+
     def test_nan_probability_is_usage_error(self, bell_files, tmp_path, capsys):
         graph_path, _ = bell_files
         data = dm.dist_to_dict(pr_box_dist())

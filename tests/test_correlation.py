@@ -193,7 +193,8 @@ class TestFactorisationCache:
         for g in graphs + graphs:
             assert_matches_oracle(g, random_table(rng, g))
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    # a bool is a numbers.Real, but no tolerance
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9, True, False])
     def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, bell, tol):
         with pytest.raises(CausalCorrError, match="tol="):
             is_correlation(bell, signalling_bell_table(), tol=tol)
@@ -205,17 +206,16 @@ class TestFactorisationCache:
 
     @pytest.mark.parametrize("name", ["bell", "sequential", "bilocality"])
     def test_kept_plans_answer_as_new_ones(self, name, monkeypatch):
-        from causalcorr import correlation
-        from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
+        from causalcorr._config import BoundedCache
 
         rng = np.random.default_rng(5)
         cases = [(g, d) for g in (all_test_graphs(2)[name], all_test_graphs(3)[name])
                  for d in (random_table(rng, g), cm.evaluate(cm.random_model(g, 2, seed=1)))]
         cases += [(g, d.reorder(tuple(rng.permutation(list(d.var_ids))))) for g, d in cases]
-        monkeypatch.setattr(correlation, "_AXES", BoundedCache(0))  # keeps nothing
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", BoundedCache(0))  # keeps nothing
         unkept = [is_correlation(g, d).to_dict() for g, d in cases]
-        cache = BoundedCache(MAX_CACHED_INDEX_ENTRIES)
-        monkeypatch.setattr(correlation, "_AXES", cache)
+        cache = BoundedCache(dm.MAX_CACHED_INDEX_ENTRIES)
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", cache)
         for _ in range(2):
             assert [is_correlation(g, d).to_dict() for g, d in cases] == unkept
         assert len(cache.entries) == len({d.variables for _, d in cases})
@@ -229,12 +229,11 @@ class TestFactorisationCache:
         assert sum(lead.size * trail.size for _, _, _, lead, trail, _, _ in plan) == 7 * p.table.size < 15 * p.table.size
 
     def test_holds_at_most_its_bound(self, monkeypatch):
-        from causalcorr import correlation
-        from causalcorr._config import MAX_CACHED_INDEX_ENTRIES, BoundedCache
+        from causalcorr._config import BoundedCache
 
-        assert correlation._AXES.limit == MAX_CACHED_INDEX_ENTRIES
+        assert dm._FACTOR_PLANS.limit == dm.MAX_CACHED_INDEX_ENTRIES
         cache = BoundedCache(1000)
-        monkeypatch.setattr(correlation, "_AXES", cache)
+        monkeypatch.setattr(dm, "_FACTOR_PLANS", cache)
         for i in range(400):  # graphs of one 2 x 2 pair each: an entry weighs 1 + 2 + 2 index entries
             g = CausalGraph.build([(f"u{i}", 2), (f"v{i}", 2)], [])
             is_correlation(g, dm.JointDistribution(((f"u{i}", 2), (f"v{i}", 2)), np.full((2, 2), 0.25)))
